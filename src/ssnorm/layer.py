@@ -2,13 +2,18 @@
 
 Per-normalizer statistics (IN, BN, LN, optional GN) are mixed by two
 independent gates — one for means, one for variances — whose ratios come
-from the radius-constrained simplex projection.  Includes the exact
-backward pass, running-statistics bookkeeping for evaluation mode, and
-BN folding into a preceding convolution.
+from the radius-constrained simplex projection.  One statistics core
+serves every normalizer: ``REDUCE_AXES`` names the axes each one reduces
+over in an (N, G, C/G, H*W) view of the input, and the mixed moments are
+applied as a fused per-(n, c) scale and shift.  The exact backward pass
+collapses the same way to per-(n, c) coefficients.  Also includes
+running-statistics bookkeeping for evaluation mode, checkpointing, and BN
+folding into a preceding convolution.
 """
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -48,67 +53,28 @@ def validate_omega(omega) -> tuple[str, ...]:
     return omega
 
 
-def stats_in(x):
-    """Per-(sample, channel) mean and biased variance over (H, W)."""
-    x = _validate_tensor4(x)
-    return x.mean(axis=(2, 3)), x.var(axis=(2, 3))
+# Axes each normalizer reduces over in the (N, G, C/G, H*W) view of x, where
+# G is the GN group count when GN is in omega and 1 otherwise.  Per-(n, c)
+# arrays keep a size-1 last axis in the same view, so the same axes sum a
+# statistic's adjoint in the backward pass.
+REDUCE_AXES = {"IN": (3,), "BN": (0, 3), "LN": (1, 2, 3), "GN": (2, 3)}
 
 
-def stats_bn(x):
-    """Per-channel mean and biased variance over (N, H, W)."""
-    x = _validate_tensor4(x)
-    return x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
-
-
-def stats_ln(x):
-    """Per-sample mean and biased variance over (C, H, W)."""
-    x = _validate_tensor4(x)
-    return x.mean(axis=(1, 2, 3)), x.var(axis=(1, 2, 3))
-
-
-def stats_gn(x, groups: int):
-    """Per-(sample, group) mean and biased variance over (C/groups, H, W)."""
-    x = _validate_tensor4(x)
-    n, c, h, w = x.shape
+def _grouped_shape(shape, omega, gn_groups: int) -> tuple[int, int, int, int]:
+    """The (N, G, C/G, H*W) view that ``REDUCE_AXES`` indexes."""
+    n, c, h, w = shape
+    groups = gn_groups if "GN" in omega else 1
     if groups < 1 or c % groups != 0:
         raise InvalidInputError(f"channels ({c}) not divisible by groups ({groups})")
-    xg = x.reshape(n, groups, c // groups, h, w)
-    return xg.mean(axis=(2, 3, 4)), xg.var(axis=(2, 3, 4))
+    return n, groups, c // groups, h * w
 
 
-def _stat_to_nc(kind: str, stat: np.ndarray, n: int, c: int) -> np.ndarray:
-    """Broadcast a per-normalizer statistic to shape (N, C)."""
-    if kind == "IN":
-        return stat
-    if kind == "BN":
-        return np.broadcast_to(stat, (n, c))
-    if kind == "LN":
-        return np.broadcast_to(stat[:, None], (n, c))
-    # GN: repeat each group over its channels.
-    return np.repeat(stat, c // stat.shape[1], axis=1)
-
-
-def _nc_to_stat(kind: str, g_nc: np.ndarray, groups: int) -> np.ndarray:
-    """Collapse an (N, C) gradient back to the statistic's shape."""
-    if kind == "IN":
-        return g_nc
-    if kind == "BN":
-        return g_nc.sum(axis=0)
-    if kind == "LN":
-        return g_nc.sum(axis=1)
-    n, c = g_nc.shape
-    return g_nc.reshape(n, groups, c // groups).sum(axis=2)
-
-
-def _reduce_count(kind: str, shape, groups: int) -> int:
-    n, c, h, w = shape
-    if kind == "IN":
-        return h * w
-    if kind == "BN":
-        return n * h * w
-    if kind == "LN":
-        return c * h * w
-    return (c // groups) * h * w
+def _mean_of_squares(d: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Mean of ``d * d`` over ``axes`` of the grouped view, with keepdims."""
+    keep = "".join(letter for i, letter in enumerate("ngkh") if i not in axes)
+    shape = tuple(1 if i in axes else size for i, size in enumerate(d.shape))
+    count = math.prod(d.shape[i] for i in axes)
+    return (np.einsum(f"ngkh,ngkh->{keep}", d, d) / count).reshape(shape)
 
 
 @dataclass
@@ -181,6 +147,10 @@ class LayerConfig:
 
 @dataclass
 class SsnCache:
+    """Forward intermediates for the backward pass.  ``stats`` maps each
+    active normalizer to its (mean, variance), and ``mu_nc``, ``var_nc`` and
+    ``inv_std`` hold the mixed moments; all are (N, C) arrays."""
+
     x: np.ndarray
     omega: tuple[str, ...]
     gn_groups: int
@@ -190,22 +160,11 @@ class SsnCache:
     mu_nc: np.ndarray
     var_nc: np.ndarray
     inv_std: np.ndarray
-    xhat: np.ndarray
     gamma: np.ndarray
     eps: float
     mode: str
     frozen_mean: bool
     frozen_var: bool
-
-
-def _compute_stat(name: str, x: np.ndarray, gn_groups: int):
-    if name == "IN":
-        return stats_in(x)
-    if name == "BN":
-        return stats_bn(x)
-    if name == "LN":
-        return stats_ln(x)
-    return stats_gn(x, gn_groups)
 
 
 def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
@@ -214,48 +173,62 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     Both gates are projected independently with the same radius.  Only the
     normalizers with nonzero ratio in either gate have their statistics
     computed, so a one-hot layer touches a single normalizer.  In eval
-    mode the BN path reads the running averages.
+    mode the BN path reads the running averages.  The mixed moments are
+    applied as one per-(n, c) scale and shift, ``y = x * a + b``.
     """
     x = _validate_tensor4(x)
     omega = validate_omega(omega)
-    n, c, h, w = x.shape
+    n, c = x.shape[:2]
     k = len(omega)
     if params.gate.z_mean.shape != (k,) or params.gate.z_var.shape != (k,):
         raise InvalidInputError("gate logits length must match |omega|")
     if params.gamma.shape != (c,) or params.beta.shape != (c,):
         raise InvalidInputError("gamma/beta length must match channel count")
+    view = _grouped_shape(x.shape, omega, gn_groups)
+    per_nc = view[:3] + (1,)
     geom = SimplexGeometry(k)
     p_res = sparsestmax(params.gate.z_mean, r, geom)
     pp_res = sparsestmax(params.gate.z_var, r, geom)
     p, pp = p_res.p, pp_res.p
 
+    xv = x.reshape(view)
+    centered = None  # x minus ``shift``, the last mean computed from x
+    shift = 0.0
     stats = {}
+    mu = np.zeros(per_nc)
+    var = np.zeros(per_nc)
     for i, name in enumerate(omega):
         if p[i] == 0.0 and pp[i] == 0.0:
             continue
         if name == "BN" and params.mode == EVAL:
-            stats[name] = (params.bn_running_mean, params.bn_running_var)
+            mean_k = params.bn_running_mean.reshape(per_nc[1:])
+            var_k = params.bn_running_var.reshape(per_nc[1:])
         else:
-            stats[name] = _compute_stat(name, x, gn_groups)
-
-    mu_nc = np.zeros((n, c))
-    var_nc = np.zeros((n, c))
-    for i, name in enumerate(omega):
+            axes = REDUCE_AXES[name]
+            mean_k = shift = xv.mean(axis=axes, keepdims=True)
+            centered = np.subtract(xv, mean_k, out=centered)
+            var_k = _mean_of_squares(centered, axes)
+        stats[name] = (np.broadcast_to(mean_k, per_nc).reshape(n, c),
+                       np.broadcast_to(var_k, per_nc).reshape(n, c))
         if p[i] != 0.0:
-            mu_nc += p[i] * _stat_to_nc(name, stats[name][0], n, c)
+            mu += p[i] * mean_k
         if pp[i] != 0.0:
-            var_nc += pp[i] * _stat_to_nc(name, stats[name][1], n, c)
+            var += pp[i] * var_k
 
-    inv_std = 1.0 / np.sqrt(var_nc + params.eps)
-    xhat = (x - mu_nc[:, :, None, None]) * inv_std[:, :, None, None]
-    y = params.gamma[None, :, None, None] * xhat + params.beta[None, :, None, None]
+    # y = x * a + b with a = gamma / sqrt(var + eps) and b = beta - mu * a,
+    # applied in place to the centered copy when there is one:
+    # y = (x - shift) * a + (b + shift * a).
+    inv_std = 1.0 / np.sqrt(var + params.eps)
+    a = params.gamma.reshape(per_nc[1:]) * inv_std
+    y = np.multiply(xv if centered is None else centered, a, out=centered)
+    y += params.beta.reshape(per_nc[1:]) - (mu - shift) * a
     cache = SsnCache(x=x, omega=omega, gn_groups=gn_groups, p_res=p_res,
-                     pp_res=pp_res, stats=stats, mu_nc=mu_nc, var_nc=var_nc,
-                     inv_std=inv_std, xhat=xhat, gamma=params.gamma.copy(),
-                     eps=params.eps, mode=params.mode,
+                     pp_res=pp_res, stats=stats, mu_nc=mu.reshape(n, c),
+                     var_nc=var.reshape(n, c), inv_std=inv_std.reshape(n, c),
+                     gamma=params.gamma.copy(), eps=params.eps, mode=params.mode,
                      frozen_mean=params.gate.frozen_mean,
                      frozen_var=params.gate.frozen_var)
-    return y, cache
+    return y.reshape(x.shape), cache
 
 
 @dataclass
@@ -271,52 +244,68 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
     """Exact gradients of the normalization wrt inputs, affine parameters
     and both gate logit vectors.
 
-    The gate gradients flow through the projection's vector-Jacobian
+    Every normalizer's mean and variance terms reduce to per-(n, c)
+    coefficients, so ``grad_x = g * alpha + x * coef + const`` takes the
+    same few full-tensor passes whatever the number of normalizers.  The
+    gate gradients flow through the projection's vector-Jacobian
     product, so normalizers with zero ratio get exactly-zero logit
     gradients; frozen gates get zeros unconditionally.
     """
     if cache.mode != TRAIN:
         raise InvalidStateError("backward requires a train-mode cache")
     g = np.asarray(upstream, dtype=np.float64)
-    if g.shape != cache.x.shape:
-        raise InvalidInputError("upstream tensor shape must match the input")
     x, omega = cache.x, cache.omega
-    n, c, h, w = x.shape
+    if g.shape != x.shape:
+        raise InvalidInputError("upstream tensor shape must match the input")
+    c = x.shape[1]
+    view = _grouped_shape(x.shape, omega, cache.gn_groups)
+    per_nc = view[:3] + (1,)
+    xv, gv = x.reshape(view), g.reshape(view)
     p, pp = cache.p_res.p, cache.pp_res.p
-    s = cache.inv_std
+    s = cache.inv_std.reshape(per_nc)
+    mu = cache.mu_nc.reshape(per_nc)
+    gamma = cache.gamma.reshape(per_nc[1:])
 
-    grad_beta = g.sum(axis=(0, 2, 3))
-    grad_gamma = (g * cache.xhat).sum(axis=(0, 2, 3))
-    gx_hat = g * cache.gamma[None, :, None, None]
+    # The only reads of the full tensors: per-(n, c) sums of g and g * x.
+    sum_g = gv.sum(axis=3, keepdims=True)
+    sum_gx = np.einsum("ngkh,ngkh->ngk", gv, xv)[..., None]
+    sum_gxhat = s * (sum_gx - mu * sum_g)
+    grad_beta = sum_g.sum(axis=0).reshape(c)
+    grad_gamma = sum_gxhat.sum(axis=0).reshape(c)
 
     # Gradients wrt the mixed per-(n, c) statistics.
-    g_mu_nc = -s * gx_hat.sum(axis=(2, 3))
-    centered = x - cache.mu_nc[:, :, None, None]
-    g_var_nc = -0.5 * s ** 3 * (gx_hat * centered).sum(axis=(2, 3))
+    g_mu = -gamma * s * sum_g
+    g_var = -0.5 * gamma * s * s * sum_gxhat
 
-    grad_x = gx_hat * s[:, :, None, None]
+    # Each statistic's adjoint is a sum over its own axes: a mean adds a
+    # constant, a variance adds a multiple of (x - mean).
+    coef = np.zeros(per_nc)
+    const = np.zeros(per_nc)
     g_p = np.zeros(len(omega))
     g_pp = np.zeros(len(omega))
     for i, name in enumerate(omega):
-        m = _reduce_count(name, x.shape, cache.gn_groups)
+        if p[i] == 0.0 and pp[i] == 0.0:
+            continue
+        axes = REDUCE_AXES[name]
+        m = math.prod(view[a] for a in axes)
+        mean_k, var_k = (s_k.reshape(per_nc) for s_k in cache.stats[name])
         if p[i] != 0.0:
-            mean_nc = _stat_to_nc(name, cache.stats[name][0], n, c)
-            g_p[i] = float((g_mu_nc * mean_nc).sum())
-            stat_grad = _nc_to_stat(name, p[i] * g_mu_nc, cache.gn_groups)
-            grad_x += (_stat_to_nc(name, stat_grad, n, c) / m)[:, :, None, None]
+            g_p[i] = float((g_mu * mean_k).sum())
+            const += (p[i] / m) * g_mu.sum(axis=axes, keepdims=True)
         if pp[i] != 0.0:
-            var_nc_k = _stat_to_nc(name, cache.stats[name][1], n, c)
-            g_pp[i] = float((g_var_nc * var_nc_k).sum())
-            stat_grad = _nc_to_stat(name, pp[i] * g_var_nc, cache.gn_groups)
-            mean_nc = _stat_to_nc(name, cache.stats[name][0], n, c)
-            grad_x += _stat_to_nc(name, stat_grad, n, c)[:, :, None, None] * \
-                (2.0 / m) * (x - mean_nc[:, :, None, None])
+            g_pp[i] = float((g_var * var_k).sum())
+            t = (2.0 * pp[i] / m) * g_var.sum(axis=axes, keepdims=True)
+            coef += t
+            const -= t * mean_k
 
+    grad_x = xv * coef
+    grad_x += const
+    grad_x += gv * (gamma * s)
     zeros = np.zeros(len(omega))
     grad_z_mean = zeros if cache.frozen_mean else sparsestmax_vjp(cache.p_res, g_p)
     grad_z_var = zeros.copy() if cache.frozen_var else sparsestmax_vjp(cache.pp_res, g_pp)
-    return SsnGrads(x=grad_x, gamma=grad_gamma, beta=grad_beta,
-                    z_mean=grad_z_mean, z_var=grad_z_var)
+    return SsnGrads(x=grad_x.reshape(x.shape), gamma=grad_gamma,
+                    beta=grad_beta, z_mean=grad_z_mean, z_var=grad_z_var)
 
 
 def update_running_stats(params: SsnParams, batch_mean, batch_var,
@@ -324,10 +313,15 @@ def update_running_stats(params: SsnParams, batch_mean, batch_var,
     """Exponential moving average update of the BN running statistics."""
     if not 0.0 <= momentum <= 1.0:
         raise InvalidInputError("momentum must be in [0, 1]")
+    batch_mean = np.asarray(batch_mean, dtype=np.float64)
+    batch_var = np.asarray(batch_var, dtype=np.float64)
+    if batch_mean.shape != params.bn_running_mean.shape or \
+            batch_var.shape != params.bn_running_var.shape:
+        raise InvalidInputError("batch moments must have the running statistics' shape")
     params.bn_running_mean = (1.0 - momentum) * params.bn_running_mean + \
-        momentum * np.asarray(batch_mean, dtype=np.float64)
+        momentum * batch_mean
     params.bn_running_var = (1.0 - momentum) * params.bn_running_var + \
-        momentum * np.asarray(batch_var, dtype=np.float64)
+        momentum * batch_var
     return params
 
 
@@ -390,18 +384,37 @@ def save_checkpoint(params: SsnParams, path) -> None:
         json.dump(payload, fh)
 
 
+def _checkpoint_array(raw: dict, key: str, length: int | None = None) -> np.ndarray:
+    try:
+        arr = np.array(raw[key], dtype=np.float64)
+    except (KeyError, TypeError, ValueError):
+        raise InvalidInputError(
+            f"checkpoint field {key!r} is missing or not numeric") from None
+    if arr.ndim != 1 or (length is not None and arr.size != length):
+        raise InvalidInputError(f"checkpoint field {key!r} has the wrong shape")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"checkpoint field {key!r} must be finite")
+    return arr
+
+
 def load_checkpoint(path) -> SsnParams:
+    """Read parameters written by ``save_checkpoint``; a malformed payload
+    (mismatched lengths, non-finite values) raises ``InvalidInputError``."""
     with open(path) as fh:
         raw = json.load(fh)
-    gate = GateParams(z_mean=np.array(raw["z_mean"], dtype=np.float64),
-                      z_var=np.array(raw["z_var"], dtype=np.float64),
+    z_mean = _checkpoint_array(raw, "z_mean")
+    gamma = _checkpoint_array(raw, "gamma")
+    c = gamma.size
+    gate = GateParams(z_mean=z_mean, z_var=_checkpoint_array(raw, "z_var", z_mean.size),
                       frozen_mean=bool(raw["frozen_mean"]),
                       frozen_var=bool(raw["frozen_var"]))
-    return SsnParams(gate=gate, gamma=np.array(raw["gamma"], dtype=np.float64),
-                     beta=np.array(raw["beta"], dtype=np.float64),
-                     eps=float(raw["eps"]),
-                     bn_running_mean=np.array(raw["bn_running_mean"], dtype=np.float64),
-                     bn_running_var=np.array(raw["bn_running_var"], dtype=np.float64))
+    eps = float(raw["eps"])
+    if not math.isfinite(eps):
+        raise InvalidInputError("checkpoint field 'eps' must be finite")
+    return SsnParams(gate=gate, gamma=gamma, beta=_checkpoint_array(raw, "beta", c),
+                     eps=eps,
+                     bn_running_mean=_checkpoint_array(raw, "bn_running_mean", c),
+                     bn_running_var=_checkpoint_array(raw, "bn_running_var", c))
 
 
 def benchmark_forward(n: int, c: int, h: int, w: int, reps: int, seed: int = 0,

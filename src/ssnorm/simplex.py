@@ -117,15 +117,15 @@ def softmax(z) -> np.ndarray:
 
 
 def _sparsemax_raw(z: np.ndarray) -> np.ndarray:
-    # Sort-based threshold evaluation, O(K log K).
+    # Sort-based threshold evaluation, O(K log K).  Sparsemax is
+    # shift-invariant, so subtracting the maximum is exact; it keeps the +1
+    # in the threshold from being lost to rounding at extreme magnitudes.
+    z = z - z.max()
     k = z.size
     z_sorted = np.sort(z)[::-1]
     cumsum = np.cumsum(z_sorted)
     ks = np.arange(1, k + 1)
     feasible = 1.0 + ks * z_sorted > cumsum
-    # k = 1 satisfies 1 + z_(1) > z_(1) mathematically; enforce it even when
-    # the +1 is lost to rounding at extreme magnitudes.
-    feasible[0] = True
     a = int(ks[feasible][-1])
     tau = (cumsum[a - 1] - 1.0) / a
     p = z - tau

@@ -253,7 +253,8 @@ def train(model: ToyModelConfig, opt: OptimizerConfig, data,
             for li, (params, ssn_g) in enumerate(zip(net.ssn, grads["ssn"])):
                 cache = caches[li][2]
                 if "BN" in cache.stats and params.mode == TRAIN:
-                    update_running_stats(params, *cache.stats["BN"])
+                    bn_mean, bn_var = cache.stats["BN"]
+                    update_running_stats(params, bn_mean[0], bn_var[0])
                 p, pp = cache.p_res.p, cache.pp_res.p
                 circle_dot = None
                 if cache.p_res.stage == Stage.CIRCLE:

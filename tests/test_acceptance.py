@@ -17,7 +17,7 @@ import pytest
 from ssnorm.cli import main as cli_main
 from ssnorm.layer import (EVAL, GateParams, SsnParams, benchmark_forward,
                           conv2d, fold_bn_into_affine, ssn_backward,
-                          ssn_forward, stats_bn, stats_gn, stats_in, stats_ln)
+                          ssn_forward)
 from ssnorm.oracle import oracle_project
 from ssnorm.simplex import (RadiusSchedule, SimplexGeometry, Stage,
                             is_smooth_point, schedule_radius, sparsemax,
@@ -234,19 +234,22 @@ def test_criterion_9_layer_correctness():
     x = rng.normal(size=(3, 4, 5, 5))
     full = ("IN", "BN", "LN", "GN")
     geom = SimplexGeometry(4)
-    plain = {"IN": stats_in(x), "BN": stats_bn(x), "LN": stats_ln(x),
-             "GN": stats_gn(x, 2)}
-    expand = {"IN": lambda s: s,
-              "BN": lambda s: np.broadcast_to(s, (3, 4)),
-              "LN": lambda s: np.broadcast_to(s[:, None], (3, 4)),
-              "GN": lambda s: np.repeat(s, 2, axis=1)}
+    axes = {"IN": (2, 3), "BN": (0, 2, 3), "LN": (1, 2, 3), "GN": (2, 3, 4)}
+    xg = x.reshape(3, 2, 2, 5, 5)
+
+    def expand(moment, name):
+        # One plain normalizer's moment, expanded to (N, C).
+        src = xg if name == "GN" else x
+        stat = moment(src, axis=axes[name], keepdims=True)
+        return np.broadcast_to(stat, src.shape).reshape(x.shape)[:, :, 0, 0]
+
     for hot, name in enumerate(full):
         params = SsnParams.init(4, 4)
         params.gate.z_mean = np.where(np.arange(4) == hot, 5.0, 0.0)
         params.gate.z_var = params.gate.z_mean.copy()
         y, _ = ssn_forward(x, params, geom.r_circum, full, 2)
-        mu = expand[name](plain[name][0])
-        var = expand[name](plain[name][1])
+        mu = expand(np.mean, name)
+        var = expand(np.var, name)
         ref = (x - mu[:, :, None, None]) / \
             np.sqrt(var[:, :, None, None] + params.eps)
         onehot_worst = max(onehot_worst, float(np.max(np.abs(y - ref))))

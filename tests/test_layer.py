@@ -1,6 +1,7 @@
 """Tests for the gated normalization layer: forward against a scalar-loop
 oracle, exact backward against finite differences, running statistics,
 checkpointing and convolution folding."""
+import json
 import math
 
 import numpy as np
@@ -11,8 +12,7 @@ from ssnorm.errors import (InvalidInputError, InvalidStateError,
 from ssnorm.layer import (EVAL, TRAIN, GateParams, LayerConfig, SsnParams,
                           benchmark_forward, conv2d, fold_bn_into_affine,
                           load_checkpoint, save_checkpoint, select_normalizer,
-                          ssn_backward, ssn_forward, stats_bn, stats_gn,
-                          stats_in, stats_ln, update_running_stats,
+                          ssn_backward, ssn_forward, update_running_stats,
                           validate_omega)
 from ssnorm.simplex import SimplexGeometry, is_smooth_point, sparsestmax
 
@@ -31,8 +31,12 @@ def test_statistics_match_nested_loops():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(3, 4, 2, 5))
     n, c, h, w = x.shape
+    groups = 2
+    # Uniform logits at r = 0 keep every normalizer active.
+    _, cache = ssn_forward(x, SsnParams.init(c, 4), 0.0,
+                           ("IN", "BN", "LN", "GN"), groups)
 
-    mu, var = stats_in(x)
+    mu, var = cache.stats["IN"]
     for i in range(n):
         for j in range(c):
             vals = [x[i, j, a, b] for a in range(h) for b in range(w)]
@@ -41,7 +45,7 @@ def test_statistics_match_nested_loops():
             assert abs(mu[i, j] - m) <= 1e-12
             assert abs(var[i, j] - v) <= 1e-12
 
-    mu, var = stats_bn(x)
+    mu, var = (s[0] for s in cache.stats["BN"])
     for j in range(c):
         vals = [x[i, j, a, b] for i in range(n) for a in range(h) for b in range(w)]
         m = sum(vals) / len(vals)
@@ -49,7 +53,7 @@ def test_statistics_match_nested_loops():
         assert abs(mu[j] - m) <= 1e-12
         assert abs(var[j] - v) <= 1e-12
 
-    mu, var = stats_ln(x)
+    mu, var = (s[:, 0] for s in cache.stats["LN"])
     for i in range(n):
         vals = [x[i, j, a, b] for j in range(c) for a in range(h) for b in range(w)]
         m = sum(vals) / len(vals)
@@ -57,9 +61,8 @@ def test_statistics_match_nested_loops():
         assert abs(mu[i] - m) <= 1e-12
         assert abs(var[i] - v) <= 1e-12
 
-    groups = 2
-    mu, var = stats_gn(x, groups)
     per = c // groups
+    mu, var = (s[:, ::per] for s in cache.stats["GN"])
     for i in range(n):
         for g in range(groups):
             vals = [x[i, j, a, b] for j in range(g * per, (g + 1) * per)
@@ -73,7 +76,7 @@ def test_statistics_match_nested_loops():
 def test_stats_gn_rejects_indivisible_groups():
     x = np.zeros((1, 6, 2, 2))
     with pytest.raises(InvalidInputError):
-        stats_gn(x, 4)
+        ssn_forward(x, SsnParams.init(6, 4), 0.0, ("IN", "BN", "LN", "GN"), 4)
 
 
 def test_validate_omega():
@@ -136,23 +139,22 @@ def test_one_hot_gates_reproduce_plain_normalizers():
     omega = ("IN", "BN", "LN", "GN")
     gn_groups = 2
     geom = SimplexGeometry(4)
-    plain = {
-        "IN": stats_in(x), "BN": stats_bn(x), "LN": stats_ln(x),
-        "GN": stats_gn(x, gn_groups),
-    }
-    broadcast = {
-        "IN": lambda s: s,
-        "BN": lambda s: np.broadcast_to(s, (3, 4)),
-        "LN": lambda s: np.broadcast_to(s[:, None], (3, 4)),
-        "GN": lambda s: np.repeat(s, 2, axis=1),
-    }
+    axes = {"IN": (2, 3), "BN": (0, 2, 3), "LN": (1, 2, 3), "GN": (2, 3, 4)}
+    xg = x.reshape(3, gn_groups, 4 // gn_groups, 5, 5)
+
+    def broadcast(moment, name):
+        # One plain normalizer's moment, expanded to (N, C).
+        src = xg if name == "GN" else x
+        stat = moment(src, axis=axes[name], keepdims=True)
+        return np.broadcast_to(stat, src.shape).reshape(x.shape)[:, :, 0, 0]
+
     for hot, name in enumerate(omega):
         params = SsnParams.init(4, 4)
         params.gate.z_mean = np.where(np.arange(4) == hot, 5.0, 0.0)
         params.gate.z_var = params.gate.z_mean.copy()
         y, cache = ssn_forward(x, params, geom.r_circum, omega, gn_groups)
-        mu = broadcast[name](plain[name][0])
-        var = broadcast[name](plain[name][1])
+        mu = broadcast(np.mean, name)
+        var = broadcast(np.var, name)
         y_ref = (x - mu[:, :, None, None]) / \
             np.sqrt(var[:, :, None, None] + params.eps)
         assert np.max(np.abs(y - y_ref)) <= 1e-12
@@ -189,6 +191,55 @@ def test_eval_mode_bn_uses_running_stats():
     # Identical bytes across repeated eval calls.
     y2, _ = ssn_forward(x, params, geom.r_circum, ("IN", "BN", "LN"))
     assert y.tobytes() == y2.tobytes()
+
+
+def test_forward_large_mean_matches_extended_precision():
+    rng = np.random.default_rng(15)
+    omega = ("IN", "BN", "LN", "GN")
+    gn_groups = 3
+    x = 1e3 + rng.normal(size=(4, 6, 5, 5))
+    params = _rand_params(rng, 6, 4)
+    r = 0.2
+    y, _ = ssn_forward(x, params, r, omega, gn_groups)
+
+    xl = x.astype(np.longdouble)
+    xg = xl.reshape(4, gn_groups, 2, 5, 5)
+    axes = {"IN": (2, 3), "BN": (0, 2, 3), "LN": (1, 2, 3), "GN": (2, 3, 4)}
+    p = sparsestmax(params.gate.z_mean, r).p
+    pp = sparsestmax(params.gate.z_var, r).p
+    mu = np.zeros(x.shape, dtype=np.longdouble)
+    var = np.zeros(x.shape, dtype=np.longdouble)
+    for i, name in enumerate(omega):
+        src = xg if name == "GN" else xl
+        m = src.mean(axis=axes[name], keepdims=True)
+        v = ((src - m) ** 2).mean(axis=axes[name], keepdims=True)
+        mu += p[i] * np.broadcast_to(m, src.shape).reshape(x.shape)
+        var += pp[i] * np.broadcast_to(v, src.shape).reshape(x.shape)
+    gamma = params.gamma.astype(np.longdouble)[None, :, None, None]
+    beta = params.beta.astype(np.longdouble)[None, :, None, None]
+    y_ref = gamma * (xl - mu) / np.sqrt(var + params.eps) + beta
+    assert float(np.max(np.abs(y - y_ref))) <= 1e-11
+
+
+def test_eval_mode_mixed_selection_uses_running_stats():
+    rng = np.random.default_rng(16)
+    x = rng.normal(loc=0.5, size=(3, 4, 3, 3))
+    params = _rand_params(rng, 4, 3, mode=EVAL)
+    params.gate.z_mean = np.array([0.0, 0.0, 5.0])
+    params.gate.z_var = np.array([0.0, 5.0, 0.0])
+    params.bn_running_mean = rng.normal(size=4)
+    params.bn_running_var = rng.uniform(0.5, 2.0, size=4)
+    geom = SimplexGeometry(3)
+    y, cache = ssn_forward(x, params, geom.r_circum, ("IN", "BN", "LN"))
+    mu = x.mean(axis=(1, 2, 3))[:, None, None, None]
+    var = params.bn_running_var[None, :, None, None]
+    y_ref = params.gamma[None, :, None, None] * (x - mu) / \
+        np.sqrt(var + params.eps) + params.beta[None, :, None, None]
+    assert np.max(np.abs(y - y_ref)) <= 1e-12
+    assert set(cache.stats) == {"BN", "LN"}
+    # The BN statistics are the running averages themselves.
+    assert np.array_equal(cache.stats["BN"][0][0], params.bn_running_mean)
+    assert np.array_equal(cache.stats["BN"][1][0], params.bn_running_var)
 
 
 def test_forward_validates_shapes():
@@ -324,6 +375,16 @@ def test_update_running_stats_ema():
         update_running_stats(params, np.zeros(2), np.zeros(2), momentum=1.5)
 
 
+def test_update_running_stats_rejects_shape_mismatch():
+    params = SsnParams.init(3, 3)
+    for mean, var in ((np.zeros((2, 3)), np.ones((2, 3))),
+                      (np.zeros(3), np.ones(4)), (np.zeros(2), np.ones(3))):
+        with pytest.raises(InvalidInputError):
+            update_running_stats(params, mean, var)
+    assert params.bn_running_mean.shape == (3,)
+    assert params.bn_running_var.shape == (3,)
+
+
 def test_select_normalizer_requires_frozen():
     params = SsnParams.init(4, 3)
     with pytest.raises(NotConvergedError):
@@ -408,6 +469,22 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(loaded.bn_running_mean, params.bn_running_mean)
     assert np.array_equal(loaded.bn_running_var, params.bn_running_var)
     assert loaded.eps == params.eps
+
+
+@pytest.mark.parametrize("field,value", [
+    ("z_var", [1.0, 2.0]),
+    ("bn_running_mean", [0.0, 0.0, 0.0, 0.0]),
+    ("gamma", [1.0, float("nan"), 1.0, 1.0, 1.0]),
+    ("bn_running_var", [1.0, 1.0, float("nan"), 1.0, 1.0]),
+])
+def test_load_checkpoint_rejects_malformed_payload(tmp_path, field, value):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(SsnParams.init(5, 3), path)
+    payload = json.loads(path.read_text())
+    payload[field] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InvalidInputError):
+        load_checkpoint(path)
 
 
 def test_layer_config_json_roundtrip():

@@ -64,6 +64,22 @@ def test_sparsemax_shift_invariant(z, c):
     assert np.allclose(sparsemax(z), sparsemax(np.asarray(z) + c), atol=1e-9)
 
 
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("scale", [1e17, 1e20, 1e30])
+def test_huge_logits_stay_on_simplex(k, scale):
+    # Beyond ~1e16 the +1 in the threshold is below the logits' spacing.
+    rng = np.random.default_rng(k)
+    distinct = scale * rng.permutation(np.arange(1, k + 1) / 2.0)
+    for sign in (1.0, -1.0):
+        z = sign * distinct
+        for p in (sparsemax(z), sparsestmax(z, 0.3).p):
+            assert abs(float(p.sum()) - 1.0) <= 1e-12
+            assert np.array_equal(p, np.eye(k)[int(np.argmax(z))])
+    for p in (sparsemax(np.full(k, scale)), sparsestmax(np.full(k, -scale), 0.0).p):
+        assert abs(float(p.sum()) - 1.0) <= 1e-12
+        assert np.allclose(p, 1.0 / k, rtol=0.0, atol=1e-15)
+
+
 def test_sparsemax_jacobian_structure():
     z = np.array([0.8, 0.6, 0.1])
     jac = sparsemax_jacobian(z)
