@@ -9,9 +9,9 @@ from .layer import (LayerConfig, SsnParams, benchmark_forward, conv2d,
                     update_running_stats, validate_omega)
 from .oracle import oracle_project
 from .simplex import (ProjectionResult, RadiusSchedule, SimplexGeometry,
-                      Stage, argmax_onehot, is_smooth_point, schedule_radius,
-                      softmax, sparsemax, sparsemax_jacobian, sparsestmax,
-                      sparsestmax_vjp)
+                      Stage, argmax_onehot, is_smooth_point, softmax,
+                      sparsemax, sparsemax_jacobian, sparsestmax,
+                      sparsestmax_vjp, vjp_gradcheck)
 from .training import (OptimizerConfig, ToyModelConfig, TrajectoryLog,
                        make_synthetic_dataset,
                        schedule_insensitivity_experiment, selection_histogram,
@@ -28,8 +28,8 @@ __all__ = [
     "update_running_stats", "validate_omega",
     "oracle_project",
     "ProjectionResult", "RadiusSchedule", "SimplexGeometry", "Stage",
-    "argmax_onehot", "is_smooth_point", "schedule_radius", "softmax",
-    "sparsemax", "sparsemax_jacobian", "sparsestmax", "sparsestmax_vjp",
+    "argmax_onehot", "is_smooth_point", "softmax", "sparsemax",
+    "sparsemax_jacobian", "sparsestmax", "sparsestmax_vjp", "vjp_gradcheck",
     "OptimizerConfig", "ToyModelConfig", "TrajectoryLog",
     "make_synthetic_dataset", "schedule_insensitivity_experiment",
     "selection_histogram", "train",

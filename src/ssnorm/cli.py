@@ -3,7 +3,9 @@
 Subcommands: project (evaluate a simplex mapping), gradcheck (finite-
 difference verification of the projection gradient), trajectory (simulate
 gate-logit descent under the radius schedule), train (toy end-to-end run),
-bench (eval-mode forward throughput), verify (run the invariant suite).
+sweep (final accuracy as the step where the radius reaches the inscribed
+radius moves), bench (eval-mode forward throughput), verify (run the
+invariant suite).
 
 Exit codes: 0 success, 1 verification/training failure, 2 usage error.
 Stdout carries JSON/CSV results only; diagnostics go to stderr.
@@ -11,18 +13,20 @@ Stdout carries JSON/CSV results only; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
 
 from .errors import (InvalidInputError, NotConvergedError, TrainingFailedError)
 from .layer import benchmark_forward
-from .simplex import (RadiusSchedule, SimplexGeometry, Stage, is_smooth_point,
-                      schedule_radius, softmax, sparsemax, sparsestmax,
-                      sparsestmax_vjp)
+from .simplex import (RadiusSchedule, SimplexGeometry, Stage, softmax,
+                      sparsemax, sparsestmax, sparsestmax_vjp, vjp_gradcheck)
 from .training import (OptimizerConfig, ToyModelConfig, make_synthetic_dataset,
-                       selection_histogram, train)
+                       schedule_insensitivity_experiment, selection_histogram,
+                       train)
 
 GRADCHECK_TOL = 1e-5
 
@@ -90,32 +94,8 @@ def cmd_gradcheck(args) -> int:
         raise InvalidInputError(f"--trials: must be >= 1, got {args.trials}")
     if args.k < 2:
         raise InvalidInputError(f"--k: must be >= 2, got {args.k}")
-    rng = np.random.default_rng(args.seed)
-    geom = SimplexGeometry(args.k)
-    eps = 1e-6
-    max_rel = 0.0
-    done = 0
-    while done < args.trials:
-        z = rng.normal(size=args.k)
-        r = rng.uniform(0.05, 0.95 * geom.r_circum)
-        if not is_smooth_point(z, r, geom):
-            continue
-        res = sparsestmax(z, r, geom)
-        g = rng.normal(size=args.k)
-        analytic = sparsestmax_vjp(res, g)
-        fd = np.empty(args.k)
-        for i in range(args.k):
-            zp, zm = z.copy(), z.copy()
-            zp[i] += eps
-            zm[i] -= eps
-            fd[i] = (g @ sparsestmax(zp, r, geom).p -
-                     g @ sparsestmax(zm, r, geom).p) / (2 * eps)
-        # Floor the denominator at the finite-difference noise scale so
-        # genuinely-zero gradients (fully pinned faces) do not register as
-        # spurious relative error.
-        denom = max(np.linalg.norm(fd), np.linalg.norm(analytic), 1e-3)
-        max_rel = max(max_rel, float(np.linalg.norm(analytic - fd) / denom))
-        done += 1
+    max_rel = vjp_gradcheck(np.random.default_rng(args.seed), args.k, args.trials,
+                            0.95 * SimplexGeometry(args.k).r_circum)
     passed = max_rel < GRADCHECK_TOL
     _emit({"trials": args.trials, "k": args.k,
            "max_rel_error": _sig12(max_rel), "tolerance": GRADCHECK_TOL,
@@ -129,7 +109,7 @@ def cmd_trajectory(args) -> int:
         raise InvalidInputError(f"--steps: must be >= 1, got {args.steps}")
     k = z.size
     geom = SimplexGeometry(k)
-    sched = RadiusSchedule(total_steps=args.steps, clamp_at=geom.r_circum)
+    sched = RadiusSchedule(((0, 0.0), (args.steps, 1.0)))
     rng = np.random.default_rng(args.seed)
     # Synthetic objective: prefer a random target component, with mild noise,
     # descended through the projection gradient.
@@ -137,7 +117,7 @@ def cmd_trajectory(args) -> int:
     lr = 0.1
     lines = ["step,r," + ",".join(f"p{i}" for i in range(1, k + 1))]
     for step in range(args.steps + 1):
-        r = schedule_radius(sched, step)
+        r = sched.radius(step, geom)
         res = sparsestmax(z, r, geom)
         lines.append(f"{step},{r:.17g}," +
                      ",".join(f"{v:.17g}" for v in res.p))
@@ -154,6 +134,41 @@ def cmd_trajectory(args) -> int:
     return 0
 
 
+def _defaults(cls) -> dict:
+    return {f.name: f.default if f.default is not dataclasses.MISSING
+            else f.default_factory() for f in dataclasses.fields(cls)}
+
+
+# Each config section maps its keys to their defaults; a value read from
+# the file must have its default's type.
+_CONFIG_SECTIONS = {
+    "model": _defaults(ToyModelConfig),
+    "optimizer": _defaults(OptimizerConfig),
+    "data": {"n_samples": 200, "separation": 2.0, "noise": 1.0},
+}
+
+
+def _config_value(section: str, key: str, value):
+    where = f"--config: {section}.{key}"
+    if key not in _CONFIG_SECTIONS[section]:
+        raise InvalidInputError(f"{where} is not a known key")
+    default = _CONFIG_SECTIONS[section][key]
+    if key == "schedule":
+        try:
+            return RadiusSchedule(value)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{where}: {exc}")
+    if isinstance(default, (list, tuple)):  # layer_widths, omega
+        ok = isinstance(value, list) and all(type(v) is type(default[0]) for v in value)
+        value = type(default)(value) if ok else value
+    else:
+        ok = type(value) is int or (type(default) is float and type(value) is float
+                                    and math.isfinite(value))
+    if not ok:
+        raise InvalidInputError(f"{where} has the wrong type: {value!r}")
+    return value
+
+
 def _load_train_configs(path: str, seed_override):
     try:
         with open(path) as fh:
@@ -162,25 +177,31 @@ def _load_train_configs(path: str, seed_override):
         raise InvalidInputError(f"--config: file not found: {path}")
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"--config: invalid JSON in {path}: {exc}")
-    model_raw = dict(raw.get("model", {}))
-    opt_raw = dict(raw.get("optimizer", {}))
-    data_raw = dict(raw.get("data", {}))
+    if not isinstance(raw, dict):
+        raise InvalidInputError(f"--config: {path} must hold a JSON object")
+    sections = {}
+    for name, section in raw.items():
+        if name not in _CONFIG_SECTIONS:
+            raise InvalidInputError(f"--config: unknown section {name!r}")
+        if not isinstance(section, dict):
+            raise InvalidInputError(f"--config: {name} must be an object")
+        sections[name] = {key: _config_value(name, key, value)
+                          for key, value in section.items()}
+    model_raw = sections.get("model", {})
     if seed_override is not None:
         model_raw["seed"] = seed_override
-    if "omega" in model_raw:
-        model_raw["omega"] = tuple(model_raw["omega"])
-    sched = opt_raw.pop("schedule", None)
-    model = ToyModelConfig(**model_raw)
-    opt = OptimizerConfig(**opt_raw)
-    if sched is not None:
-        opt.schedule = RadiusSchedule(**sched)
-    n_samples = int(data_raw.get("n_samples", 200))
+    try:
+        model = ToyModelConfig(**model_raw)
+        opt = OptimizerConfig(**sections.get("optimizer", {}))
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"--config: {exc}")
+    data_raw = {**_CONFIG_SECTIONS["data"], **sections.get("data", {})}
     data = make_synthetic_dataset(
-        seed=model.seed, n_samples=n_samples,
+        seed=model.seed, n_samples=data_raw["n_samples"],
         dims=(model.channels, model.height, model.width),
         n_classes=model.n_classes,
-        separation=float(data_raw.get("separation", 2.0)),
-        noise=float(data_raw.get("noise", 1.0)))
+        separation=float(data_raw["separation"]),
+        noise=float(data_raw["noise"]))
     return model, opt, data
 
 
@@ -203,6 +224,21 @@ def cmd_train(args) -> int:
     return 0 if all_one_hot else 1
 
 
+def cmd_sweep(args) -> int:
+    if not all(0.0 < f < 1.0 for f in args.fractions):
+        raise InvalidInputError("--fractions: each must lie in (0, 1)")
+    model, opt, data = _load_train_configs(args.config, None)
+    opt = dataclasses.replace(opt, epochs=args.epochs)
+    total = args.epochs * math.ceil(data[0].shape[0] / model.batch_size)
+    ri_steps = [int(f * total) for f in args.fractions]
+    accs = schedule_insensitivity_experiment(model, opt, data, ri_steps)
+    _emit({"total_steps": total,
+           "runs": [{"fraction": f, "ri_step": s, "accuracy": _sig12(a)}
+                    for f, s, a in zip(args.fractions, ri_steps, accs)],
+           "spread_pp": _sig12((max(accs) - min(accs)) * 100.0)})
+    return 0
+
+
 def cmd_bench(args) -> int:
     n, c, h, w = _parse_dims(args.dims)
     if args.reps < 1:
@@ -210,8 +246,7 @@ def cmd_bench(args) -> int:
     result = benchmark_forward(n, c, h, w, args.reps, seed=args.seed)
     _emit({"combined_ms": _sig12(result["combined_ms"]),
            "sparse_ms": _sig12(result["sparse_ms"]),
-           "ratio": _sig12(result["ratio"]),
-           "timing_variance_flagged": bool(result["timing_variance_flagged"])})
+           "ratio": _sig12(result["ratio"])})
     return 0
 
 
@@ -251,28 +286,7 @@ def _verify_checks(rng, inject_fault: bool):
         return True
 
     def check_gradient_sample():
-        eps, tol = 1e-6, 1e-4
-        done = 0
-        while done < 20:
-            z = rng.normal(size=3)
-            r = rng.uniform(0.05, 0.75)
-            if not is_smooth_point(z, r, geom3):
-                continue
-            res = sparsestmax(z, r, geom3)
-            g = rng.normal(size=3)
-            analytic = sparsestmax_vjp(res, g)
-            fd = np.empty(3)
-            for i in range(3):
-                zp, zm = z.copy(), z.copy()
-                zp[i] += eps
-                zm[i] -= eps
-                fd[i] = (g @ sparsestmax(zp, r, geom3).p -
-                         g @ sparsestmax(zm, r, geom3).p) / (2 * eps)
-            denom = max(np.linalg.norm(fd), np.linalg.norm(analytic), 1e-3)
-            if np.linalg.norm(analytic - fd) > tol * denom:
-                return False
-            done += 1
-        return True
+        return vjp_gradcheck(rng, 3, 20, 0.75) <= 1e-4
 
     def check_injected_fault():
         return False
@@ -338,6 +352,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="seed override")
     p.add_argument("--out", default=None, help="trajectory CSV output path")
     p.set_defaults(func=cmd_train)
+
+    p = sub.add_parser("sweep", help="final accuracy vs the step where the "
+                                     "radius reaches the inscribed radius")
+    p.add_argument("--config", default="configs/toy_default.json",
+                   help="JSON config path")
+    p.add_argument("--epochs", type=int, default=80)
+    p.add_argument("--fractions", type=float, nargs="+",
+                   default=[0.4, 0.5, 0.6, 0.7],
+                   help="inscribed-radius step as a fraction of the run")
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="eval-mode forward timing")
     p.add_argument("--dims", default="32x64x56x56", help="NxCxHxW")

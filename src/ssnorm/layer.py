@@ -421,8 +421,7 @@ def benchmark_forward(n: int, c: int, h: int, w: int, reps: int, seed: int = 0,
                       omega=("IN", "BN", "LN")) -> dict:
     """Median eval-mode forward time: all-normalizer mixture vs one-hot.
 
-    Returns combined/sparse medians in milliseconds, their ratio and a
-    flag set when timing spread exceeded 20% of the median."""
+    Returns combined/sparse medians in milliseconds and their ratio."""
     if min(n, c, h, w) < 1:
         raise InvalidInputError("benchmark dims must be positive")
     if reps < 1:
@@ -459,10 +458,8 @@ def benchmark_forward(n: int, c: int, h: int, w: int, reps: int, seed: int = 0,
     sparse_ts = _time(sparse, geom.r_circum)
     combined_ms = float(np.median(combined_ts))
     sparse_ms = float(np.median(sparse_ts))
-    spread = max(np.ptp(combined_ts) / combined_ms, np.ptp(sparse_ts) / max(sparse_ms, 1e-9))
     return {
         "combined_ms": combined_ms,
         "sparse_ms": sparse_ms,
         "ratio": combined_ms / sparse_ms,
-        "timing_variance_flagged": bool(spread > 0.2),
     }

@@ -12,14 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import InvalidInputError, NotConvergedError, TrainingFailedError
 from .layer import (EVAL, TRAIN, SsnParams, ssn_backward, ssn_forward,
                     update_running_stats, validate_omega)
-from .simplex import RadiusSchedule, SimplexGeometry, Stage, schedule_radius
+from .simplex import RadiusSchedule, SimplexGeometry, Stage
 
 
 @dataclass
@@ -54,6 +54,7 @@ class OptimizerConfig:
     z_lr_ratio: float = 0.1
     z_init: float = 1.0
     epochs: int = 20
+    # None is the linear ramp ((0, 0), (total steps, 1)).
     schedule: RadiusSchedule | None = None
 
     def __post_init__(self):
@@ -61,6 +62,8 @@ class OptimizerConfig:
             raise InvalidInputError("lr must be > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidInputError("momentum must be in [0, 1)")
+        if self.epochs < 1:
+            raise InvalidInputError("epochs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -200,11 +203,11 @@ def _one_hot_index(p: np.ndarray):
     return None
 
 
-def train(model: ToyModelConfig, opt: OptimizerConfig, data,
-          radius_fn=None) -> TrajectoryLog:
+def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
     """SGD with momentum; gate logits use lr * z_lr_ratio, no weight decay,
-    and stop updating once their ratio goes one-hot.  Returns the full
-    per-step trajectory."""
+    and stop updating once their ratio goes one-hot.  The radius follows
+    ``opt.schedule`` and holds its last value past the last knot.  Returns
+    the full per-step trajectory."""
     x_all, y_all = data
     x_all = np.asarray(x_all, dtype=np.float64)
     y_all = np.asarray(y_all)
@@ -212,9 +215,7 @@ def train(model: ToyModelConfig, opt: OptimizerConfig, data,
     steps_per_epoch = math.ceil(n / model.batch_size)
     total_steps = opt.epochs * steps_per_epoch
     geom = SimplexGeometry(len(model.omega))
-    sched = opt.schedule
-    if sched is None and radius_fn is None:
-        sched = RadiusSchedule(total_steps=total_steps, clamp_at=geom.r_circum)
+    sched = opt.schedule or RadiusSchedule(((0, 0.0), (total_steps, 1.0)))
 
     rng = np.random.default_rng(model.seed)
     net = _ToyNet(model, opt, rng)
@@ -237,10 +238,7 @@ def train(model: ToyModelConfig, opt: OptimizerConfig, data,
         for b in range(steps_per_epoch):
             idx = order[b * model.batch_size:(b + 1) * model.batch_size]
             xb, yb = x_all[idx], y_all[idx]
-            if radius_fn is not None:
-                r = float(radius_fn(step))
-            else:
-                r = schedule_radius(sched, min(step, sched.total_steps))
+            r = sched.radius(min(step, sched.knots[-1][0]), geom)
             try:
                 loss, grads, caches = net.loss_and_grads(xb, yb, r)
             except InvalidInputError:
@@ -297,10 +295,8 @@ def train(model: ToyModelConfig, opt: OptimizerConfig, data,
 
     final_r = rows[-1].r if rows else 0.0
     acc = net.accuracy(x_all, y_all, final_r)
-    log = TrajectoryLog(omega=model.omega, layer_count=model.ssn_layer_count,
-                        rows=rows, final_accuracy=acc)
-    log.net = net  # exposed for inference-time checks
-    return log
+    return TrajectoryLog(omega=model.omega, layer_count=model.ssn_layer_count,
+                         rows=rows, final_accuracy=acc)
 
 
 def selection_histogram(log: TrajectoryLog):
@@ -321,21 +317,6 @@ def selection_histogram(log: TrajectoryLog):
     return {"mean": mean_counts, "var": var_counts}
 
 
-def insensitivity_radius_fn(total_steps: int, ri_step: int, geom: SimplexGeometry):
-    """Piecewise-linear radius: hit the inscribed radius at ``ri_step``,
-    then continue to the circumradius by the final step."""
-    if not 0 < ri_step < total_steps:
-        raise InvalidInputError("ri_step must lie strictly inside the run")
-    r_i, r_c = geom.r_inscribed, geom.r_circum
-    last = total_steps - 1
-
-    def fn(step: int) -> float:
-        if step <= ri_step:
-            return r_i * step / ri_step
-        return min(r_c, r_i + (r_c - r_i) * (step - ri_step) / (last - ri_step))
-    return fn
-
-
 def schedule_insensitivity_experiment(model: ToyModelConfig, opt: OptimizerConfig,
                                       data, ri_steps) -> list[float]:
     """Final train accuracy for schedules crossing the inscribed radius at
@@ -345,7 +326,10 @@ def schedule_insensitivity_experiment(model: ToyModelConfig, opt: OptimizerConfi
     geom = SimplexGeometry(len(model.omega))
     accs = []
     for s in ri_steps:
-        fn = insensitivity_radius_fn(total_steps, int(s), geom)
-        log = train(model, opt, data, radius_fn=fn)
+        # Reach the inscribed radius at step s and the circumradius at the
+        # final step.
+        knots = ((0, 0.0), (int(s), geom.r_inscribed),
+                 (total_steps - 1, geom.r_circum))
+        log = train(model, replace(opt, schedule=RadiusSchedule(knots)), data)
         accs.append(log.final_accuracy)
     return accs

@@ -9,6 +9,9 @@ import pytest
 
 from ssnorm.cli import main
 from ssnorm.simplex import SimplexGeometry
+from ssnorm.training import (OptimizerConfig, ToyModelConfig,
+                             make_synthetic_dataset,
+                             schedule_insensitivity_experiment)
 
 CONFIG = {
     "model": {"layer_widths": [8, 8, 8, 8], "ssn_layer_count": 4,
@@ -183,14 +186,94 @@ def test_train_seed_override_changes_bytes_not_convergence(capsys, tmp_path):
     assert json.loads(out_b)["all_gates_one_hot"] is True
 
 
+def test_train_config_schedule_matches_default_ramp(capsys, tmp_path):
+    default_csv, knot_csv = tmp_path / "a.csv", tmp_path / "b.csv"
+    run(["train", "--config", str(_write_config(tmp_path)), "--out",
+         str(default_csv)], capsys)
+    cfg = _write_config(tmp_path, {"optimizer": {"schedule": [[0, 0], [100, 1]]}})
+    code, _, _ = run(["train", "--config", str(cfg), "--out", str(knot_csv)],
+                     capsys)
+    assert code == 0
+    assert knot_csv.read_text() == default_csv.read_text()
+
+
+@pytest.mark.parametrize("subcommand", ["train", "sweep"])
+@pytest.mark.parametrize("section,key,value,named", [
+    pytest.param("model", "bogus", 1, "model.bogus", id="unknown-key"),
+    pytest.param("model", None, [1], "model", id="section-not-object"),
+    pytest.param("data", "n_samples", "abc", "data.n_samples", id="non-numeric"),
+    pytest.param("optimizer", "lr", None, "optimizer.lr", id="null-number"),
+    pytest.param("model", "batch_size", 40.0, "model.batch_size",
+                 id="float-for-integer"),
+    pytest.param("model", "layer_widths", [8, 8, 8, "8"], "model.layer_widths",
+                 id="bad-list-item"),
+    pytest.param("optimizer", "schedule", {"total_steps": 100},
+                 "optimizer.schedule", id="schedule-not-a-knot-list"),
+    pytest.param("optimizer", "schedule", [[0, 0.0]], "optimizer.schedule",
+                 id="schedule-one-knot"),
+    pytest.param("optimizer", "schedule", [[0, 0.5], [10, 0.2]],
+                 "optimizer.schedule", id="schedule-decreasing-r"),
+    pytest.param("optimizer", "schedule", [[0, 0], [10, "x"]],
+                 "optimizer.schedule", id="schedule-non-numeric-r"),
+    pytest.param("extra", None, {}, "extra", id="unknown-section"),
+])
+def test_bad_config_names_key_and_exits_2(capsys, tmp_path, subcommand,
+                                          section, key, value, named):
+    cfg = json.loads(json.dumps(CONFIG))
+    if key is None:
+        cfg[section] = value
+    else:
+        cfg[section][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run([subcommand, "--config", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
+def test_train_zero_epochs_exits_2(capsys, tmp_path):
+    cfg = _write_config(tmp_path, {"optimizer": {
+        "epochs": 0, "schedule": [[0, 0.0], [10, 1.0]]}})
+    code, _, err = run(["train", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "epochs" in err
+
+
+# -------------------------------------------------------------------- sweep
+
+def test_sweep_matches_insensitivity_experiment(capsys, tmp_path):
+    code, out, _ = run(["sweep", "--config", str(_write_config(tmp_path)),
+                        "--epochs", "3", "--fractions", "0.5"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["total_steps"] == 15
+    assert [(r["fraction"], r["ri_step"]) for r in payload["runs"]] == [(0.5, 7)]
+    model = ToyModelConfig(**{**CONFIG["model"],
+                              "omega": tuple(CONFIG["model"]["omega"])})
+    opt = OptimizerConfig(**{**CONFIG["optimizer"], "epochs": 3})
+    data = make_synthetic_dataset(0, 200, (3, 8, 8), 4)
+    accs = schedule_insensitivity_experiment(model, opt, data, [7])
+    assert payload["runs"][0]["accuracy"] == accs[0]
+    assert payload["spread_pp"] == 0.0
+
+
+def test_sweep_usage_errors(capsys, tmp_path):
+    cfg = str(_write_config(tmp_path))
+    assert run(["sweep", "--config", cfg, "--epochs", "0"], capsys)[0] == 2
+    assert run(["sweep", "--config", cfg, "--epochs", "2",
+                "--fractions", "0.0"], capsys)[0] == 2
+    assert run(["sweep", "--config", str(tmp_path / "nope.json")],
+               capsys)[0] == 2
+
+
 # -------------------------------------------------------------------- bench
 
 def test_bench_small_valid_json(capsys):
     code, out, _ = run(["bench", "--dims", "2x4x8x8", "--reps", "1"], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert set(payload) == {"combined_ms", "sparse_ms", "ratio",
-                            "timing_variance_flagged"}
+    assert set(payload) == {"combined_ms", "sparse_ms", "ratio"}
     assert payload["combined_ms"] > 0
 
 

@@ -501,7 +501,7 @@ def test_benchmark_forward_smoke():
     out = benchmark_forward(2, 4, 8, 8, reps=3)
     assert out["combined_ms"] > 0 and out["sparse_ms"] > 0
     assert out["ratio"] == pytest.approx(out["combined_ms"] / out["sparse_ms"])
-    assert isinstance(out["timing_variance_flagged"], bool)
+    assert set(out) == {"combined_ms", "sparse_ms", "ratio"}
     with pytest.raises(InvalidInputError):
         benchmark_forward(0, 4, 8, 8, reps=3)
     with pytest.raises(InvalidInputError):

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from ssnorm.errors import InvalidInputError
 from ssnorm.simplex import (DEGENERATE_TOL, ProjectionResult, RadiusSchedule,
                             SimplexGeometry, Stage, argmax_onehot,
-                            is_smooth_point, recursion_signature,
-                            schedule_radius, softmax, sparsemax,
-                            sparsemax_jacobian, sparsestmax, sparsestmax_vjp,
-                            validate_prob_vector)
+                            is_smooth_point, recursion_signature, softmax,
+                            sparsemax, sparsemax_jacobian, sparsestmax,
+                            sparsestmax_vjp, validate_prob_vector,
+                            vjp_gradcheck)
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0,
                           allow_nan=False, allow_infinity=False)
@@ -127,8 +127,8 @@ def test_geometry_radii():
 
 def test_schedule_linear_then_clamped():
     geom = SimplexGeometry(3)
-    s = RadiusSchedule(total_steps=100, clamp_at=geom.r_circum)
-    values = [schedule_radius(s, t) for t in range(101)]
+    s = RadiusSchedule(((0, 0.0), (100, 1.0)))
+    values = [s.radius(t, geom) for t in range(101)]
     assert values[0] == 0.0
     assert all(b >= a for a, b in zip(values, values[1:]))
     # Exactly linear before the clamp kicks in.
@@ -139,18 +139,63 @@ def test_schedule_linear_then_clamped():
 
 def test_schedule_inscribed_crossing_at_unit_41():
     geom = SimplexGeometry(3)
-    s = RadiusSchedule(total_steps=100)
+    s = RadiusSchedule(((0, 0.0), (100, 1.0)))
     crossing = next(t for t in range(101)
-                    if schedule_radius(s, t) >= geom.r_inscribed)
+                    if s.radius(t, geom) >= geom.r_inscribed)
     assert crossing == 41
 
 
 def test_schedule_rejects_out_of_range_step():
-    s = RadiusSchedule(total_steps=10)
+    s = RadiusSchedule(((0, 0.0), (10, 1.0)))
     with pytest.raises(InvalidInputError):
-        schedule_radius(s, -1)
+        s.radius(-1, SimplexGeometry(3))
     with pytest.raises(InvalidInputError):
-        schedule_radius(s, 11)
+        s.radius(11, SimplexGeometry(3))
+
+
+@pytest.mark.parametrize("knots", [
+    [],
+    [(0, 0.0)],
+    [(0, 0.0), (10, 0.5), (10, 0.6)],
+    [(0, 0.0), (10, 0.5), (5, 0.6)],
+    [(0, 0.0), (10, 0.5), (20, 0.4)],
+    [(0, -0.1), (10, 0.5)],
+    [(1, 0.0), (10, 0.5)],
+    [(0, 0.0), (10.5, 0.5)],
+    [(0, 0.0), (10, float("nan"))],
+    [(0, 0.0), (10, "0.5")],
+    [(0, 0.0), (10, 0.5, 1.0)],
+    {"total_steps": 100},
+    None,
+])
+def test_schedule_rejects_malformed_knots(knots):
+    with pytest.raises(InvalidInputError):
+        RadiusSchedule(knots)
+
+
+@pytest.mark.parametrize("total", [100, 400, 250, 37])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_schedule_equals_clamped_linear_ramp(total, k):
+    # The knot form reproduces the closed form min(r_c, step / T) bit for
+    # bit; a last-bit difference would change the training trajectories.
+    geom = SimplexGeometry(k)
+    s = RadiusSchedule(((0, 0.0), (total, 1.0)))
+    for t in range(total + 1):
+        assert s.radius(t, geom) == min(geom.r_circum, t / total)
+
+
+@pytest.mark.parametrize("total,ri", [(400, 160), (400, 280), (100, 40),
+                                      (37, 1), (37, 35)])
+def test_schedule_equals_inscribed_crossing_closed_form(total, ri):
+    geom = SimplexGeometry(3)
+    r_i, r_c, last = geom.r_inscribed, geom.r_circum, total - 1
+    s = RadiusSchedule(((0, 0), (ri, r_i), (last, r_c)))
+    for t in range(total):
+        if t <= ri:
+            expected = r_i * t / ri
+        else:
+            expected = min(r_c, r_i + (r_c - r_i) * (t - ri) / (last - ri))
+        assert s.radius(t, geom) == expected
 
 
 # ------------------------------------------------------------- sparsestmax
@@ -349,6 +394,37 @@ def test_vjp_matches_finite_differences(k):
         denom = max(np.linalg.norm(fd), np.linalg.norm(analytic), 1e-3)
         assert np.linalg.norm(analytic - fd) <= 1e-5 * denom
         done += 1
+
+
+def test_vjp_gradcheck_matches_reference_loop():
+    # Same draws (z, r, skip, g) as the checker, with this file's own
+    # finite differences; the worst error must agree exactly.
+    rng = np.random.default_rng(7)
+    geom = SimplexGeometry(4)
+    worst, done = 0.0, 0
+    while done < 30:
+        z = rng.normal(size=4)
+        r = rng.uniform(0.05, 0.7)
+        if not is_smooth_point(z, r, geom):
+            continue
+        g = rng.normal(size=4)
+        analytic = sparsestmax_vjp(sparsestmax(z, r, geom), g)
+        fd = _fd_grad(z, r, g)
+        denom = max(np.linalg.norm(fd), np.linalg.norm(analytic), 1e-3)
+        worst = max(worst, float(np.linalg.norm(analytic - fd) / denom))
+        done += 1
+    assert vjp_gradcheck(np.random.default_rng(7), 4, 30, 0.7) == worst
+
+
+def test_vjp_gradcheck_flags_vjp_without_radial_push(monkeypatch):
+    import ssnorm.simplex as simplex
+
+    def sparsemax_only_vjp(res, g):
+        return sparsemax_jacobian(res.levels[0].z_in).T @ g
+
+    assert vjp_gradcheck(np.random.default_rng(3), 3, 20, 0.7) < 1e-5
+    monkeypatch.setattr(simplex, "sparsestmax_vjp", sparsemax_only_vjp)
+    assert vjp_gradcheck(np.random.default_rng(3), 3, 20, 0.7) > 1e-2
 
 
 def test_vjp_zero_columns_for_zeroed_components():

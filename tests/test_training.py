@@ -2,15 +2,16 @@
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ssnorm.errors import (InvalidInputError, NotConvergedError,
                            TrainingFailedError)
-from ssnorm.simplex import SimplexGeometry, Stage
+from ssnorm.simplex import RadiusSchedule, SimplexGeometry, Stage
 from ssnorm.training import (OptimizerConfig, ToyModelConfig,
-                             insensitivity_radius_fn, make_synthetic_dataset,
+                             make_synthetic_dataset,
                              schedule_insensitivity_experiment,
                              selection_histogram, train)
 
@@ -79,6 +80,8 @@ def test_config_validation():
         OptimizerConfig(lr=0.0)
     with pytest.raises(InvalidInputError):
         OptimizerConfig(momentum=1.0)
+    with pytest.raises(InvalidInputError):
+        OptimizerConfig(epochs=0)
 
 
 # ----------------------------------------------------------------- training
@@ -238,23 +241,41 @@ def test_selection_histogram_rejects_unconverged():
 
 # ------------------------------------------------------ schedule experiments
 
-def test_insensitivity_radius_fn_shape():
+def _insensitivity_schedule(total_steps, ri_step, geom):
+    return RadiusSchedule(((0, 0), (ri_step, geom.r_inscribed),
+                           (total_steps - 1, geom.r_circum)))
+
+
+def test_insensitivity_schedule_shape():
     geom = SimplexGeometry(3)
-    fn = insensitivity_radius_fn(100, 40, geom)
-    assert fn(0) == 0.0
-    assert fn(40) == pytest.approx(geom.r_inscribed, abs=1e-15)
-    assert fn(99) == pytest.approx(geom.r_circum, abs=1e-12)
-    vals = [fn(s) for s in range(100)]
+    sched = _insensitivity_schedule(100, 40, geom)
+    assert sched.radius(0, geom) == 0.0
+    assert sched.radius(40, geom) == pytest.approx(geom.r_inscribed, abs=1e-15)
+    assert sched.radius(99, geom) == pytest.approx(geom.r_circum, abs=1e-12)
+    vals = [sched.radius(s, geom) for s in range(100)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
+    data = make_synthetic_dataset(0, 200, (3, 8, 8), 4)
+    # The crossing step must lie strictly inside the 100-step run.
     with pytest.raises(InvalidInputError):
-        insensitivity_radius_fn(100, 0, geom)
+        schedule_insensitivity_experiment(MODEL, OPT, data, [0])
     with pytest.raises(InvalidInputError):
-        insensitivity_radius_fn(100, 100, geom)
+        schedule_insensitivity_experiment(MODEL, OPT, data, [100])
 
 
 def test_single_element_experiment_matches_direct_train():
     data = make_synthetic_dataset(0, 200, (3, 8, 8), 4)
     accs = schedule_insensitivity_experiment(MODEL, OPT, data, [50])
-    fn = insensitivity_radius_fn(100, 50, SimplexGeometry(3))
-    direct = train(MODEL, OPT, data, radius_fn=fn)
+    sched = _insensitivity_schedule(100, 50, SimplexGeometry(3))
+    direct = train(MODEL, replace(OPT, schedule=sched), data)
     assert accs == [direct.final_accuracy]
+
+
+def test_config_schedule_drives_radius_and_holds_last_knot():
+    # A schedule shorter than the run holds its last radius; steps past the
+    # circumradius are clamped to it.
+    data = make_synthetic_dataset(0, 80, (3, 8, 8), 4)
+    sched = RadiusSchedule(((0, 0.1), (3, 2.0)))
+    log = train(MODEL, replace(OPT, epochs=3, schedule=sched), data)
+    r_c = SimplexGeometry(3).r_circum
+    assert [row.r for row in log.rows] == [0.1, 0.1 + (2.0 - 0.1) * 1 / 3] + \
+        [r_c] * 4
