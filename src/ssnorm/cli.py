@@ -231,11 +231,15 @@ def cmd_sweep(args) -> int:
     opt = dataclasses.replace(opt, epochs=args.epochs)
     total = args.epochs * math.ceil(data[0].shape[0] / model.batch_size)
     ri_steps = [int(f * total) for f in args.fractions]
-    accs = schedule_insensitivity_experiment(model, opt, data, ri_steps)
+    logs = schedule_insensitivity_experiment(model, opt, data, ri_steps)
+    accs = [log.final_accuracy for log in logs]
+    losses = [log.rows[-1].loss for log in logs]
     _emit({"total_steps": total,
-           "runs": [{"fraction": f, "ri_step": s, "accuracy": _sig12(a)}
-                    for f, s, a in zip(args.fractions, ri_steps, accs)],
-           "spread_pp": _sig12((max(accs) - min(accs)) * 100.0)})
+           "runs": [{"fraction": f, "ri_step": s, "accuracy": _sig12(a),
+                     "final_loss": _sig12(loss)}
+                    for f, s, a, loss in zip(args.fractions, ri_steps, accs, losses)],
+           "spread_pp": _sig12((max(accs) - min(accs)) * 100.0),
+           "loss_spread": _sig12(max(losses) - min(losses))})
     return 0
 
 
@@ -353,10 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="trajectory CSV output path")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("sweep", help="final accuracy vs the step where the "
-                                     "radius reaches the inscribed radius")
-    p.add_argument("--config", default="configs/toy_default.json",
-                   help="JSON config path")
+    p = sub.add_parser("sweep", help="final accuracy and loss vs the step where "
+                                     "the radius reaches the inscribed radius")
+    p.add_argument("--config", required=True, help="JSON config path")
     p.add_argument("--epochs", type=int, default=80)
     p.add_argument("--fractions", type=float, nargs="+",
                    default=[0.4, 0.5, 0.6, 0.7],

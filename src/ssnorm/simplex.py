@@ -141,6 +141,12 @@ def _sparsemax_raw(z: np.ndarray) -> np.ndarray:
     return p
 
 
+def _norm(v: np.ndarray) -> float:
+    # What np.linalg.norm computes for a 1-D float64 vector, without its
+    # per-call dispatch.
+    return math.sqrt(v @ v)
+
+
 def sparsemax(z) -> np.ndarray:
     """Euclidean projection of ``z`` onto the probability simplex."""
     return _sparsemax_raw(as_logits(z))
@@ -181,20 +187,20 @@ class ProjectionResult:
     levels: tuple[ProjectionLevel, ...]
 
 
-def _vertex_result(z: np.ndarray, p0: np.ndarray, geom: SimplexGeometry) -> ProjectionResult:
+def _vertex_result(z: np.ndarray, p0: np.ndarray, u: np.ndarray,
+                   geom: SimplexGeometry) -> ProjectionResult:
     # At r == r_circum only the vertices are feasible; the closest one is
     # the argmax of the sparsemax output (argmax of z when p0 is uniform).
-    d_norm = float(np.linalg.norm(p0 - geom.center))
-    if d_norm < DEGENERATE_TOL:
+    if _norm(p0 - u) < DEGENERATE_TOL:
         m = int(np.argmax(z))
     else:
         m = int(np.argmax(p0))
     p = np.zeros(geom.k)
     p[m] = 1.0
     levels = (
-        ProjectionLevel(z, p0, np.flatnonzero(p0 > 0.0), geom.center, geom.r_circum,
+        ProjectionLevel(z, p0, np.flatnonzero(p0 > 0.0), u, geom.r_circum,
                         None, 0.0, False),
-        ProjectionLevel(p0, p, np.array([m]), geom.center, geom.r_circum,
+        ProjectionLevel(p0, p, np.array([m]), u, geom.r_circum,
                         None, 0.0, False),
     )
     return ProjectionResult(p=p, stage=Stage.VERTEX, support=np.array([m]), levels=levels)
@@ -218,22 +224,22 @@ def sparsestmax(z, r: float, geometry: SimplexGeometry | None = None) -> Project
         raise InvalidInputError("radius r must be finite and >= 0")
     r = min(float(r), geom.r_circum)
 
+    u = geom.center
     p0 = _sparsemax_raw(z)
-    if float(np.linalg.norm(p0 - geom.center)) >= r:
-        level = ProjectionLevel(z, p0, np.flatnonzero(p0 > 0.0), geom.center, r,
+    if _norm(p0 - u) >= r:
+        level = ProjectionLevel(z, p0, np.flatnonzero(p0 > 0.0), u, r,
                                 None, 0.0, False)
         return ProjectionResult(p=p0, stage=Stage.SPARSEMAX,
                                 support=np.flatnonzero(p0 > 0.0), levels=(level,))
     if r == geom.r_circum:
-        return _vertex_result(z, p0, geom)
+        return _vertex_result(z, p0, u, geom)
 
+    # Each level projects once: level 0 starts from p0, and a face level
+    # from the re-projection p2 of its own input z_cur = p1.
     levels: list[ProjectionLevel] = []
-    z_cur = z
-    u = geom.center
-    r_cur = r
+    z_cur, p_sm, r_cur = z, p0, r
     p_out = None
     while True:
-        p_sm = _sparsemax_raw(z_cur)
         support = np.flatnonzero(p_sm > 0.0)
         face = np.flatnonzero(u > 0.0)
         if face.size == 1:
@@ -246,7 +252,7 @@ def sparsestmax(z, r: float, geometry: SimplexGeometry | None = None) -> Project
         # Drop d's round-off normal to the face (u is the face barycenter,
         # zero off it); the push scales d by r/||d|| and would amplify it.
         d -= d.sum() * u
-        d_norm = float(np.linalg.norm(d))
+        d_norm = _norm(d)
         if d_norm >= r_cur:
             levels.append(ProjectionLevel(z_cur, p_sm, support, u, r_cur,
                                           None, 0.0, False))
@@ -257,7 +263,7 @@ def sparsestmax(z, r: float, geometry: SimplexGeometry | None = None) -> Project
             m = face[int(np.argmax(z_cur[face]))]
             d = -u.copy()
             d[m] += 1.0
-            d_norm = float(np.linalg.norm(d))
+            d_norm = _norm(d)
         p1 = u + (r_cur / d_norm) * d
         levels.append(ProjectionLevel(z_cur, p_sm, support, u, r_cur,
                                       d, d_norm, True, degenerate))
@@ -271,7 +277,7 @@ def sparsestmax(z, r: float, geometry: SimplexGeometry | None = None) -> Project
         u_next = np.zeros(k)
         u_next[s2] = 1.0 / s2.size
         r_next = math.sqrt(max(r_cur ** 2 - float(np.sum((u - u_next) ** 2)), 0.0))
-        z_cur, u, r_cur = p1, u_next, r_next
+        z_cur, p_sm, u, r_cur = p1, p2, u_next, r_next
 
     support_out = np.flatnonzero(p_out > 0.0)
     if support_out.size == 1:

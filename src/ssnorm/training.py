@@ -135,6 +135,11 @@ def make_synthetic_dataset(seed: int, n_samples: int, dims: tuple[int, int, int]
     return x, labels
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """(N, C, H, W) -> (N, C, H*W), a view when ``a`` is contiguous."""
+    return a.reshape(a.shape[0], a.shape[1], -1)
+
+
 class _ToyNet:
     """Hand-written forward/backward for the toy architecture."""
 
@@ -155,7 +160,8 @@ class _ToyNet:
         caches = []
         h = x
         for mix_w, params in zip(self.mix, self.ssn):
-            pre = np.einsum("oc,nchw->nohw", mix_w, h)
+            # The 1x1 convolution as one (O, C) @ (C, H*W) product per sample.
+            pre = (mix_w @ _flat(h)).reshape(h.shape[0], -1, *h.shape[2:])
             params.mode = mode
             y, cache = ssn_forward(pre, params, r, self.omega, self.cfg.gn_groups)
             act = np.maximum(y, 0.0)
@@ -179,14 +185,15 @@ class _ToyNet:
         grads = {"head_w": pooled.T @ g_logits, "head_b": g_logits.sum(axis=0),
                  "mix": [], "ssn": []}
         g_pooled = g_logits @ self.head_w.T
-        _, _, _, h, w = (0, 0, 0, feat.shape[2], feat.shape[3])
+        h, w = feat.shape[2:]
         g_h = np.broadcast_to(g_pooled[:, :, None, None] / (h * w), feat.shape).copy()
         for (inp, pre, cache, y), mix_w in zip(reversed(caches), reversed(self.mix)):
             g_y = g_h * (y > 0.0)
             ssn_g = ssn_backward(cache, g_y)
             grads["ssn"].append(ssn_g)
-            grads["mix"].append(np.einsum("nohw,nchw->oc", ssn_g.x, inp))
-            g_h = np.einsum("oc,nohw->nchw", mix_w, ssn_g.x)
+            g_pre = _flat(ssn_g.x)
+            grads["mix"].append((g_pre @ _flat(inp).transpose(0, 2, 1)).sum(axis=0))
+            g_h = (mix_w.T @ g_pre).reshape(inp.shape)
         grads["mix"].reverse()
         grads["ssn"].reverse()
         return loss, grads, caches
@@ -318,18 +325,18 @@ def selection_histogram(log: TrajectoryLog):
 
 
 def schedule_insensitivity_experiment(model: ToyModelConfig, opt: OptimizerConfig,
-                                      data, ri_steps) -> list[float]:
-    """Final train accuracy for schedules crossing the inscribed radius at
-    each requested step."""
+                                      data, ri_steps) -> list[TrajectoryLog]:
+    """One training run per requested step, with the schedule crossing the
+    inscribed radius there.  Each log carries the run's final accuracy and,
+    in its last row, its final loss."""
     n = np.asarray(data[0]).shape[0]
     total_steps = opt.epochs * math.ceil(n / model.batch_size)
     geom = SimplexGeometry(len(model.omega))
-    accs = []
+    logs = []
     for s in ri_steps:
         # Reach the inscribed radius at step s and the circumradius at the
         # final step.
         knots = ((0, 0.0), (int(s), geom.r_inscribed),
                  (total_steps - 1, geom.r_circum))
-        log = train(model, replace(opt, schedule=RadiusSchedule(knots)), data)
-        accs.append(log.final_accuracy)
-    return accs
+        logs.append(train(model, replace(opt, schedule=RadiusSchedule(knots)), data))
+    return logs

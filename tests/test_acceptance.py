@@ -335,9 +335,13 @@ def test_criterion_11_schedule_insensitivity(toy_run):
                           z_lr_ratio=0.1, z_init=1.0, epochs=80)
     total = 80 * 5
     ri_steps = [int(f * total) for f in (0.4, 0.5, 0.6, 0.7)]
-    accs = schedule_insensitivity_experiment(MODEL, opt, data, ri_steps)
+    logs = schedule_insensitivity_experiment(MODEL, opt, data, ri_steps)
+    accs = [log.final_accuracy for log in logs]
+    losses = [log.rows[-1].loss for log in logs]
     spread = max(accs) - min(accs)
     ok = spread < 0.02
     assert _report(11, "schedule insensitivity (accuracies "
                        f"{[round(a, 3) for a in accs]}, "
-                       f"spread {spread * 100:.2f}pp)", ok)
+                       f"spread {spread * 100:.2f}pp; final losses "
+                       f"{[round(v, 4) for v in losses]}, "
+                       f"spread {max(losses) - min(losses):.4f})", ok)

@@ -253,9 +253,11 @@ def test_sweep_matches_insensitivity_experiment(capsys, tmp_path):
                               "omega": tuple(CONFIG["model"]["omega"])})
     opt = OptimizerConfig(**{**CONFIG["optimizer"], "epochs": 3})
     data = make_synthetic_dataset(0, 200, (3, 8, 8), 4)
-    accs = schedule_insensitivity_experiment(model, opt, data, [7])
-    assert payload["runs"][0]["accuracy"] == accs[0]
+    [log] = schedule_insensitivity_experiment(model, opt, data, [7])
+    assert payload["runs"][0]["accuracy"] == log.final_accuracy
+    assert payload["runs"][0]["final_loss"] == float(f"{log.rows[-1].loss:.12g}")
     assert payload["spread_pp"] == 0.0
+    assert payload["loss_spread"] == 0.0
 
 
 def test_sweep_usage_errors(capsys, tmp_path):
@@ -265,6 +267,10 @@ def test_sweep_usage_errors(capsys, tmp_path):
                 "--fractions", "0.0"], capsys)[0] == 2
     assert run(["sweep", "--config", str(tmp_path / "nope.json")],
                capsys)[0] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--epochs", "2"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- bench

@@ -365,6 +365,28 @@ def test_zero_r_reduces_to_sparsemax():
         assert res.p.tobytes() == sparsemax(z).tobytes()
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_each_level_holds_the_sparsemax_of_its_input(k):
+    # sparsestmax projects once per level and hands the re-projection of a
+    # radial push on as the next level's sparsemax output; that is exact
+    # only if every projecting level's p_sm is sparsemax(z_in), bit for bit.
+    # The last level of a result may instead pick a single vertex.
+    geom = SimplexGeometry(k)
+    rng = np.random.default_rng(k)
+    checked = set()
+    for _ in range(400):
+        z = rng.normal(size=k) * rng.choice([0.05, 0.3, 1.0])
+        r = rng.choice([rng.uniform(0.0, geom.r_circum), geom.r_circum])
+        res = sparsestmax(z, r, geom)
+        for lv in res.levels:
+            if lv is res.levels[-1] and lv.support.size == 1:
+                continue
+            assert lv.p_sm.tobytes() == sparsemax(lv.z_in).tobytes()
+            checked.add(res.stage)
+    # The segment (k=2) lies inside its circle, so no push leaves it.
+    assert checked == set(Stage) - ({Stage.FACE} if k == 2 else set())
+
+
 # --------------------------------------------------------------- gradients
 
 def _fd_grad(z, r, g, eps=1e-6):

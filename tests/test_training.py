@@ -10,7 +10,7 @@ import pytest
 from ssnorm.errors import (InvalidInputError, NotConvergedError,
                            TrainingFailedError)
 from ssnorm.simplex import RadiusSchedule, SimplexGeometry, Stage
-from ssnorm.training import (OptimizerConfig, ToyModelConfig,
+from ssnorm.training import (OptimizerConfig, ToyModelConfig, _ToyNet,
                              make_synthetic_dataset,
                              schedule_insensitivity_experiment,
                              selection_histogram, train)
@@ -220,6 +220,41 @@ def test_divergence_raises_with_step_index():
     assert err.value.step >= 0
 
 
+def test_toy_net_gradients_match_finite_differences():
+    # Two layers, the first mixing a 3-channel input, with both gates of
+    # each layer pushed onto the circle so every normalizer contributes.
+    cfg = ToyModelConfig(layer_widths=[4, 5], ssn_layer_count=2, batch_size=6,
+                         channels=3, height=2, width=2, n_classes=3)
+    rng = np.random.default_rng(3)
+    net = _ToyNet(cfg, OptimizerConfig(), rng)
+    for params in net.ssn:
+        params.gate.z_mean[:] = 0.05 * rng.normal(size=3)
+        params.gate.z_var[:] = 0.05 * rng.normal(size=3)
+    x = rng.normal(size=(6, 3, 2, 2))
+    labels = np.arange(6) % 3
+    r = 0.2
+    _, grads, caches = net.loss_and_grads(x, labels, r)
+    for _, _, cache, _ in caches:
+        assert cache.p_res.stage == cache.pp_res.stage == Stage.CIRCLE
+
+    eps = 1e-6
+    checks = [(f"mix[{i}]", w, g) for i, (w, g) in enumerate(zip(net.mix, grads["mix"]))]
+    checks += [("head_w", net.head_w, grads["head_w"]),
+               ("head_b", net.head_b, grads["head_b"])]
+    for name, param, analytic in checks:
+        fd = np.empty_like(param)
+        for i in range(param.size):
+            orig = param.flat[i]
+            param.flat[i] = orig + eps
+            lp = net.loss_and_grads(x, labels, r)[0]
+            param.flat[i] = orig - eps
+            lm = net.loss_and_grads(x, labels, r)[0]
+            param.flat[i] = orig
+            fd.flat[i] = (lp - lm) / (2 * eps)
+        rel = np.linalg.norm(analytic - fd) / np.linalg.norm(fd)
+        assert rel <= 1e-6, f"{name}: relative error {rel:.2e}"
+
+
 # -------------------------------------------------------------- histograms
 
 def test_selection_histogram_counts(default_run):
@@ -264,10 +299,11 @@ def test_insensitivity_schedule_shape():
 
 def test_single_element_experiment_matches_direct_train():
     data = make_synthetic_dataset(0, 200, (3, 8, 8), 4)
-    accs = schedule_insensitivity_experiment(MODEL, OPT, data, [50])
+    [log] = schedule_insensitivity_experiment(MODEL, OPT, data, [50])
     sched = _insensitivity_schedule(100, 50, SimplexGeometry(3))
     direct = train(MODEL, replace(OPT, schedule=sched), data)
-    assert accs == [direct.final_accuracy]
+    assert log.final_accuracy == direct.final_accuracy
+    assert log.to_csv() == direct.to_csv()
 
 
 def test_config_schedule_drives_radius_and_holds_last_knot():
