@@ -3,15 +3,14 @@ layer built on them, and a toy training harness."""
 
 from .errors import (InvalidInputError, InvalidStateError, NotConvergedError,
                      TrainingFailedError)
-from .layer import (LayerConfig, SsnParams, benchmark_forward, conv2d,
-                    fold_bn_into_affine, load_checkpoint, save_checkpoint,
-                    select_normalizer, ssn_backward, ssn_forward,
-                    update_running_stats, validate_omega)
+from .layer import (SsnParams, benchmark_forward, fold_bn_into_affine,
+                    load_checkpoint, save_checkpoint, select_normalizer,
+                    ssn_backward, ssn_forward, update_running_stats,
+                    validate_omega)
 from .oracle import oracle_project
 from .simplex import (ProjectionResult, RadiusSchedule, SimplexGeometry,
-                      Stage, argmax_onehot, is_smooth_point, softmax,
-                      sparsemax, sparsemax_jacobian, sparsestmax,
-                      sparsestmax_vjp, vjp_gradcheck)
+                      Stage, is_smooth_point, softmax, sparsemax,
+                      sparsestmax, sparsestmax_vjp, vjp_gradcheck)
 from .training import (OptimizerConfig, ToyModelConfig, TrajectoryLog,
                        make_synthetic_dataset,
                        schedule_insensitivity_experiment, selection_histogram,
@@ -22,14 +21,13 @@ __version__ = "0.1.0"
 __all__ = [
     "InvalidInputError", "InvalidStateError", "NotConvergedError",
     "TrainingFailedError",
-    "LayerConfig", "SsnParams", "benchmark_forward", "conv2d",
-    "fold_bn_into_affine", "load_checkpoint", "save_checkpoint",
-    "select_normalizer", "ssn_backward", "ssn_forward",
-    "update_running_stats", "validate_omega",
+    "SsnParams", "benchmark_forward", "fold_bn_into_affine",
+    "load_checkpoint", "save_checkpoint", "select_normalizer",
+    "ssn_backward", "ssn_forward", "update_running_stats", "validate_omega",
     "oracle_project",
     "ProjectionResult", "RadiusSchedule", "SimplexGeometry", "Stage",
-    "argmax_onehot", "is_smooth_point", "softmax", "sparsemax",
-    "sparsemax_jacobian", "sparsestmax", "sparsestmax_vjp", "vjp_gradcheck",
+    "is_smooth_point", "softmax", "sparsemax", "sparsestmax",
+    "sparsestmax_vjp", "vjp_gradcheck",
     "OptimizerConfig", "ToyModelConfig", "TrajectoryLog",
     "make_synthetic_dataset", "schedule_insensitivity_experiment",
     "selection_histogram", "train",

@@ -254,7 +254,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _verify_checks(rng, inject_fault: bool):
+def _verify_checks(rng):
     """Fast invariant suite run by `verify`. Yields (name, passed)."""
     geom3 = SimplexGeometry(3)
 
@@ -292,9 +292,6 @@ def _verify_checks(rng, inject_fault: bool):
     def check_gradient_sample():
         return vjp_gradcheck(rng, 3, 20, 0.75) <= 1e-4
 
-    def check_injected_fault():
-        return False
-
     checks = [
         ("simplex_membership", check_simplex_membership),
         ("radius_constraint", check_radius_constraint),
@@ -302,15 +299,13 @@ def _verify_checks(rng, inject_fault: bool):
         ("vertex_limit_one_hot", check_vertex_limit),
         ("gradient_finite_difference", check_gradient_sample),
     ]
-    if inject_fault:
-        checks.append(("injected_fault", check_injected_fault))
     for name, fn in checks:
         yield name, bool(fn())
 
 
 def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
-    results = list(_verify_checks(rng, args.inject_fault))
+    results = list(_verify_checks(rng))
     ok = all(passed for _, passed in results)
     if args.json:
         _emit({"checks": [{"name": n, "passed": p} for n, p in results],
@@ -376,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable results")
-    p.add_argument("--inject-fault", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -101,8 +101,8 @@ class SsnParams:
     mode: str = TRAIN
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise InvalidInputError("eps must be > 0")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise InvalidInputError(f"eps must be finite and > 0, got {self.eps!r}")
         c = self.gamma.shape[0]
         if self.bn_running_mean is None:
             self.bn_running_mean = np.zeros(c)
@@ -112,56 +112,28 @@ class SsnParams:
             raise InvalidInputError("running variances must be >= 0")
 
     @classmethod
-    def init(cls, channels: int, k: int, z_init: float = 1.0, eps: float = 1e-5):
+    def init(cls, channels: int, k: int, z_init: float = 1.0):
         gate = GateParams(z_mean=np.full(k, z_init), z_var=np.full(k, z_init))
-        return cls(gate=gate, gamma=np.ones(channels), beta=np.zeros(channels), eps=eps)
-
-
-@dataclass(frozen=True)
-class LayerConfig:
-    """Serializable layer configuration; omega order is fixed and explicit."""
-
-    omega: tuple[str, ...] = ("IN", "BN", "LN")
-    eps: float = 1e-5
-    gn_groups: int = 32
-    momentum: float = 0.1
-
-    def __post_init__(self):
-        validate_omega(self.omega)
-        if self.eps <= 0:
-            raise InvalidInputError("eps must be > 0")
-        if not 0.0 <= self.momentum <= 1.0:
-            raise InvalidInputError("momentum must be in [0, 1]")
-
-    def to_json(self) -> str:
-        return json.dumps({"omega": list(self.omega), "eps": self.eps,
-                           "gn_groups": self.gn_groups, "momentum": self.momentum})
-
-    @classmethod
-    def from_json(cls, text: str) -> "LayerConfig":
-        raw = json.loads(text)
-        return cls(omega=tuple(raw["omega"]), eps=float(raw.get("eps", 1e-5)),
-                   gn_groups=int(raw.get("gn_groups", 32)),
-                   momentum=float(raw.get("momentum", 0.1)))
+        return cls(gate=gate, gamma=np.ones(channels), beta=np.zeros(channels))
 
 
 @dataclass
 class SsnCache:
-    """Forward intermediates for the backward pass.  ``stats`` maps each
-    active normalizer to its (mean, variance), and ``mu_nc``, ``var_nc`` and
-    ``inv_std`` hold the mixed moments; all are (N, C) arrays."""
+    """Forward intermediates for the backward pass, in the shapes it reads
+    them.  ``view`` is the (N, G, C/G, H*W) shape that ``REDUCE_AXES``
+    indexes.  ``stats`` maps each active normalizer to its (mean, variance)
+    with keepdims over its own axes of that view; ``mu`` and ``inv_std``
+    are the mixed moments per (n, c) and ``gamma`` is shaped to match."""
 
     x: np.ndarray
     omega: tuple[str, ...]
-    gn_groups: int
+    view: tuple[int, int, int, int]
     p_res: ProjectionResult
     pp_res: ProjectionResult
     stats: dict
-    mu_nc: np.ndarray
-    var_nc: np.ndarray
+    mu: np.ndarray
     inv_std: np.ndarray
     gamma: np.ndarray
-    eps: float
     mode: str
     frozen_mean: bool
     frozen_var: bool
@@ -178,7 +150,7 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     """
     x = _validate_tensor4(x)
     omega = validate_omega(omega)
-    n, c = x.shape[:2]
+    c = x.shape[1]
     k = len(omega)
     if params.gate.z_mean.shape != (k,) or params.gate.z_var.shape != (k,):
         raise InvalidInputError("gate logits length must match |omega|")
@@ -208,8 +180,7 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
             mean_k = shift = xv.mean(axis=axes, keepdims=True)
             centered = np.subtract(xv, mean_k, out=centered)
             var_k = _mean_of_squares(centered, axes)
-        stats[name] = (np.broadcast_to(mean_k, per_nc).reshape(n, c),
-                       np.broadcast_to(var_k, per_nc).reshape(n, c))
+        stats[name] = (mean_k, var_k)
         if p[i] != 0.0:
             mu += p[i] * mean_k
         if pp[i] != 0.0:
@@ -219,14 +190,13 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     # applied in place to the centered copy when there is one:
     # y = (x - shift) * a + (b + shift * a).
     inv_std = 1.0 / np.sqrt(var + params.eps)
-    a = params.gamma.reshape(per_nc[1:]) * inv_std
+    gamma = params.gamma.reshape(per_nc[1:]).copy()
+    a = gamma * inv_std
     y = np.multiply(xv if centered is None else centered, a, out=centered)
     y += params.beta.reshape(per_nc[1:]) - (mu - shift) * a
-    cache = SsnCache(x=x, omega=omega, gn_groups=gn_groups, p_res=p_res,
-                     pp_res=pp_res, stats=stats, mu_nc=mu.reshape(n, c),
-                     var_nc=var.reshape(n, c), inv_std=inv_std.reshape(n, c),
-                     gamma=params.gamma.copy(), eps=params.eps, mode=params.mode,
-                     frozen_mean=params.gate.frozen_mean,
+    cache = SsnCache(x=x, omega=omega, view=view, p_res=p_res, pp_res=pp_res,
+                     stats=stats, mu=mu, inv_std=inv_std, gamma=gamma,
+                     mode=params.mode, frozen_mean=params.gate.frozen_mean,
                      frozen_var=params.gate.frozen_var)
     return y.reshape(x.shape), cache
 
@@ -254,17 +224,14 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
     if cache.mode != TRAIN:
         raise InvalidStateError("backward requires a train-mode cache")
     g = np.asarray(upstream, dtype=np.float64)
-    x, omega = cache.x, cache.omega
+    x, omega, view = cache.x, cache.omega, cache.view
     if g.shape != x.shape:
         raise InvalidInputError("upstream tensor shape must match the input")
     c = x.shape[1]
-    view = _grouped_shape(x.shape, omega, cache.gn_groups)
     per_nc = view[:3] + (1,)
     xv, gv = x.reshape(view), g.reshape(view)
     p, pp = cache.p_res.p, cache.pp_res.p
-    s = cache.inv_std.reshape(per_nc)
-    mu = cache.mu_nc.reshape(per_nc)
-    gamma = cache.gamma.reshape(per_nc[1:])
+    s, mu, gamma = cache.inv_std, cache.mu, cache.gamma
 
     # The only reads of the full tensors: per-(n, c) sums of g and g * x.
     sum_g = gv.sum(axis=3, keepdims=True)
@@ -288,7 +255,7 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
             continue
         axes = REDUCE_AXES[name]
         m = math.prod(view[a] for a in axes)
-        mean_k, var_k = (s_k.reshape(per_nc) for s_k in cache.stats[name])
+        mean_k, var_k = cache.stats[name]
         if p[i] != 0.0:
             g_p[i] = float((g_mu * mean_k).sum())
             const += (p[i] / m) * g_mu.sum(axis=axes, keepdims=True)
@@ -338,7 +305,7 @@ def select_normalizer(params: SsnParams, omega) -> tuple[str, str]:
     return omega[int(np.argmax(p))], omega[int(np.argmax(pp))]
 
 
-def fold_bn_into_affine(conv_weight, conv_bias, params: SsnParams, omega=("IN", "BN", "LN")):
+def fold_bn_into_affine(conv_weight, conv_bias, params: SsnParams, omega):
     """Fold a BN-selected layer into the preceding convolution.
 
     Returns (weight', bias') such that conv(x, weight', bias') equals the
@@ -356,20 +323,13 @@ def fold_bn_into_affine(conv_weight, conv_bias, params: SsnParams, omega=("IN", 
     return w_folded, b_folded
 
 
-def conv2d(x, weight, bias=None) -> np.ndarray:
-    """Minimal direct convolution (stride 1, no padding); verification only."""
-    x = _validate_tensor4(x)
-    w = np.asarray(weight, dtype=np.float64)
-    windows = np.lib.stride_tricks.sliding_window_view(x, w.shape[2:], axis=(2, 3))
-    y = np.einsum("nchwij,ocij->nohw", windows, w)
-    if bias is not None:
-        y += np.asarray(bias, dtype=np.float64)[None, :, None, None]
-    return y
-
-
-def save_checkpoint(params: SsnParams, path) -> None:
-    """Serialize parameters as a JSON map of named real arrays."""
+def save_checkpoint(params: SsnParams, path, omega) -> None:
+    """Serialize parameters, and the omega their gates index, as JSON."""
+    omega = validate_omega(omega)
+    if params.gate.z_mean.shape != (len(omega),):
+        raise InvalidInputError("gate logits length must match |omega|")
     payload = {
+        "omega": list(omega),
         "z_mean": params.gate.z_mean.tolist(),
         "z_var": params.gate.z_var.tolist(),
         "frozen_mean": params.gate.frozen_mean,
@@ -397,36 +357,51 @@ def _checkpoint_array(raw: dict, key: str, length: int | None = None) -> np.ndar
     return arr
 
 
-def load_checkpoint(path) -> SsnParams:
-    """Read parameters written by ``save_checkpoint``; a malformed payload
-    (mismatched lengths, non-finite values) raises ``InvalidInputError``."""
+def _checkpoint_scalar(raw: dict, key: str, kinds: tuple[type, ...]):
+    """A JSON scalar field whose decoded type is exactly one of ``kinds``."""
+    if type(raw.get(key)) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise InvalidInputError(f"checkpoint field {key!r} is missing or not {names}")
+    return raw[key]
+
+
+def load_checkpoint(path, omega) -> SsnParams:
+    """Read parameters written by ``save_checkpoint`` under the same
+    ``omega``.  A malformed payload (a missing or mistyped field,
+    mismatched lengths, non-finite values) or a different stored omega
+    raises ``InvalidInputError``."""
+    omega = validate_omega(omega)
     with open(path) as fh:
         raw = json.load(fh)
-    z_mean = _checkpoint_array(raw, "z_mean")
+    if not isinstance(raw, dict):
+        raise InvalidInputError("checkpoint must hold a JSON object")
+    if raw.get("omega") != list(omega):
+        raise InvalidInputError(f"checkpoint field 'omega' is missing or not "
+                                f"{list(omega)!r}: {raw.get('omega')!r}")
+    k = len(omega)
     gamma = _checkpoint_array(raw, "gamma")
     c = gamma.size
-    gate = GateParams(z_mean=z_mean, z_var=_checkpoint_array(raw, "z_var", z_mean.size),
-                      frozen_mean=bool(raw["frozen_mean"]),
-                      frozen_var=bool(raw["frozen_var"]))
-    eps = float(raw["eps"])
-    if not math.isfinite(eps):
-        raise InvalidInputError("checkpoint field 'eps' must be finite")
+    gate = GateParams(z_mean=_checkpoint_array(raw, "z_mean", k),
+                      z_var=_checkpoint_array(raw, "z_var", k),
+                      frozen_mean=_checkpoint_scalar(raw, "frozen_mean", (bool,)),
+                      frozen_var=_checkpoint_scalar(raw, "frozen_var", (bool,)))
     return SsnParams(gate=gate, gamma=gamma, beta=_checkpoint_array(raw, "beta", c),
-                     eps=eps,
+                     eps=float(_checkpoint_scalar(raw, "eps", (int, float))),
                      bn_running_mean=_checkpoint_array(raw, "bn_running_mean", c),
                      bn_running_var=_checkpoint_array(raw, "bn_running_var", c))
 
 
-def benchmark_forward(n: int, c: int, h: int, w: int, reps: int, seed: int = 0,
-                      omega=("IN", "BN", "LN")) -> dict:
-    """Median eval-mode forward time: all-normalizer mixture vs one-hot.
+def benchmark_forward(n: int, c: int, h: int, w: int, reps: int,
+                      seed: int = 0) -> dict:
+    """Median eval-mode forward time over IN, BN and LN: all-normalizer
+    mixture vs one-hot.
 
     Returns combined/sparse medians in milliseconds and their ratio."""
     if min(n, c, h, w) < 1:
         raise InvalidInputError("benchmark dims must be positive")
     if reps < 1:
         raise InvalidInputError("reps must be >= 1")
-    omega = validate_omega(omega)
+    omega = ("IN", "BN", "LN")
     k = len(omega)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, c, h, w))
@@ -435,8 +410,7 @@ def benchmark_forward(n: int, c: int, h: int, w: int, reps: int, seed: int = 0,
     sparse = SsnParams.init(c, k)
     sparse.mode = EVAL
     # Select IN so the sparse path computes exactly one batch statistic.
-    hot = omega.index("IN") if "IN" in omega else 0
-    sparse.gate.z_mean = np.where(np.arange(k) == hot, 10.0, 0.0)
+    sparse.gate.z_mean = np.array([10.0, 0.0, 0.0])
     sparse.gate.z_var = sparse.gate.z_mean.copy()
     sparse.gate.frozen_mean = sparse.gate.frozen_var = True
 

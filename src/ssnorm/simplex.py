@@ -40,24 +40,6 @@ def as_logits(z) -> np.ndarray:
     return z.copy()
 
 
-def validate_prob_vector(p) -> np.ndarray:
-    """Check simplex membership (sum 1 within 1e-12, entries >= 0).
-
-    Negative round-off down to -1e-12 is clamped to exact zero.
-    """
-    p = np.asarray(p, dtype=np.float64).copy()
-    if p.ndim != 1 or p.size < 2:
-        raise InvalidInputError("probability vector must be 1-D of length >= 2")
-    if not np.all(np.isfinite(p)):
-        raise InvalidInputError("probability vector must be finite")
-    if abs(float(p.sum()) - 1.0) > 1e-12:
-        raise InvalidInputError("probability vector must sum to 1 within 1e-12")
-    if np.any(p < -1e-12):
-        raise InvalidInputError("probability vector entries must be >= 0")
-    np.maximum(p, 0.0, out=p)
-    return p
-
-
 @dataclass(frozen=True)
 class SimplexGeometry:
     """Regular (k-1)-simplex embedded in R^k: center and radii."""
@@ -150,16 +132,6 @@ def _norm(v: np.ndarray) -> float:
 def sparsemax(z) -> np.ndarray:
     """Euclidean projection of ``z`` onto the probability simplex."""
     return _sparsemax_raw(as_logits(z))
-
-
-def sparsemax_jacobian(z) -> np.ndarray:
-    """Jacobian of sparsemax: (delta_ij - 1/|S|) on the support S, else 0."""
-    z = as_logits(z)
-    p = _sparsemax_raw(z)
-    support = np.flatnonzero(p > 0.0)
-    jac = np.zeros((z.size, z.size))
-    jac[np.ix_(support, support)] = np.eye(support.size) - 1.0 / support.size
-    return jac
 
 
 @dataclass(frozen=True)
@@ -322,14 +294,6 @@ def sparsestmax_vjp(result: ProjectionResult, upstream) -> np.ndarray:
         g = gs
     g[result.p == 0.0] = 0.0
     return g
-
-
-def argmax_onehot(p) -> np.ndarray:
-    """One-hot vector at the maximal entry; ties go to the lowest index."""
-    p = validate_prob_vector(p)
-    out = np.zeros_like(p)
-    out[int(np.argmax(p))] = 1.0
-    return out
 
 
 def recursion_signature(result: ProjectionResult) -> tuple:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidInputError, NotConvergedError, TrainingFailedError
-from .layer import (EVAL, TRAIN, SsnParams, ssn_backward, ssn_forward,
-                    update_running_stats, validate_omega)
+from .layer import (SsnParams, ssn_backward, ssn_forward, update_running_stats,
+                    validate_omega)
 from .simplex import RadiusSchedule, SimplexGeometry, Stage
 
 
@@ -156,13 +156,12 @@ class _ToyNet:
             math.sqrt(1.0 / cfg.layer_widths[-1])
         self.head_b = np.zeros(cfg.n_classes)
 
-    def forward(self, x, r, mode=TRAIN):
+    def forward(self, x, r):
         caches = []
         h = x
         for mix_w, params in zip(self.mix, self.ssn):
             # The 1x1 convolution as one (O, C) @ (C, H*W) product per sample.
             pre = (mix_w @ _flat(h)).reshape(h.shape[0], -1, *h.shape[2:])
-            params.mode = mode
             y, cache = ssn_forward(pre, params, r, self.omega, self.cfg.gn_groups)
             act = np.maximum(y, 0.0)
             caches.append((h, pre, cache, y))
@@ -172,7 +171,7 @@ class _ToyNet:
         return logits, (caches, h, pooled)
 
     def loss_and_grads(self, x, labels, r):
-        logits, (caches, feat, pooled) = self.forward(x, r, TRAIN)
+        logits, (caches, feat, pooled) = self.forward(x, r)
         n = x.shape[0]
         shifted = logits - logits.max(axis=1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -199,7 +198,7 @@ class _ToyNet:
         return loss, grads, caches
 
     def accuracy(self, x, labels, r):
-        logits, _ = self.forward(x, r, TRAIN)
+        logits, _ = self.forward(x, r)
         return float((logits.argmax(axis=1) == labels).mean())
 
 
@@ -257,9 +256,10 @@ def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
             layer_records = []
             for li, (params, ssn_g) in enumerate(zip(net.ssn, grads["ssn"])):
                 cache = caches[li][2]
-                if "BN" in cache.stats and params.mode == TRAIN:
+                if "BN" in cache.stats:
                     bn_mean, bn_var = cache.stats["BN"]
-                    update_running_stats(params, bn_mean[0], bn_var[0])
+                    update_running_stats(params, bn_mean.reshape(-1),
+                                         bn_var.reshape(-1))
                 p, pp = cache.p_res.p, cache.pp_res.p
                 circle_dot = None
                 if cache.p_res.stage == Stage.CIRCLE:

@@ -298,10 +298,16 @@ def test_verify_clean_exit_0(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_injected_fault_exit_1(capsys):
-    code, out, _ = run(["verify", "--inject-fault"], capsys)
+def test_verify_injected_fault_exit_1(capsys, monkeypatch):
+    # A finite-difference check that reports a large error must fail verify.
+    import ssnorm.cli as cli
+    monkeypatch.setattr(cli, "vjp_gradcheck", lambda *args: 1.0)
+    code, out, _ = run(["verify"], capsys)
     assert code == 1
-    assert "FAIL" in out
+    assert "gradient_finite_difference  FAIL" in out
+    code, out, _ = run(["verify", "--json"], capsys)
+    assert code == 1
+    assert json.loads(out)["passed"] is False
 
 
 def test_verify_json_output(capsys):

@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from reference import conv2d
 from ssnorm.errors import (InvalidInputError, InvalidStateError,
                            NotConvergedError)
-from ssnorm.layer import (EVAL, TRAIN, GateParams, LayerConfig, SsnParams,
-                          benchmark_forward, conv2d, fold_bn_into_affine,
+from ssnorm.layer import (EVAL, TRAIN, GateParams, SsnParams,
+                          benchmark_forward, fold_bn_into_affine,
                           load_checkpoint, save_checkpoint, select_normalizer,
                           ssn_backward, ssn_forward, update_running_stats,
                           validate_omega)
@@ -36,7 +37,7 @@ def test_statistics_match_nested_loops():
     _, cache = ssn_forward(x, SsnParams.init(c, 4), 0.0,
                            ("IN", "BN", "LN", "GN"), groups)
 
-    mu, var = cache.stats["IN"]
+    mu, var = (s.reshape(n, c) for s in cache.stats["IN"])
     for i in range(n):
         for j in range(c):
             vals = [x[i, j, a, b] for a in range(h) for b in range(w)]
@@ -45,7 +46,7 @@ def test_statistics_match_nested_loops():
             assert abs(mu[i, j] - m) <= 1e-12
             assert abs(var[i, j] - v) <= 1e-12
 
-    mu, var = (s[0] for s in cache.stats["BN"])
+    mu, var = (s.reshape(c) for s in cache.stats["BN"])
     for j in range(c):
         vals = [x[i, j, a, b] for i in range(n) for a in range(h) for b in range(w)]
         m = sum(vals) / len(vals)
@@ -53,7 +54,7 @@ def test_statistics_match_nested_loops():
         assert abs(mu[j] - m) <= 1e-12
         assert abs(var[j] - v) <= 1e-12
 
-    mu, var = (s[:, 0] for s in cache.stats["LN"])
+    mu, var = (s.reshape(n) for s in cache.stats["LN"])
     for i in range(n):
         vals = [x[i, j, a, b] for j in range(c) for a in range(h) for b in range(w)]
         m = sum(vals) / len(vals)
@@ -62,7 +63,7 @@ def test_statistics_match_nested_loops():
         assert abs(var[i] - v) <= 1e-12
 
     per = c // groups
-    mu, var = (s[:, ::per] for s in cache.stats["GN"])
+    mu, var = (s.reshape(n, groups) for s in cache.stats["GN"])
     for i in range(n):
         for g in range(groups):
             vals = [x[i, j, a, b] for j in range(g * per, (g + 1) * per)
@@ -238,8 +239,8 @@ def test_eval_mode_mixed_selection_uses_running_stats():
     assert np.max(np.abs(y - y_ref)) <= 1e-12
     assert set(cache.stats) == {"BN", "LN"}
     # The BN statistics are the running averages themselves.
-    assert np.array_equal(cache.stats["BN"][0][0], params.bn_running_mean)
-    assert np.array_equal(cache.stats["BN"][1][0], params.bn_running_var)
+    assert np.array_equal(cache.stats["BN"][0].reshape(-1), params.bn_running_mean)
+    assert np.array_equal(cache.stats["BN"][1].reshape(-1), params.bn_running_var)
 
 
 def test_forward_validates_shapes():
@@ -450,7 +451,11 @@ def test_fold_requires_bn_selection():
                             ("IN", "BN", "LN"))
 
 
-# ------------------------------------------------- checkpoint / config / bench
+# ---------------------------------------------------- checkpoint / bench
+
+OMEGA3 = ("IN", "BN", "LN")
+MISSING = object()
+
 
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(14)
@@ -459,8 +464,9 @@ def test_checkpoint_roundtrip(tmp_path):
     params.bn_running_mean = rng.normal(size=5)
     params.bn_running_var = rng.uniform(0.1, 2.0, size=5)
     path = tmp_path / "ckpt.json"
-    save_checkpoint(params, path)
-    loaded = load_checkpoint(path)
+    save_checkpoint(params, path, OMEGA3)
+    assert json.loads(path.read_text())["omega"] == list(OMEGA3)
+    loaded = load_checkpoint(path, OMEGA3)
     assert np.array_equal(loaded.gate.z_mean, params.gate.z_mean)
     assert np.array_equal(loaded.gate.z_var, params.gate.z_var)
     assert loaded.gate.frozen_mean and not loaded.gate.frozen_var
@@ -471,30 +477,68 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.eps == params.eps
 
 
+def test_checkpoint_rejects_a_different_omega(tmp_path):
+    # A frozen (BN, BN) layer: under another omega of the same length its
+    # hot index would name LN.
+    params = SsnParams.init(4, 3)
+    params.gate.z_mean = np.array([0.0, 5.0, 0.0])
+    params.gate.z_var = params.gate.z_mean.copy()
+    params.gate.frozen_mean = params.gate.frozen_var = True
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(params, path, OMEGA3)
+    assert select_normalizer(load_checkpoint(path, OMEGA3), OMEGA3) == ("BN", "BN")
+    with pytest.raises(InvalidInputError, match="omega"):
+        load_checkpoint(path, ("BN", "LN", "GN"))
+    with pytest.raises(InvalidInputError):
+        save_checkpoint(params, path, ("IN", "BN"))
+    payload = json.loads(path.read_text())
+    del payload["omega"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InvalidInputError, match="omega"):
+        load_checkpoint(path, OMEGA3)
+
+
 @pytest.mark.parametrize("field,value", [
     ("z_var", [1.0, 2.0]),
     ("bn_running_mean", [0.0, 0.0, 0.0, 0.0]),
     ("gamma", [1.0, float("nan"), 1.0, 1.0, 1.0]),
     ("bn_running_var", [1.0, 1.0, float("nan"), 1.0, 1.0]),
+    ("frozen_mean", MISSING),
+    ("eps", MISSING),
+    ("eps", "abc"),
+    ("eps", [1]),
+    ("frozen_mean", "false"),
+    ("frozen_var", 0),
+    ("eps", float("nan")),
+    ("eps", float("inf")),
+    ("eps", 0.0),
+    ("z_mean", [1.0, 2.0, 3.0, 4.0]),
 ])
 def test_load_checkpoint_rejects_malformed_payload(tmp_path, field, value):
     path = tmp_path / "ckpt.json"
-    save_checkpoint(SsnParams.init(5, 3), path)
+    save_checkpoint(SsnParams.init(5, 3), path, OMEGA3)
     payload = json.loads(path.read_text())
-    payload[field] = value
+    if value is MISSING:
+        del payload[field]
+    else:
+        payload[field] = value
     path.write_text(json.dumps(payload))
-    with pytest.raises(InvalidInputError):
-        load_checkpoint(path)
+    with pytest.raises(InvalidInputError, match=field):
+        load_checkpoint(path, OMEGA3)
 
 
-def test_layer_config_json_roundtrip():
-    cfg = LayerConfig(omega=("IN", "BN", "LN"), eps=1e-5, gn_groups=32,
-                      momentum=0.1)
-    assert LayerConfig.from_json(cfg.to_json()) == cfg
-    with pytest.raises(InvalidInputError):
-        LayerConfig(omega=("IN",))
-    with pytest.raises(InvalidInputError):
-        LayerConfig(eps=0.0)
+def test_load_checkpoint_rejects_non_object(tmp_path):
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps([1.0, 2.0]))
+    with pytest.raises(InvalidInputError, match="JSON object"):
+        load_checkpoint(path, OMEGA3)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1e-5])
+def test_params_require_finite_positive_eps(eps):
+    with pytest.raises(InvalidInputError, match="eps"):
+        SsnParams(gate=GateParams(z_mean=np.zeros(3), z_var=np.zeros(3)),
+                  gamma=np.ones(2), beta=np.zeros(2), eps=eps)
 
 
 def test_benchmark_forward_smoke():

