@@ -108,6 +108,9 @@ class SsnParams:
             self.bn_running_mean = np.zeros(c)
         if self.bn_running_var is None:
             self.bn_running_var = np.ones(c)
+        for name in ("beta", "bn_running_mean", "bn_running_var"):
+            if np.shape(getattr(self, name)) != (c,):
+                raise InvalidInputError(f"{name} must be 1-D with gamma's length {c}")
         if np.any(self.bn_running_var < 0):
             raise InvalidInputError("running variances must be >= 0")
 
@@ -150,12 +153,16 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     """
     x = _validate_tensor4(x)
     omega = validate_omega(omega)
+    if params.mode not in (TRAIN, EVAL):
+        raise InvalidInputError(f"mode must be {TRAIN!r} or {EVAL!r}, got {params.mode!r}")
     c = x.shape[1]
     k = len(omega)
     if params.gate.z_mean.shape != (k,) or params.gate.z_var.shape != (k,):
         raise InvalidInputError("gate logits length must match |omega|")
     if params.gamma.shape != (c,) or params.beta.shape != (c,):
         raise InvalidInputError("gamma/beta length must match channel count")
+    if params.bn_running_mean.shape != (c,) or params.bn_running_var.shape != (c,):
+        raise InvalidInputError("running statistics length must match channel count")
     view = _grouped_shape(x.shape, omega, gn_groups)
     per_nc = view[:3] + (1,)
     geom = SimplexGeometry(k)
@@ -314,9 +321,14 @@ def fold_bn_into_affine(conv_weight, conv_bias, params: SsnParams, omega):
     choice = select_normalizer(params, omega)
     if choice != ("BN", "BN"):
         raise InvalidStateError(f"both gates must select BN, got {choice}")
+    c = params.gamma.shape[0]
     w = np.asarray(conv_weight, dtype=np.float64)
-    c_out = w.shape[0]
-    b = np.zeros(c_out) if conv_bias is None else np.asarray(conv_bias, dtype=np.float64)
+    if w.ndim != 4 or w.shape[0] != c:
+        raise InvalidInputError(
+            f"conv weight must be 4-D with {c} output channels, got shape {w.shape}")
+    b = np.zeros(c) if conv_bias is None else np.asarray(conv_bias, dtype=np.float64)
+    if b.shape != (c,):
+        raise InvalidInputError(f"conv bias must have shape ({c},), got {b.shape}")
     scale = params.gamma / np.sqrt(params.bn_running_var + params.eps)
     w_folded = w * scale[:, None, None, None]
     b_folded = (b - params.bn_running_mean) * scale + params.beta

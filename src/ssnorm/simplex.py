@@ -30,14 +30,21 @@ class Stage(str, Enum):
     VERTEX = "Vertex"
 
 
-def as_logits(z) -> np.ndarray:
-    """Validate and copy a logits vector: 1-D, length >= 2, all finite."""
+def _logits(z) -> list[float]:
+    """Validate a logits vector (1-D, length >= 2, all finite) and return
+    its entries as Python floats."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1 or z.size < 2:
         raise InvalidInputError("logits must be a 1-D vector of length >= 2")
-    if not np.all(np.isfinite(z)):
+    z = z.tolist()
+    if not all(map(math.isfinite, z)):
         raise InvalidInputError("logits must be finite")
-    return z.copy()
+    return z
+
+
+def as_logits(z) -> np.ndarray:
+    """Validate and copy a logits vector: 1-D, length >= 2, all finite."""
+    return np.array(_logits(z))
 
 
 @dataclass(frozen=True)
@@ -106,32 +113,57 @@ def softmax(z) -> np.ndarray:
     return e / e.sum()
 
 
-def _sparsemax_raw(z: np.ndarray) -> np.ndarray:
+# The projection runs on Python lists of floats: its vectors hold one entry
+# per normalizer, so numpy's per-call cost would outweigh the arithmetic.
+# Sums run left to right, as numpy's do below eight entries; numpy's 1-D
+# ``v @ v`` may fuse its multiply-adds, so norms can differ in the last bit.
+
+def _sum(v) -> float:
+    total = 0.0
+    for x in v:
+        total += x
+    return total
+
+
+def _dot(a, b) -> float:
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
+def _dist_sq(a, b) -> float:
+    """Squared Euclidean distance between two vectors."""
+    total = 0.0
+    for x, y in zip(a, b):
+        t = x - y
+        total += t * t
+    return total
+
+
+def _support(p) -> np.ndarray:
+    return np.array([i for i, v in enumerate(p) if v > 0.0], dtype=np.intp)
+
+
+def _sparsemax(z: list[float]) -> list[float]:
     # Sort-based threshold evaluation, O(K log K).  Sparsemax is
     # shift-invariant, so subtracting the maximum is exact; it keeps the +1
     # in the threshold from being lost to rounding at extreme magnitudes.
-    z = z - z.max()
-    k = z.size
-    z_sorted = np.sort(z)[::-1]
-    cumsum = np.cumsum(z_sorted)
-    ks = np.arange(1, k + 1)
-    feasible = 1.0 + ks * z_sorted > cumsum
-    a = int(ks[feasible][-1])
-    tau = (cumsum[a - 1] - 1.0) / a
-    p = z - tau
-    np.maximum(p, 0.0, out=p)
-    return p
-
-
-def _norm(v: np.ndarray) -> float:
-    # What np.linalg.norm computes for a 1-D float64 vector, without its
-    # per-call dispatch.
-    return math.sqrt(v @ v)
+    top = max(z)
+    z = [v - top for v in z]
+    cumsum = total = 0.0
+    a = 0
+    for j, v in enumerate(sorted(z, reverse=True), 1):
+        cumsum += v
+        if 1.0 + j * v > cumsum:
+            a, total = j, cumsum
+    tau = (total - 1.0) / a
+    return [v - tau if v > tau else 0.0 for v in z]
 
 
 def sparsemax(z) -> np.ndarray:
     """Euclidean projection of ``z`` onto the probability simplex."""
-    return _sparsemax_raw(as_logits(z))
+    return np.array(_sparsemax(_logits(z)))
 
 
 @dataclass(frozen=True)
@@ -159,23 +191,20 @@ class ProjectionResult:
     levels: tuple[ProjectionLevel, ...]
 
 
-def _vertex_result(z: np.ndarray, p0: np.ndarray, u: np.ndarray,
-                   geom: SimplexGeometry) -> ProjectionResult:
+def _vertex_result(z: list[float], z_in: np.ndarray, p0: list[float],
+                   u: list[float], r_circum: float) -> ProjectionResult:
     # At r == r_circum only the vertices are feasible; the closest one is
     # the argmax of the sparsemax output (argmax of z when p0 is uniform).
-    if _norm(p0 - u) < DEGENERATE_TOL:
-        m = int(np.argmax(z))
-    else:
-        m = int(np.argmax(p0))
-    p = np.zeros(geom.k)
+    top = z if math.sqrt(_dist_sq(p0, u)) < DEGENERATE_TOL else p0
+    m = top.index(max(top))
+    p = np.zeros(len(z))
     p[m] = 1.0
+    p_sm, u_arr, vertex = np.array(p0), np.array(u), np.array([m])
     levels = (
-        ProjectionLevel(z, p0, np.flatnonzero(p0 > 0.0), u, geom.r_circum,
-                        None, 0.0, False),
-        ProjectionLevel(p0, p, np.array([m]), u, geom.r_circum,
-                        None, 0.0, False),
+        ProjectionLevel(z_in, p_sm, _support(p0), u_arr, r_circum, None, 0.0, False),
+        ProjectionLevel(p_sm, p, vertex, u_arr, r_circum, None, 0.0, False),
     )
-    return ProjectionResult(p=p, stage=Stage.VERTEX, support=np.array([m]), levels=levels)
+    return ProjectionResult(p=p, stage=Stage.VERTEX, support=vertex, levels=levels)
 
 
 def sparsestmax(z, r: float, geometry: SimplexGeometry | None = None) -> ProjectionResult:
@@ -187,78 +216,83 @@ def sparsestmax(z, r: float, geometry: SimplexGeometry | None = None) -> Project
     face with the reduced radius.  ``r`` is clamped to the circumradius,
     at which point the output is exactly one-hot.
     """
-    z = as_logits(z)
-    k = z.size
+    z = _logits(z)
+    k = len(z)
     geom = geometry if geometry is not None else SimplexGeometry(k)
     if geom.k != k:
         raise InvalidInputError(f"geometry is for k={geom.k}, logits have k={k}")
-    if not np.isfinite(r) or r < 0:
-        raise InvalidInputError("radius r must be finite and >= 0")
-    r = min(float(r), geom.r_circum)
+    if not (isinstance(r, numbers.Real) and math.isfinite(r) and r >= 0):
+        raise InvalidInputError(f"radius r must be a finite real number >= 0, got {r!r}")
+    r_circum = geom.r_circum
+    r = min(float(r), r_circum)
 
-    u = geom.center
-    p0 = _sparsemax_raw(z)
-    if _norm(p0 - u) >= r:
-        level = ProjectionLevel(z, p0, np.flatnonzero(p0 > 0.0), u, r,
-                                None, 0.0, False)
-        return ProjectionResult(p=p0, stage=Stage.SPARSEMAX,
-                                support=np.flatnonzero(p0 > 0.0), levels=(level,))
-    if r == geom.r_circum:
-        return _vertex_result(z, p0, u, geom)
+    u = [1.0 / k] * k
+    z_in = np.array(z)
+    p0 = _sparsemax(z)
+    if math.sqrt(_dist_sq(p0, u)) >= r:
+        p, support = np.array(p0), _support(p0)
+        level = ProjectionLevel(z_in, p, support, np.array(u), r, None, 0.0, False)
+        return ProjectionResult(p=p, stage=Stage.SPARSEMAX, support=support,
+                                levels=(level,))
+    if r == r_circum:
+        return _vertex_result(z, z_in, p0, u, r_circum)
 
     # Each level projects once: level 0 starts from p0, and a face level
     # from the re-projection p2 of its own input z_cur = p1.
     levels: list[ProjectionLevel] = []
     z_cur, p_sm, r_cur = z, p0, r
-    p_out = None
     while True:
-        support = np.flatnonzero(p_sm > 0.0)
-        face = np.flatnonzero(u > 0.0)
-        if face.size == 1:
+        u_arr = np.array(u)
+        face = [i for i, v in enumerate(u) if v > 0.0]
+        if len(face) == 1:
             # The recursion shrank the face to a single vertex.
-            p_out = u.copy()
-            levels.append(ProjectionLevel(z_cur, p_out, face, u, r_cur,
-                                          None, 0.0, False))
+            p_out = u
+            levels.append(ProjectionLevel(z_in, np.array(u), np.array(face), u_arr,
+                                          r_cur, None, 0.0, False))
             break
-        d = p_sm - u
+        d = [a - b for a, b in zip(p_sm, u)]
         # Drop d's round-off normal to the face (u is the face barycenter,
         # zero off it); the push scales d by r/||d|| and would amplify it.
-        d -= d.sum() * u
-        d_norm = _norm(d)
+        d_sum = _sum(d)
+        d = [a - d_sum * b for a, b in zip(d, u)]
+        d_norm = math.sqrt(_dot(d, d))
+        p_sm_arr, support = np.array(p_sm), _support(p_sm)
         if d_norm >= r_cur:
-            levels.append(ProjectionLevel(z_cur, p_sm, support, u, r_cur,
+            levels.append(ProjectionLevel(z_in, p_sm_arr, support, u_arr, r_cur,
                                           None, 0.0, False))
             p_out = p_sm
             break
         degenerate = d_norm < DEGENERATE_TOL
         if degenerate:
-            m = face[int(np.argmax(z_cur[face]))]
-            d = -u.copy()
+            m = max(face, key=z_cur.__getitem__)
+            d = [-v for v in u]
             d[m] += 1.0
-            d_norm = _norm(d)
-        p1 = u + (r_cur / d_norm) * d
-        levels.append(ProjectionLevel(z_cur, p_sm, support, u, r_cur,
-                                      d, d_norm, True, degenerate))
-        if np.all(p1 >= 0.0):
+            d_norm = math.sqrt(_dot(d, d))
+        scale = r_cur / d_norm
+        p1 = [a + scale * b for a, b in zip(u, d)]
+        levels.append(ProjectionLevel(z_in, p_sm_arr, support, u_arr, r_cur,
+                                      np.array(d), d_norm, True, degenerate))
+        if all(v >= 0.0 for v in p1):
             p_out = p1
             break
         # Radial push left the simplex: re-project and recurse on the face
         # spanned by the support, with the center moved to its barycenter.
-        p2 = _sparsemax_raw(p1)
-        s2 = np.flatnonzero(p2 > 0.0)
-        u_next = np.zeros(k)
-        u_next[s2] = 1.0 / s2.size
-        r_next = math.sqrt(max(r_cur ** 2 - float(np.sum((u - u_next) ** 2)), 0.0))
-        z_cur, p_sm, u, r_cur = p1, p2, u_next, r_next
+        p2 = _sparsemax(p1)
+        s2 = [i for i, v in enumerate(p2) if v > 0.0]
+        u_next = [0.0] * k
+        for i in s2:
+            u_next[i] = 1.0 / len(s2)
+        r_next = math.sqrt(max(r_cur ** 2 - _dist_sq(u, u_next), 0.0))
+        z_cur, z_in, p_sm, u, r_cur = p1, np.array(p1), p2, u_next, r_next
 
-    support_out = np.flatnonzero(p_out > 0.0)
+    support_out = _support(p_out)
     if support_out.size == 1:
         stage = Stage.VERTEX
     elif len(levels) == 1:
         stage = Stage.CIRCLE
     else:
         stage = Stage.FACE
-    return ProjectionResult(p=p_out, stage=stage, support=support_out,
+    return ProjectionResult(p=np.array(p_out), stage=stage, support=support_out,
                             levels=tuple(levels))
 
 
@@ -275,25 +309,29 @@ def sparsestmax_vjp(result: ProjectionResult, upstream) -> np.ndarray:
     g = np.asarray(upstream, dtype=np.float64)
     if g.shape != result.p.shape:
         raise InvalidInputError("upstream vector has the wrong length")
-    if not np.all(np.isfinite(g)):
+    g = g.tolist()
+    if not all(map(math.isfinite, g)):
         raise InvalidInputError("upstream vector must be finite")
-    g = g.copy()
+    k = len(g)
     for level in reversed(result.levels):
         if level.applied_circle:
             if level.degenerate:
                 # Fallback direction is locally constant, so the radial
                 # push does not depend on the sparsemax output at all.
-                g = np.zeros_like(g)
+                g = [0.0] * k
             else:
-                d, nd = level.d, level.d_norm
-                g = (level.r / nd) * (g - (float(d @ g) / (nd * nd)) * d)
-        s = level.support
-        gs = np.zeros_like(g)
-        if s.size:
-            gs[s] = g[s] - g[s].mean()
+                d, nd = level.d.tolist(), level.d_norm
+                along = _dot(d, g) / (nd * nd)
+                scale = level.r / nd
+                g = [scale * (a - along * b) for a, b in zip(g, d)]
+        support = level.support.tolist()
+        gs = [0.0] * k
+        if support:
+            mean = _sum([g[i] for i in support]) / len(support)
+            for i in support:
+                gs[i] = g[i] - mean
         g = gs
-    g[result.p == 0.0] = 0.0
-    return g
+    return np.array([0.0 if q == 0.0 else a for q, a in zip(result.p.tolist(), g)])
 
 
 def recursion_signature(result: ProjectionResult) -> tuple:

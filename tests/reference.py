@@ -1,10 +1,13 @@
 """Reference implementations that only the tests use: a direct
-convolution, the closed-form sparsemax Jacobian and a simplex-membership
-check."""
+convolution, the closed-form sparsemax Jacobian, a simplex-membership
+check, and numpy versions of the staged projection and its VJP."""
+import math
+
 import numpy as np
 
 from ssnorm.errors import InvalidInputError
-from ssnorm.simplex import as_logits, sparsemax
+from ssnorm.simplex import (DEGENERATE_TOL, ProjectionLevel, ProjectionResult,
+                            SimplexGeometry, Stage, as_logits, sparsemax)
 
 
 def conv2d(x, weight, bias=None) -> np.ndarray:
@@ -43,3 +46,132 @@ def validate_prob_vector(p) -> np.ndarray:
         raise InvalidInputError("probability vector entries must be >= 0")
     np.maximum(p, 0.0, out=p)
     return p
+
+
+# The projection as numpy array code: the same algorithm as
+# ``ssnorm.simplex``, which runs it on Python floats.  numpy's 1-D ``v @ v``
+# may fuse its multiply-adds, so the two agree to round-off, not bitwise.
+
+def _sparsemax_numpy_raw(z: np.ndarray) -> np.ndarray:
+    z = z - z.max()
+    k = z.size
+    z_sorted = np.sort(z)[::-1]
+    cumsum = np.cumsum(z_sorted)
+    ks = np.arange(1, k + 1)
+    feasible = 1.0 + ks * z_sorted > cumsum
+    a = int(ks[feasible][-1])
+    tau = (cumsum[a - 1] - 1.0) / a
+    p = z - tau
+    np.maximum(p, 0.0, out=p)
+    return p
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(v @ v)
+
+
+def sparsemax_numpy(z) -> np.ndarray:
+    return _sparsemax_numpy_raw(as_logits(z))
+
+
+def _vertex_result_numpy(z, p0, u, geom) -> ProjectionResult:
+    if _norm(p0 - u) < DEGENERATE_TOL:
+        m = int(np.argmax(z))
+    else:
+        m = int(np.argmax(p0))
+    p = np.zeros(geom.k)
+    p[m] = 1.0
+    levels = (
+        ProjectionLevel(z, p0, np.flatnonzero(p0 > 0.0), u, geom.r_circum,
+                        None, 0.0, False),
+        ProjectionLevel(p0, p, np.array([m]), u, geom.r_circum,
+                        None, 0.0, False),
+    )
+    return ProjectionResult(p=p, stage=Stage.VERTEX, support=np.array([m]), levels=levels)
+
+
+def sparsestmax_numpy(z, r: float, geometry: SimplexGeometry | None = None) -> ProjectionResult:
+    z = as_logits(z)
+    k = z.size
+    geom = geometry if geometry is not None else SimplexGeometry(k)
+    if geom.k != k:
+        raise InvalidInputError(f"geometry is for k={geom.k}, logits have k={k}")
+    if not np.isfinite(r) or r < 0:
+        raise InvalidInputError("radius r must be finite and >= 0")
+    r = min(float(r), geom.r_circum)
+
+    u = geom.center
+    p0 = _sparsemax_numpy_raw(z)
+    if _norm(p0 - u) >= r:
+        level = ProjectionLevel(z, p0, np.flatnonzero(p0 > 0.0), u, r,
+                                None, 0.0, False)
+        return ProjectionResult(p=p0, stage=Stage.SPARSEMAX,
+                                support=np.flatnonzero(p0 > 0.0), levels=(level,))
+    if r == geom.r_circum:
+        return _vertex_result_numpy(z, p0, u, geom)
+
+    levels = []
+    z_cur, p_sm, r_cur = z, p0, r
+    p_out = None
+    while True:
+        support = np.flatnonzero(p_sm > 0.0)
+        face = np.flatnonzero(u > 0.0)
+        if face.size == 1:
+            p_out = u.copy()
+            levels.append(ProjectionLevel(z_cur, p_out, face, u, r_cur,
+                                          None, 0.0, False))
+            break
+        d = p_sm - u
+        d -= d.sum() * u
+        d_norm = _norm(d)
+        if d_norm >= r_cur:
+            levels.append(ProjectionLevel(z_cur, p_sm, support, u, r_cur,
+                                          None, 0.0, False))
+            p_out = p_sm
+            break
+        degenerate = d_norm < DEGENERATE_TOL
+        if degenerate:
+            m = face[int(np.argmax(z_cur[face]))]
+            d = -u.copy()
+            d[m] += 1.0
+            d_norm = _norm(d)
+        p1 = u + (r_cur / d_norm) * d
+        levels.append(ProjectionLevel(z_cur, p_sm, support, u, r_cur,
+                                      d, d_norm, True, degenerate))
+        if np.all(p1 >= 0.0):
+            p_out = p1
+            break
+        p2 = _sparsemax_numpy_raw(p1)
+        s2 = np.flatnonzero(p2 > 0.0)
+        u_next = np.zeros(k)
+        u_next[s2] = 1.0 / s2.size
+        r_next = math.sqrt(max(r_cur ** 2 - float(np.sum((u - u_next) ** 2)), 0.0))
+        z_cur, p_sm, u, r_cur = p1, p2, u_next, r_next
+
+    support_out = np.flatnonzero(p_out > 0.0)
+    if support_out.size == 1:
+        stage = Stage.VERTEX
+    elif len(levels) == 1:
+        stage = Stage.CIRCLE
+    else:
+        stage = Stage.FACE
+    return ProjectionResult(p=p_out, stage=stage, support=support_out,
+                            levels=tuple(levels))
+
+
+def sparsestmax_vjp_numpy(result: ProjectionResult, upstream) -> np.ndarray:
+    g = np.asarray(upstream, dtype=np.float64).copy()
+    for level in reversed(result.levels):
+        if level.applied_circle:
+            if level.degenerate:
+                g = np.zeros_like(g)
+            else:
+                d, nd = level.d, level.d_norm
+                g = (level.r / nd) * (g - (float(d @ g) / (nd * nd)) * d)
+        s = level.support
+        gs = np.zeros_like(g)
+        if s.size:
+            gs[s] = g[s] - g[s].mean()
+        g = gs
+    g[result.p == 0.0] = 0.0
+    return g

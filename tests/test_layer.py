@@ -254,6 +254,37 @@ def test_forward_validates_shapes():
         ssn_forward(np.zeros((1, 4, 2, 2)), bad, 0.1, ("IN", "BN", "LN"))
 
 
+@pytest.mark.parametrize("mode", ["evl", "Train", "", None])
+def test_forward_rejects_unknown_mode(mode):
+    # Any mode other than "eval" once ran silently on batch BN statistics.
+    params = SsnParams.init(4, 3)
+    params.mode = mode
+    with pytest.raises(InvalidInputError, match="mode"):
+        ssn_forward(np.ones((2, 4, 3, 3)), params, 0.1, ("IN", "BN", "LN"))
+
+
+@pytest.mark.parametrize("name", ["bn_running_mean", "bn_running_var"])
+@pytest.mark.parametrize("shape", [(5,), (3,), (1, 4), ()])
+def test_forward_checks_running_stats_shape(name, shape):
+    # Fields are reassigned after construction, so the forward checks too.
+    params = SsnParams.init(4, 3)
+    setattr(params, name, np.ones(shape))
+    for mode in (TRAIN, EVAL):
+        params.mode = mode
+        with pytest.raises(InvalidInputError, match="running statistics"):
+            ssn_forward(np.ones((2, 4, 3, 3)), params, 0.1, ("IN", "BN", "LN"))
+
+
+@pytest.mark.parametrize("name", ["beta", "bn_running_mean", "bn_running_var"])
+@pytest.mark.parametrize("shape", [(5,), (3,), (1, 4), ()])
+def test_params_check_vector_lengths(name, shape):
+    fields = dict(gate=GateParams(z_mean=np.zeros(3), z_var=np.zeros(3)),
+                  gamma=np.ones(4), beta=np.zeros(4))
+    fields[name] = np.ones(shape)
+    with pytest.raises(InvalidInputError, match=name):
+        SsnParams(**fields)
+
+
 # --------------------------------------------------------------- backward
 
 def _loss_and_grads(x, params, r, omega, gn_groups, w_loss):
@@ -439,6 +470,28 @@ def test_fold_bn_into_affine_equivalence():
     w_f, b_f = fold_bn_into_affine(w, b, params, ("IN", "BN", "LN"))
     y_fold = conv2d(x, w_f, b_f)
     assert np.max(np.abs(y_fold - y_ref)) <= 1e-6
+
+
+def _bn_selected_params(c):
+    params = SsnParams.init(c, 3)
+    params.gate.z_mean = np.array([0.0, 5.0, 0.0])
+    params.gate.z_var = params.gate.z_mean.copy()
+    params.gate.frozen_mean = params.gate.frozen_var = True
+    return params
+
+
+@pytest.mark.parametrize("c,weight_shape,bias_shape", [
+    (1, (4, 3, 1, 1), None),    # once broadcast to a wrong 4-channel fold
+    (4, (3, 3, 1, 1), None),    # once a numpy broadcast ValueError
+    (4, (4, 3), None),
+    (4, (4, 3, 1, 1), (3,)),
+    (4, (4, 3, 1, 1), (4, 1)),
+])
+def test_fold_checks_conv_against_layer(c, weight_shape, bias_shape):
+    bias = None if bias_shape is None else np.zeros(bias_shape)
+    with pytest.raises(InvalidInputError, match="conv"):
+        fold_bn_into_affine(np.ones(weight_shape), bias, _bn_selected_params(c),
+                            ("IN", "BN", "LN"))
 
 
 def test_fold_requires_bn_selection():

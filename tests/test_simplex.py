@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import sparsemax_jacobian, validate_prob_vector
+from reference import (sparsemax_jacobian, sparsestmax_numpy,
+                       sparsestmax_vjp_numpy, validate_prob_vector)
 from ssnorm.errors import InvalidInputError
 from ssnorm.simplex import (DEGENERATE_TOL, ProjectionResult, RadiusSchedule,
                             SimplexGeometry, Stage, is_smooth_point,
@@ -271,6 +272,10 @@ def test_invalid_inputs_rejected():
         sparsestmax([1.0, 2.0], np.inf)
     with pytest.raises(InvalidInputError):
         sparsestmax([1.0, 2.0, 3.0], 0.1, geometry=SimplexGeometry(4))
+    with pytest.raises(InvalidInputError):
+        sparsestmax([1.0, 2.0, 3.0], "0.3")
+    with pytest.raises(InvalidInputError):
+        sparsestmax([1.0, 2.0, 3.0], None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -384,6 +389,51 @@ def test_each_level_holds_the_sparsemax_of_its_input(k):
             checked.add(res.stage)
     # The segment (k=2) lies inside its circle, so no push leaves it.
     assert checked == set(Stage) - ({Stage.FACE} if k == 2 else set())
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_projection_matches_numpy_reference(k):
+    # The projection runs on Python floats and the reference on numpy
+    # arrays, whose ``v @ v`` may fuse multiply-adds: every discrete choice
+    # must agree, values to round-off.  The VJP's round-off is scaled by
+    # the radial pushes it passes through, each amplifying by r / ||d||.
+    geom = SimplexGeometry(k)
+    rng = np.random.default_rng(200 + k)
+    stages, degenerate = set(), 0
+    for i in range(1500):
+        kind = i % 5
+        if kind == 0:
+            z = rng.normal(size=k)
+        elif kind == 1:    # near the center
+            z = rng.normal(size=k) * 10.0 ** rng.uniform(-14, -4)
+        elif kind == 2:    # huge logits
+            z = rng.normal(size=k) * 10.0 ** rng.uniform(0, 30)
+        elif kind == 3:
+            z = 1.0 + rng.normal(size=k) * rng.choice([0.05, 0.3])
+        else:              # exactly the center
+            z = np.full(k, rng.normal())
+        r = (geom.r_circum, rng.uniform(0.0, geom.r_circum),
+             rng.uniform(0.0, 0.3))[i % 3]
+        res, ref = sparsestmax(z, r, geom), sparsestmax_numpy(z, r, geom)
+        assert res.stage == ref.stage
+        assert res.support.tolist() == ref.support.tolist()
+        assert len(res.levels) == len(ref.levels)
+        for lv, lv_ref in zip(res.levels, ref.levels):
+            assert lv.support.tolist() == lv_ref.support.tolist()
+            assert lv.applied_circle == lv_ref.applied_circle
+            assert lv.degenerate == lv_ref.degenerate
+            degenerate += lv.degenerate
+        assert np.max(np.abs(res.p - ref.p)) <= 1e-15
+        g = rng.normal(size=k)
+        scale = np.max(np.abs(g))
+        for lv in ref.levels:
+            if lv.applied_circle and not lv.degenerate:
+                scale *= lv.r / lv.d_norm
+        diff = sparsestmax_vjp(res, g) - sparsestmax_vjp_numpy(ref, g)
+        assert np.max(np.abs(diff)) <= 1e-13 * scale
+        stages.add(res.stage)
+    assert stages == set(Stage) - ({Stage.FACE} if k == 2 else set())
+    assert degenerate > 0
 
 
 # --------------------------------------------------------------- gradients

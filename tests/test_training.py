@@ -133,6 +133,34 @@ def test_no_ratio_component_revives(default_run):
                         zeroed[j] = True
 
 
+def _discrete_trajectory(log):
+    """Per (layer, gate): the first step with a zero ratio and the freeze
+    step; then each layer's final (mean, variance) selection."""
+    def first(pred):
+        return next(row.step for row in log.rows if pred(row))
+    steps = [(first(lambda row: min(row.layers[li].p) == 0.0),
+              first(lambda row: min(row.layers[li].pp) == 0.0),
+              first(lambda row: row.layers[li].frozen_mean),
+              first(lambda row: row.layers[li].frozen_var))
+             for li in range(log.layer_count)]
+    names = [(log.omega[int(np.argmax(lr_.p))], log.omega[int(np.argmax(lr_.pp))])
+             for lr_ in log.rows[-1].layers]
+    return steps, names
+
+
+def test_default_runs_discrete_trajectory_pinned(default_run):
+    # Literal values of the default runs (seeds 0 and 123): a change that
+    # moves the gates' values at round-off must not move these.
+    assert _discrete_trajectory(default_run[1]) == (
+        [(41, 42, 83, 83), (47, 43, 83, 83), (47, 67, 83, 83), (45, 52, 83, 83)],
+        [("BN", "IN"), ("LN", "BN"), ("BN", "IN"), ("LN", "BN")])
+    data = make_synthetic_dataset(123, 200, (3, 8, 8), 4)
+    log = train(replace(MODEL, seed=123), OPT, data)
+    assert _discrete_trajectory(log) == (
+        [(51, 66, 83, 83), (44, 44, 83, 83), (43, 49, 83, 83), (42, 54, 83, 83)],
+        [("BN", "BN"), ("LN", "BN"), ("LN", "BN"), ("BN", "LN")])
+
+
 def test_frozen_gates_receive_zero_gradients(default_run):
     _, log = default_run
     for li in range(log.layer_count):
