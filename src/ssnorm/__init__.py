@@ -8,8 +8,8 @@ from .layer import (SsnParams, benchmark_forward, fold_bn_into_affine,
                     ssn_backward, ssn_forward, update_running_stats,
                     validate_omega)
 from .oracle import oracle_project
-from .simplex import (ProjectionResult, RadiusSchedule, SimplexGeometry,
-                      Stage, is_smooth_point, softmax, sparsemax,
+from .simplex import (ProjectionResult, RadiusSchedule, Stage, circumradius,
+                      inradius, is_smooth_point, softmax, sparsemax,
                       sparsestmax, sparsestmax_vjp, vjp_gradcheck)
 from .training import (OptimizerConfig, ToyModelConfig, TrajectoryLog,
                        make_synthetic_dataset,
@@ -25,8 +25,8 @@ __all__ = [
     "load_checkpoint", "save_checkpoint", "select_normalizer",
     "ssn_backward", "ssn_forward", "update_running_stats", "validate_omega",
     "oracle_project",
-    "ProjectionResult", "RadiusSchedule", "SimplexGeometry", "Stage",
-    "is_smooth_point", "softmax", "sparsemax", "sparsestmax",
+    "ProjectionResult", "RadiusSchedule", "Stage", "circumradius",
+    "inradius", "is_smooth_point", "softmax", "sparsemax", "sparsestmax",
     "sparsestmax_vjp", "vjp_gradcheck",
     "OptimizerConfig", "ToyModelConfig", "TrajectoryLog",
     "make_synthetic_dataset", "schedule_insensitivity_experiment",

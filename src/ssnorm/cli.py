@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import (InvalidInputError, NotConvergedError, TrainingFailedError)
 from .layer import benchmark_forward
-from .simplex import (RadiusSchedule, SimplexGeometry, Stage, softmax,
-                      sparsemax, sparsestmax, sparsestmax_vjp, vjp_gradcheck)
+from .simplex import (RadiusSchedule, Stage, circumradius, softmax, sparsemax,
+                      sparsestmax, sparsestmax_vjp, vjp_gradcheck)
 from .training import (OptimizerConfig, ToyModelConfig, make_synthetic_dataset,
                        schedule_insensitivity_experiment, selection_histogram,
                        train)
@@ -95,7 +95,7 @@ def cmd_gradcheck(args) -> int:
     if args.k < 2:
         raise InvalidInputError(f"--k: must be >= 2, got {args.k}")
     max_rel = vjp_gradcheck(np.random.default_rng(args.seed), args.k, args.trials,
-                            0.95 * SimplexGeometry(args.k).r_circum)
+                            0.95 * circumradius(args.k))
     passed = max_rel < GRADCHECK_TOL
     _emit({"trials": args.trials, "k": args.k,
            "max_rel_error": _sig12(max_rel), "tolerance": GRADCHECK_TOL,
@@ -108,7 +108,6 @@ def cmd_trajectory(args) -> int:
     if args.steps < 1:
         raise InvalidInputError(f"--steps: must be >= 1, got {args.steps}")
     k = z.size
-    geom = SimplexGeometry(k)
     sched = RadiusSchedule(((0, 0.0), (args.steps, 1.0)))
     rng = np.random.default_rng(args.seed)
     # Synthetic objective: prefer a random target component, with mild noise,
@@ -117,8 +116,8 @@ def cmd_trajectory(args) -> int:
     lr = 0.1
     lines = ["step,r," + ",".join(f"p{i}" for i in range(1, k + 1))]
     for step in range(args.steps + 1):
-        r = sched.radius(step, geom)
-        res = sparsestmax(z, r, geom)
+        r = sched.radius(step, k)
+        res = sparsestmax(z, r)
         lines.append(f"{step},{r:.17g}," +
                      ",".join(f"{v:.17g}" for v in res.p))
         if step == args.steps:
@@ -231,6 +230,11 @@ def cmd_sweep(args) -> int:
     opt = dataclasses.replace(opt, epochs=args.epochs)
     total = args.epochs * math.ceil(data[0].shape[0] / model.batch_size)
     ri_steps = [int(f * total) for f in args.fractions]
+    for f, s in zip(args.fractions, ri_steps):
+        if not 0 < s < total - 1:
+            raise InvalidInputError(
+                f"--fractions: {f} puts the inscribed-radius step at {s} of a "
+                f"{total}-step run; it must lie in [1, {total - 2}]")
     logs = schedule_insensitivity_experiment(model, opt, data, ri_steps)
     accs = [log.final_accuracy for log in logs]
     losses = [log.rows[-1].loss for log in logs]
@@ -256,13 +260,13 @@ def cmd_bench(args) -> int:
 
 def _verify_checks(rng):
     """Fast invariant suite run by `verify`. Yields (name, passed)."""
-    geom3 = SimplexGeometry(3)
+    r_circum3 = circumradius(3)
 
     def check_simplex_membership():
         for _ in range(200):
             z = rng.normal(size=3)
-            r = rng.uniform(0.0, geom3.r_circum)
-            p = sparsestmax(z, r, geom3).p
+            r = rng.uniform(0.0, r_circum3)
+            p = sparsestmax(z, r).p
             if abs(p.sum() - 1.0) > 1e-12 or p.min() < 0:
                 return False
         return True
@@ -284,7 +288,7 @@ def _verify_checks(rng):
     def check_vertex_limit():
         for _ in range(50):
             z = rng.normal(size=3)
-            p = sparsestmax(z, geom3.r_circum, geom3).p
+            p = sparsestmax(z, r_circum3).p
             if sorted(p) != [0.0, 0.0, 1.0]:
                 return False
         return True

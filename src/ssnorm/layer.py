@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidStateError, NotConvergedError
-from .simplex import ProjectionResult, SimplexGeometry, sparsestmax, sparsestmax_vjp
+from .simplex import ProjectionResult, circumradius, sparsestmax, sparsestmax_vjp
 
 NORMALIZER_ORDER = ("IN", "BN", "LN", "GN")
 
@@ -165,9 +165,8 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
         raise InvalidInputError("running statistics length must match channel count")
     view = _grouped_shape(x.shape, omega, gn_groups)
     per_nc = view[:3] + (1,)
-    geom = SimplexGeometry(k)
-    p_res = sparsestmax(params.gate.z_mean, r, geom)
-    pp_res = sparsestmax(params.gate.z_var, r, geom)
+    p_res = sparsestmax(params.gate.z_mean, r)
+    pp_res = sparsestmax(params.gate.z_var, r)
     p, pp = p_res.p, pp_res.p
 
     xv = x.reshape(view)
@@ -304,11 +303,14 @@ def select_normalizer(params: SsnParams, omega) -> tuple[str, str]:
 
     Only valid once both gates froze (i.e. both ratios went one-hot)."""
     omega = validate_omega(omega)
+    k = len(omega)
+    if params.gate.z_mean.shape != (k,) or params.gate.z_var.shape != (k,):
+        raise InvalidInputError("gate logits length must match |omega|")
     if not (params.gate.frozen_mean and params.gate.frozen_var):
         raise NotConvergedError("both gates must be frozen one-hot")
-    geom = SimplexGeometry(len(omega))
-    p = sparsestmax(params.gate.z_mean, geom.r_circum, geom).p
-    pp = sparsestmax(params.gate.z_var, geom.r_circum, geom).p
+    r_circum = circumradius(k)
+    p = sparsestmax(params.gate.z_mean, r_circum).p
+    pp = sparsestmax(params.gate.z_var, r_circum).p
     return omega[int(np.argmax(p))], omega[int(np.argmax(pp))]
 
 
@@ -336,11 +338,11 @@ def fold_bn_into_affine(conv_weight, conv_bias, params: SsnParams, omega):
 
 
 def save_checkpoint(params: SsnParams, path, omega) -> None:
-    """Serialize parameters, and the omega their gates index, as JSON."""
+    """Serialize parameters, and the omega their gates index, as JSON.
+    Parameters that ``load_checkpoint`` would reject raise
+    ``InvalidInputError`` before the file is opened."""
     omega = validate_omega(omega)
-    if params.gate.z_mean.shape != (len(omega),):
-        raise InvalidInputError("gate logits length must match |omega|")
-    payload = {
+    text = json.dumps({
         "omega": list(omega),
         "z_mean": params.gate.z_mean.tolist(),
         "z_var": params.gate.z_var.tolist(),
@@ -351,9 +353,10 @@ def save_checkpoint(params: SsnParams, path, omega) -> None:
         "bn_running_mean": params.bn_running_mean.tolist(),
         "bn_running_var": params.bn_running_var.tolist(),
         "eps": params.eps,
-    }
+    })
+    _params_from_payload(json.loads(text), omega)
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(text)
 
 
 def _checkpoint_array(raw: dict, key: str, length: int | None = None) -> np.ndarray:
@@ -377,14 +380,9 @@ def _checkpoint_scalar(raw: dict, key: str, kinds: tuple[type, ...]):
     return raw[key]
 
 
-def load_checkpoint(path, omega) -> SsnParams:
-    """Read parameters written by ``save_checkpoint`` under the same
-    ``omega``.  A malformed payload (a missing or mistyped field,
-    mismatched lengths, non-finite values) or a different stored omega
-    raises ``InvalidInputError``."""
-    omega = validate_omega(omega)
-    with open(path) as fh:
-        raw = json.load(fh)
+def _params_from_payload(raw, omega: tuple[str, ...]) -> SsnParams:
+    """Parameters from a decoded checkpoint payload, with every field
+    checked against ``omega`` and against each other."""
     if not isinstance(raw, dict):
         raise InvalidInputError("checkpoint must hold a JSON object")
     if raw.get("omega") != list(omega):
@@ -403,6 +401,17 @@ def load_checkpoint(path, omega) -> SsnParams:
                      bn_running_var=_checkpoint_array(raw, "bn_running_var", c))
 
 
+def load_checkpoint(path, omega) -> SsnParams:
+    """Read parameters written by ``save_checkpoint`` under the same
+    ``omega``.  A malformed payload (a missing or mistyped field,
+    mismatched lengths, non-finite values) or a different stored omega
+    raises ``InvalidInputError``."""
+    omega = validate_omega(omega)
+    with open(path) as fh:
+        raw = json.load(fh)
+    return _params_from_payload(raw, omega)
+
+
 def benchmark_forward(n: int, c: int, h: int, w: int, reps: int,
                       seed: int = 0) -> dict:
     """Median eval-mode forward time over IN, BN and LN: all-normalizer
@@ -417,7 +426,6 @@ def benchmark_forward(n: int, c: int, h: int, w: int, reps: int,
     k = len(omega)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, c, h, w))
-    geom = SimplexGeometry(k)
 
     sparse = SsnParams.init(c, k)
     sparse.mode = EVAL
@@ -439,9 +447,9 @@ def benchmark_forward(n: int, c: int, h: int, w: int, reps: int,
 
     # Warm-up excluded from timing.
     ssn_forward(x, combined, 0.0, omega)
-    ssn_forward(x, sparse, geom.r_circum, omega)
+    ssn_forward(x, sparse, circumradius(k), omega)
     combined_ts = _time(combined, 0.0)
-    sparse_ts = _time(sparse, geom.r_circum)
+    sparse_ts = _time(sparse, circumradius(k))
     combined_ms = float(np.median(combined_ts))
     sparse_ms = float(np.median(sparse_ts))
     return {

@@ -47,27 +47,20 @@ def as_logits(z) -> np.ndarray:
     return np.array(_logits(z))
 
 
-@dataclass(frozen=True)
-class SimplexGeometry:
-    """Regular (k-1)-simplex embedded in R^k: center and radii."""
+def circumradius(k: int) -> float:
+    """Distance from the center of the probability simplex in R^k to each
+    vertex: the radius at which only one-hot outputs stay feasible."""
+    if k < 2:
+        raise InvalidInputError("simplex dimension k must be >= 2")
+    return math.sqrt((k - 1) / k)
 
-    k: int
 
-    def __post_init__(self):
-        if self.k < 2:
-            raise InvalidInputError("simplex dimension k must be >= 2")
-
-    @property
-    def center(self) -> np.ndarray:
-        return np.full(self.k, 1.0 / self.k)
-
-    @property
-    def r_circum(self) -> float:
-        return math.sqrt((self.k - 1) / self.k)
-
-    @property
-    def r_inscribed(self) -> float:
-        return math.sqrt(1.0 / (self.k * (self.k - 1)))
+def inradius(k: int) -> float:
+    """Distance from the center of the probability simplex in R^k to each
+    facet."""
+    if k < 2:
+        raise InvalidInputError("simplex dimension k must be >= 2")
+    return math.sqrt(1.0 / (k * (k - 1)))
 
 
 @dataclass(frozen=True)
@@ -95,15 +88,17 @@ class RadiusSchedule:
             raise InvalidInputError("schedule radii must be finite, >= 0 and non-decreasing")
         object.__setattr__(self, "knots", tuple((int(s), float(r)) for s, r in knots))
 
-    def radius(self, step: int, geometry: SimplexGeometry) -> float:
-        """Radius at ``step``, clamped to the circumradius of ``geometry``.
-        A step on an interior knot is read from the segment ending there."""
-        if not 0 <= step <= self.knots[-1][0]:
-            raise InvalidInputError(
-                f"step {step} outside schedule range [0, {self.knots[-1][0]}]")
+    def radius(self, step: int, k: int) -> float:
+        """Radius at ``step``, clamped to the circumradius for ``k``
+        normalizers.  A step on an interior knot is read from the segment
+        ending there; past the last knot the radius holds its last value."""
+        if step < 0:
+            raise InvalidInputError(f"step must be >= 0, got {step}")
+        r_circum = circumradius(k)
+        step = min(step, self.knots[-1][0])
         for (s0, r0), (s1, r1) in zip(self.knots, self.knots[1:]):
             if step <= s1:
-                return min(geometry.r_circum, r0 + (r1 - r0) * (step - s0) / (s1 - s0))
+                return min(r_circum, r0 + (r1 - r0) * (step - s0) / (s1 - s0))
 
 
 def softmax(z) -> np.ndarray:
@@ -207,7 +202,7 @@ def _vertex_result(z: list[float], z_in: np.ndarray, p0: list[float],
     return ProjectionResult(p=p, stage=Stage.VERTEX, support=vertex, levels=levels)
 
 
-def sparsestmax(z, r: float, geometry: SimplexGeometry | None = None) -> ProjectionResult:
+def sparsestmax(z, r: float) -> ProjectionResult:
     """Project ``z`` onto the simplex restricted to ``||p - u||_2 >= r``.
 
     Staged evaluation: take the plain sparsemax if it already satisfies the
@@ -218,12 +213,9 @@ def sparsestmax(z, r: float, geometry: SimplexGeometry | None = None) -> Project
     """
     z = _logits(z)
     k = len(z)
-    geom = geometry if geometry is not None else SimplexGeometry(k)
-    if geom.k != k:
-        raise InvalidInputError(f"geometry is for k={geom.k}, logits have k={k}")
     if not (isinstance(r, numbers.Real) and math.isfinite(r) and r >= 0):
         raise InvalidInputError(f"radius r must be a finite real number >= 0, got {r!r}")
-    r_circum = geom.r_circum
+    r_circum = circumradius(k)
     r = min(float(r), r_circum)
 
     u = [1.0 / k] * k
@@ -342,35 +334,35 @@ def recursion_signature(result: ProjectionResult) -> tuple:
                  for lv in result.levels)
 
 
-def is_smooth_point(z, r: float, geometry: SimplexGeometry | None = None,
-                    margin: float = 1e-3, z_margin: float = 1e-4) -> bool:
-    """True when (z, r) sits away from every stage boundary.
+def is_smooth_point(z, r: float) -> bool:
+    """True when (z, r) sits away from every stage boundary: the recursion
+    structure holds for r +- 1e-3 and for each z_j +- 1e-4.
 
     The projection is continuous but not differentiable where the
     recursion structure changes; finite-difference checks must avoid
     those points.
     """
+    dr, dz = 1e-3, 1e-4
     z = as_logits(z)
-    geom = geometry if geometry is not None else SimplexGeometry(z.size)
-    if r - margin < 0 or r + margin > geom.r_circum:
+    if r - dr < 0 or r + dr > circumradius(z.size):
         return False
     try:
-        res = sparsestmax(z, r, geom)
+        res = sparsestmax(z, r)
         # Reject ill-conditioned radial pushes: finite differences lose
         # accuracy when the sparsemax output sits close to the face center.
         for lv in res.levels:
             if lv.applied_circle and lv.d_norm < 1e-2:
                 return False
         ref = recursion_signature(res)
-        if recursion_signature(sparsestmax(z, r - margin, geom)) != ref:
+        if recursion_signature(sparsestmax(z, r - dr)) != ref:
             return False
-        if recursion_signature(sparsestmax(z, r + margin, geom)) != ref:
+        if recursion_signature(sparsestmax(z, r + dr)) != ref:
             return False
         for j in range(z.size):
             for sign in (-1.0, 1.0):
                 zj = z.copy()
-                zj[j] += sign * z_margin
-                if recursion_signature(sparsestmax(zj, r, geom)) != ref:
+                zj[j] += sign * dz
+                if recursion_signature(sparsestmax(zj, r)) != ref:
                     return False
     except InvalidInputError:
         return False
@@ -383,24 +375,25 @@ def vjp_gradcheck(rng, k: int, trials: int, r_hi: float) -> float:
     draws z ~ N(0, I), r ~ U(0.05, r_hi), skips non-smooth points and draws
     the upstream g ~ N(0, I).  The 1e-3 floor sits at the finite-difference
     noise scale, so zero gradients (pinned faces) add no spurious error."""
-    geom = SimplexGeometry(k)
+    if k < 2:
+        raise InvalidInputError("simplex dimension k must be >= 2")
     eps = 1e-6
     worst = 0.0
     done = 0
     while done < trials:
         z = rng.normal(size=k)
         r = rng.uniform(0.05, r_hi)
-        if not is_smooth_point(z, r, geom):
+        if not is_smooth_point(z, r):
             continue
         g = rng.normal(size=k)
-        analytic = sparsestmax_vjp(sparsestmax(z, r, geom), g)
+        analytic = sparsestmax_vjp(sparsestmax(z, r), g)
         fd = np.empty(k)
         for i in range(k):
             zp, zm = z.copy(), z.copy()
             zp[i] += eps
             zm[i] -= eps
-            fd[i] = (g @ sparsestmax(zp, r, geom).p -
-                     g @ sparsestmax(zm, r, geom).p) / (2 * eps)
+            fd[i] = (g @ sparsestmax(zp, r).p -
+                     g @ sparsestmax(zm, r).p) / (2 * eps)
         denom = max(np.linalg.norm(fd), np.linalg.norm(analytic), 1e-3)
         worst = max(worst, float(np.linalg.norm(analytic - fd) / denom))
         done += 1

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidInputError, NotConvergedError, TrainingFailedError
 from .layer import (SsnParams, ssn_backward, ssn_forward, update_running_stats,
                     validate_omega)
-from .simplex import RadiusSchedule, SimplexGeometry, Stage
+from .simplex import RadiusSchedule, Stage, circumradius, inradius
 
 
 @dataclass
@@ -164,7 +164,7 @@ class _ToyNet:
             pre = (mix_w @ _flat(h)).reshape(h.shape[0], -1, *h.shape[2:])
             y, cache = ssn_forward(pre, params, r, self.omega, self.cfg.gn_groups)
             act = np.maximum(y, 0.0)
-            caches.append((h, pre, cache, y))
+            caches.append((h, cache, y))
             h = act
         pooled = h.mean(axis=(2, 3))
         logits = pooled @ self.head_w + self.head_b
@@ -186,7 +186,7 @@ class _ToyNet:
         g_pooled = g_logits @ self.head_w.T
         h, w = feat.shape[2:]
         g_h = np.broadcast_to(g_pooled[:, :, None, None] / (h * w), feat.shape).copy()
-        for (inp, pre, cache, y), mix_w in zip(reversed(caches), reversed(self.mix)):
+        for (inp, cache, y), mix_w in zip(reversed(caches), reversed(self.mix)):
             g_y = g_h * (y > 0.0)
             ssn_g = ssn_backward(cache, g_y)
             grads["ssn"].append(ssn_g)
@@ -212,15 +212,26 @@ def _one_hot_index(p: np.ndarray):
 def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
     """SGD with momentum; gate logits use lr * z_lr_ratio, no weight decay,
     and stop updating once their ratio goes one-hot.  The radius follows
-    ``opt.schedule`` and holds its last value past the last knot.  Returns
-    the full per-step trajectory."""
+    ``opt.schedule``.  Returns the full per-step trajectory."""
     x_all, y_all = data
     x_all = np.asarray(x_all, dtype=np.float64)
     y_all = np.asarray(y_all)
+    # Checked here: inside the loop an InvalidInputError means divergence.
+    dims = (model.channels, model.height, model.width)
+    if x_all.ndim != 4 or x_all.shape[0] < 1 or x_all.shape[1:] != dims:
+        raise InvalidInputError(
+            f"x must have shape (n, {', '.join(map(str, dims))}) with n >= 1, "
+            f"got {x_all.shape}")
+    if not np.all(np.isfinite(x_all)):
+        raise InvalidInputError("x must be finite")
     n = x_all.shape[0]
+    if y_all.shape != (n,) or not np.issubdtype(y_all.dtype, np.integer) or \
+            y_all.min() < 0 or y_all.max() >= model.n_classes:
+        raise InvalidInputError(
+            f"labels must be {n} integers in [0, {model.n_classes})")
     steps_per_epoch = math.ceil(n / model.batch_size)
     total_steps = opt.epochs * steps_per_epoch
-    geom = SimplexGeometry(len(model.omega))
+    k = len(model.omega)
     sched = opt.schedule or RadiusSchedule(((0, 0.0), (total_steps, 1.0)))
 
     rng = np.random.default_rng(model.seed)
@@ -244,7 +255,7 @@ def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
         for b in range(steps_per_epoch):
             idx = order[b * model.batch_size:(b + 1) * model.batch_size]
             xb, yb = x_all[idx], y_all[idx]
-            r = sched.radius(min(step, sched.knots[-1][0]), geom)
+            r = sched.radius(step, k)
             try:
                 loss, grads, caches = net.loss_and_grads(xb, yb, r)
             except InvalidInputError:
@@ -255,7 +266,7 @@ def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
 
             layer_records = []
             for li, (params, ssn_g) in enumerate(zip(net.ssn, grads["ssn"])):
-                cache = caches[li][2]
+                cache = caches[li][1]
                 if "BN" in cache.stats:
                     bn_mean, bn_var = cache.stats["BN"]
                     update_running_stats(params, bn_mean.reshape(-1),
@@ -293,7 +304,7 @@ def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
                     _sgd(params.gate.z_var, ssn_g.z_var,
                          vel["ssn"][li]["z_var"], z_lr, 0.0)
                 # Freeze on the first exactly one-hot ratio; never unfreeze.
-                cache = caches[li][2]
+                cache = caches[li][1]
                 if _one_hot_index(cache.p_res.p) is not None:
                     params.gate.frozen_mean = True
                 if _one_hot_index(cache.pp_res.p) is not None:
@@ -331,12 +342,11 @@ def schedule_insensitivity_experiment(model: ToyModelConfig, opt: OptimizerConfi
     in its last row, its final loss."""
     n = np.asarray(data[0]).shape[0]
     total_steps = opt.epochs * math.ceil(n / model.batch_size)
-    geom = SimplexGeometry(len(model.omega))
+    k = len(model.omega)
     logs = []
     for s in ri_steps:
         # Reach the inscribed radius at step s and the circumradius at the
         # final step.
-        knots = ((0, 0.0), (int(s), geom.r_inscribed),
-                 (total_steps - 1, geom.r_circum))
+        knots = ((0, 0.0), (int(s), inradius(k)), (total_steps - 1, circumradius(k)))
         logs.append(train(model, replace(opt, schedule=RadiusSchedule(knots)), data))
     return logs

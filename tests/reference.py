@@ -7,7 +7,7 @@ import numpy as np
 
 from ssnorm.errors import InvalidInputError
 from ssnorm.simplex import (DEGENERATE_TOL, ProjectionLevel, ProjectionResult,
-                            SimplexGeometry, Stage, as_logits, sparsemax)
+                            Stage, as_logits, circumradius, sparsemax)
 
 
 def conv2d(x, weight, bias=None) -> np.ndarray:
@@ -74,41 +74,39 @@ def sparsemax_numpy(z) -> np.ndarray:
     return _sparsemax_numpy_raw(as_logits(z))
 
 
-def _vertex_result_numpy(z, p0, u, geom) -> ProjectionResult:
+def _vertex_result_numpy(z, p0, u, r_circum) -> ProjectionResult:
     if _norm(p0 - u) < DEGENERATE_TOL:
         m = int(np.argmax(z))
     else:
         m = int(np.argmax(p0))
-    p = np.zeros(geom.k)
+    p = np.zeros(z.size)
     p[m] = 1.0
     levels = (
-        ProjectionLevel(z, p0, np.flatnonzero(p0 > 0.0), u, geom.r_circum,
+        ProjectionLevel(z, p0, np.flatnonzero(p0 > 0.0), u, r_circum,
                         None, 0.0, False),
-        ProjectionLevel(p0, p, np.array([m]), u, geom.r_circum,
+        ProjectionLevel(p0, p, np.array([m]), u, r_circum,
                         None, 0.0, False),
     )
     return ProjectionResult(p=p, stage=Stage.VERTEX, support=np.array([m]), levels=levels)
 
 
-def sparsestmax_numpy(z, r: float, geometry: SimplexGeometry | None = None) -> ProjectionResult:
+def sparsestmax_numpy(z, r: float) -> ProjectionResult:
     z = as_logits(z)
     k = z.size
-    geom = geometry if geometry is not None else SimplexGeometry(k)
-    if geom.k != k:
-        raise InvalidInputError(f"geometry is for k={geom.k}, logits have k={k}")
     if not np.isfinite(r) or r < 0:
         raise InvalidInputError("radius r must be finite and >= 0")
-    r = min(float(r), geom.r_circum)
+    r_circum = circumradius(k)
+    r = min(float(r), r_circum)
 
-    u = geom.center
+    u = np.full(k, 1.0 / k)
     p0 = _sparsemax_numpy_raw(z)
     if _norm(p0 - u) >= r:
         level = ProjectionLevel(z, p0, np.flatnonzero(p0 > 0.0), u, r,
                                 None, 0.0, False)
         return ProjectionResult(p=p0, stage=Stage.SPARSEMAX,
                                 support=np.flatnonzero(p0 > 0.0), levels=(level,))
-    if r == geom.r_circum:
-        return _vertex_result_numpy(z, p0, u, geom)
+    if r == r_circum:
+        return _vertex_result_numpy(z, p0, u, r_circum)
 
     levels = []
     z_cur, p_sm, r_cur = z, p0, r

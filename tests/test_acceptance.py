@@ -23,7 +23,7 @@ from ssnorm.cli import main as cli_main
 from ssnorm.layer import (EVAL, GateParams, SsnParams, benchmark_forward,
                           fold_bn_into_affine, ssn_backward, ssn_forward)
 from ssnorm.oracle import oracle_project
-from ssnorm.simplex import (RadiusSchedule, SimplexGeometry, Stage,
+from ssnorm.simplex import (RadiusSchedule, Stage, circumradius, inradius,
                             is_smooth_point, sparsemax, sparsestmax,
                             sparsestmax_vjp, vjp_gradcheck)
 from ssnorm.training import (OptimizerConfig, ToyModelConfig,
@@ -91,11 +91,10 @@ def test_criterion_3_stage_table_k4():
 
 
 def test_criterion_4_schedule_crossing_at_41():
-    geom = SimplexGeometry(3)
-    assert abs(geom.r_inscribed - math.sqrt(6) / 6) <= 1e-15
+    assert abs(inradius(3) - math.sqrt(6) / 6) <= 1e-15
     s = RadiusSchedule(((0, 0.0), (100, 1.0)))
     crossing = next(t for t in range(101)
-                    if s.radius(t, geom) >= geom.r_inscribed)
+                    if s.radius(t, 3) >= inradius(3))
     ok = crossing == 41
     assert _report(4, f"linear schedule crosses r_inscribed at unit {crossing}"
                       " (expected 41)", ok)
@@ -107,10 +106,9 @@ def test_criterion_5_oracle_equivalence_1000_points():
     worst_gap = -np.inf
     for trial in range(1000):
         k = int(rng.integers(2, 5))
-        geom = SimplexGeometry(k)
         z = rng.normal(size=k)
-        r = rng.uniform(0.0, geom.r_circum)
-        exact = sparsestmax(z, r, geom).p
+        r = rng.uniform(0.0, circumradius(k))
+        exact = sparsestmax(z, r).p
         grid = oracle_project(z, r, 120)
         gap = float(((exact - z) ** 2).sum() - ((grid - z) ** 2).sum())
         worst_gap = max(worst_gap, gap)
@@ -122,7 +120,7 @@ def test_criterion_5_oracle_equivalence_1000_points():
 
 def test_criterion_6_gradient_suite():
     worst_rel = max(vjp_gradcheck(np.random.default_rng(500 + k), k, 200,
-                                  0.9 * SimplexGeometry(k).r_circum)
+                                  0.9 * circumradius(k))
                     for k in (3, 4))
     # Null direction: gradient has no component along the radial push.
     rng = np.random.default_rng(99)
@@ -234,7 +232,6 @@ def test_criterion_9_layer_correctness():
     onehot_worst = 0.0
     x = rng.normal(size=(3, 4, 5, 5))
     full = ("IN", "BN", "LN", "GN")
-    geom = SimplexGeometry(4)
     axes = {"IN": (2, 3), "BN": (0, 2, 3), "LN": (1, 2, 3), "GN": (2, 3, 4)}
     xg = x.reshape(3, 2, 2, 5, 5)
 
@@ -248,7 +245,7 @@ def test_criterion_9_layer_correctness():
         params = SsnParams.init(4, 4)
         params.gate.z_mean = np.where(np.arange(4) == hot, 5.0, 0.0)
         params.gate.z_var = params.gate.z_mean.copy()
-        y, _ = ssn_forward(x, params, geom.r_circum, full, 2)
+        y, _ = ssn_forward(x, params, circumradius(4), full, 2)
         mu = expand(np.mean, name)
         var = expand(np.var, name)
         ref = (x - mu[:, :, None, None]) / \
@@ -315,8 +312,7 @@ def test_criterion_10_inference_specialization():
     params.bn_running_mean = rng.normal(size=4)
     params.bn_running_var = rng.uniform(0.5, 2.0, size=4)
     params.mode = EVAL
-    geom = SimplexGeometry(3)
-    y_ref, _ = ssn_forward(conv2d(x, w, b), params, geom.r_circum,
+    y_ref, _ = ssn_forward(conv2d(x, w, b), params, circumradius(3),
                            ("IN", "BN", "LN"))
     w_f, b_f = fold_bn_into_affine(w, b, params, ("IN", "BN", "LN"))
     fold_err = float(np.max(np.abs(conv2d(x, w_f, b_f) - y_ref)))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ssnorm.cli import main
-from ssnorm.simplex import SimplexGeometry
+from ssnorm.simplex import circumradius
 from ssnorm.training import (OptimizerConfig, ToyModelConfig,
                              make_synthetic_dataset,
                              schedule_insensitivity_experiment)
@@ -114,10 +114,9 @@ def test_trajectory_csv_shape_and_convergence(capsys, tmp_path):
     rows = list(csv.DictReader(out_path.open()))
     assert len(rows) == 51
     assert list(rows[0]) == ["step", "r", "p1", "p2", "p3"]
-    geom = SimplexGeometry(3)
     for t, row in enumerate(rows):
         assert int(row["step"]) == t
-        assert float(row["r"]) == min(geom.r_circum, t / 50)
+        assert float(row["r"]) == min(circumradius(3), t / 50)
     final = [float(rows[-1][f"p{i}"]) for i in (1, 2, 3)]
     assert sorted(final) == [0.0, 0.0, 1.0]
 
@@ -265,6 +264,13 @@ def test_sweep_usage_errors(capsys, tmp_path):
     assert run(["sweep", "--config", cfg, "--epochs", "0"], capsys)[0] == 2
     assert run(["sweep", "--config", cfg, "--epochs", "2",
                 "--fractions", "0.0"], capsys)[0] == 2
+    # 5 steps: a fraction landing on step 0 or on the last step is unusable.
+    for fraction, step in (("0.1", 0), ("0.9", 4)):
+        code, _, err = run(["sweep", "--config", cfg, "--epochs", "1",
+                            "--fractions", fraction], capsys)
+        assert code == 2
+        assert f"--fractions: {fraction}" in err and f"at {step} " in err
+        assert "[1, 3]" in err
     assert run(["sweep", "--config", str(tmp_path / "nope.json")],
                capsys)[0] == 2
     with pytest.raises(SystemExit) as exc:

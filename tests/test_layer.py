@@ -15,7 +15,7 @@ from ssnorm.layer import (EVAL, TRAIN, GateParams, SsnParams,
                           load_checkpoint, save_checkpoint, select_normalizer,
                           ssn_backward, ssn_forward, update_running_stats,
                           validate_omega)
-from ssnorm.simplex import SimplexGeometry, is_smooth_point, sparsestmax
+from ssnorm.simplex import circumradius, is_smooth_point, sparsestmax
 
 
 def _rand_params(rng, c, k, mode=TRAIN):
@@ -139,7 +139,6 @@ def test_one_hot_gates_reproduce_plain_normalizers():
     x = rng.normal(size=(3, 4, 5, 5))
     omega = ("IN", "BN", "LN", "GN")
     gn_groups = 2
-    geom = SimplexGeometry(4)
     axes = {"IN": (2, 3), "BN": (0, 2, 3), "LN": (1, 2, 3), "GN": (2, 3, 4)}
     xg = x.reshape(3, gn_groups, 4 // gn_groups, 5, 5)
 
@@ -153,7 +152,7 @@ def test_one_hot_gates_reproduce_plain_normalizers():
         params = SsnParams.init(4, 4)
         params.gate.z_mean = np.where(np.arange(4) == hot, 5.0, 0.0)
         params.gate.z_var = params.gate.z_mean.copy()
-        y, cache = ssn_forward(x, params, geom.r_circum, omega, gn_groups)
+        y, cache = ssn_forward(x, params, circumradius(4), omega, gn_groups)
         mu = broadcast(np.mean, name)
         var = broadcast(np.var, name)
         y_ref = (x - mu[:, :, None, None]) / \
@@ -170,8 +169,7 @@ def test_forward_skips_unused_statistics():
     # Gates picking different normalizers: both get computed, third does not.
     params.gate.z_mean = np.array([5.0, 0.0, 0.0])
     params.gate.z_var = np.array([0.0, 5.0, 0.0])
-    geom = SimplexGeometry(3)
-    _, cache = ssn_forward(x, params, geom.r_circum, ("IN", "BN", "LN"))
+    _, cache = ssn_forward(x, params, circumradius(3), ("IN", "BN", "LN"))
     assert set(cache.stats) == {"IN", "BN"}
 
 
@@ -184,13 +182,12 @@ def test_eval_mode_bn_uses_running_stats():
     params.bn_running_mean = np.array([1.0, -2.0, 0.5])
     params.bn_running_var = np.array([4.0, 0.25, 1.0])
     params.mode = EVAL
-    geom = SimplexGeometry(3)
-    y, _ = ssn_forward(x, params, geom.r_circum, ("IN", "BN", "LN"))
+    y, _ = ssn_forward(x, params, circumradius(3), ("IN", "BN", "LN"))
     y_ref = (x - params.bn_running_mean[None, :, None, None]) / \
         np.sqrt(params.bn_running_var[None, :, None, None] + params.eps)
     assert np.max(np.abs(y - y_ref)) <= 1e-12
     # Identical bytes across repeated eval calls.
-    y2, _ = ssn_forward(x, params, geom.r_circum, ("IN", "BN", "LN"))
+    y2, _ = ssn_forward(x, params, circumradius(3), ("IN", "BN", "LN"))
     assert y.tobytes() == y2.tobytes()
 
 
@@ -230,8 +227,7 @@ def test_eval_mode_mixed_selection_uses_running_stats():
     params.gate.z_var = np.array([0.0, 5.0, 0.0])
     params.bn_running_mean = rng.normal(size=4)
     params.bn_running_var = rng.uniform(0.5, 2.0, size=4)
-    geom = SimplexGeometry(3)
-    y, cache = ssn_forward(x, params, geom.r_circum, ("IN", "BN", "LN"))
+    y, cache = ssn_forward(x, params, circumradius(3), ("IN", "BN", "LN"))
     mu = x.mean(axis=(1, 2, 3))[:, None, None, None]
     var = params.bn_running_var[None, :, None, None]
     y_ref = params.gamma[None, :, None, None] * (x - mu) / \
@@ -427,6 +423,13 @@ def test_select_normalizer_requires_frozen():
     assert select_normalizer(params, ("IN", "BN", "LN")) == ("BN", "LN")
 
 
+def test_select_normalizer_checks_gate_length():
+    params = SsnParams.init(4, 4)
+    params.gate.frozen_mean = params.gate.frozen_var = True
+    with pytest.raises(InvalidInputError):
+        select_normalizer(params, ("IN", "BN", "LN"))
+
+
 # ----------------------------------------------------- folding / convolution
 
 def test_conv2d_matches_nested_loops():
@@ -464,9 +467,8 @@ def test_fold_bn_into_affine_equivalence():
     params.bn_running_var = rng.uniform(0.5, 2.0, size=4)
     params.mode = EVAL
 
-    geom = SimplexGeometry(3)
     pre = conv2d(x, w, b)
-    y_ref, _ = ssn_forward(pre, params, geom.r_circum, ("IN", "BN", "LN"))
+    y_ref, _ = ssn_forward(pre, params, circumradius(3), ("IN", "BN", "LN"))
     w_f, b_f = fold_bn_into_affine(w, b, params, ("IN", "BN", "LN"))
     y_fold = conv2d(x, w_f, b_f)
     assert np.max(np.abs(y_fold - y_ref)) <= 1e-6
@@ -578,6 +580,22 @@ def test_load_checkpoint_rejects_malformed_payload(tmp_path, field, value):
     path.write_text(json.dumps(payload))
     with pytest.raises(InvalidInputError, match=field):
         load_checkpoint(path, OMEGA3)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("z_var", np.zeros(2)),
+    ("beta", np.zeros(4)),
+    ("gamma", np.array([1.0, np.nan, 1.0, 1.0, 1.0])),
+])
+def test_save_checkpoint_rejects_what_load_would(tmp_path, field, value):
+    # Assigned after construction, so only the save-time check sees them;
+    # no file may be left behind.
+    params = SsnParams.init(5, 3)
+    setattr(params.gate if field.startswith("z_") else params, field, value)
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(InvalidInputError, match=field):
+        save_checkpoint(params, path, OMEGA3)
+    assert not path.exists()
 
 
 def test_load_checkpoint_rejects_non_object(tmp_path):

@@ -1,4 +1,8 @@
-"""The package's export list."""
+"""The package's export list and its declared Python floor."""
+import ast
+import pathlib
+import re
+
 import ssnorm
 
 
@@ -9,3 +13,16 @@ def test_export_list_resolves_without_duplicates():
     namespace = {}
     exec("from ssnorm import *", namespace)
     assert set(ssnorm.__all__) <= set(namespace)
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # Syntax only: library APIs newer than the floor are not caught here.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    text = (root / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python\s*=\s*">=3\.(\d+)"', text, re.M)
+    assert floor is not None
+    sources = sorted((root / "src" / "ssnorm").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path),
+                  feature_version=(3, int(floor.group(1))))

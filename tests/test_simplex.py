@@ -10,7 +10,7 @@ from reference import (sparsemax_jacobian, sparsestmax_numpy,
                        sparsestmax_vjp_numpy, validate_prob_vector)
 from ssnorm.errors import InvalidInputError
 from ssnorm.simplex import (DEGENERATE_TOL, ProjectionResult, RadiusSchedule,
-                            SimplexGeometry, Stage, is_smooth_point,
+                            Stage, circumradius, inradius, is_smooth_point,
                             recursion_signature, softmax, sparsemax,
                             sparsestmax, sparsestmax_vjp, vjp_gradcheck)
 
@@ -116,41 +116,38 @@ def test_softmax_positive_and_normalized():
 # ----------------------------------------------------------------- geometry
 
 def test_geometry_radii():
-    g3 = SimplexGeometry(3)
-    assert g3.r_inscribed == pytest.approx(math.sqrt(6) / 6, abs=1e-15)
-    assert g3.r_circum == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-15)
-    g4 = SimplexGeometry(4)
-    assert g4.r_circum == pytest.approx(math.sqrt(0.75), abs=1e-15)
-    with pytest.raises(InvalidInputError):
-        SimplexGeometry(1)
+    assert inradius(3) == pytest.approx(math.sqrt(6) / 6, abs=1e-15)
+    assert circumradius(3) == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-15)
+    assert circumradius(4) == pytest.approx(math.sqrt(0.75), abs=1e-15)
+    for radius in (circumradius, inradius):
+        with pytest.raises(InvalidInputError):
+            radius(1)
 
 
 def test_schedule_linear_then_clamped():
-    geom = SimplexGeometry(3)
     s = RadiusSchedule(((0, 0.0), (100, 1.0)))
-    values = [s.radius(t, geom) for t in range(101)]
+    values = [s.radius(t, 3) for t in range(101)]
     assert values[0] == 0.0
     assert all(b >= a for a, b in zip(values, values[1:]))
     # Exactly linear before the clamp kicks in.
     for t, v in enumerate(values):
-        assert v == min(geom.r_circum, t / 100)
-    assert values[-1] == geom.r_circum
+        assert v == min(circumradius(3), t / 100)
+    assert values[-1] == circumradius(3)
 
 
 def test_schedule_inscribed_crossing_at_unit_41():
-    geom = SimplexGeometry(3)
     s = RadiusSchedule(((0, 0.0), (100, 1.0)))
     crossing = next(t for t in range(101)
-                    if s.radius(t, geom) >= geom.r_inscribed)
+                    if s.radius(t, 3) >= inradius(3))
     assert crossing == 41
 
 
 def test_schedule_rejects_out_of_range_step():
+    # Only a negative step is out of range: past the last knot the radius holds.
     s = RadiusSchedule(((0, 0.0), (10, 1.0)))
     with pytest.raises(InvalidInputError):
-        s.radius(-1, SimplexGeometry(3))
-    with pytest.raises(InvalidInputError):
-        s.radius(11, SimplexGeometry(3))
+        s.radius(-1, 3)
+    assert s.radius(11, 3) == s.radius(10, 3)
 
 
 @pytest.mark.parametrize("knots", [
@@ -178,24 +175,22 @@ def test_schedule_rejects_malformed_knots(knots):
 def test_schedule_equals_clamped_linear_ramp(total, k):
     # The knot form reproduces the closed form min(r_c, step / T) bit for
     # bit; a last-bit difference would change the training trajectories.
-    geom = SimplexGeometry(k)
     s = RadiusSchedule(((0, 0.0), (total, 1.0)))
     for t in range(total + 1):
-        assert s.radius(t, geom) == min(geom.r_circum, t / total)
+        assert s.radius(t, k) == min(circumradius(k), t / total)
 
 
 @pytest.mark.parametrize("total,ri", [(400, 160), (400, 280), (100, 40),
                                       (37, 1), (37, 35)])
 def test_schedule_equals_inscribed_crossing_closed_form(total, ri):
-    geom = SimplexGeometry(3)
-    r_i, r_c, last = geom.r_inscribed, geom.r_circum, total - 1
+    r_i, r_c, last = inradius(3), circumradius(3), total - 1
     s = RadiusSchedule(((0, 0), (ri, r_i), (last, r_c)))
     for t in range(total):
         if t <= ri:
             expected = r_i * t / ri
         else:
             expected = min(r_c, r_i + (r_c - r_i) * (t - ri) / (last - ri))
-        assert s.radius(t, geom) == expected
+        assert s.radius(t, 3) == expected
 
 
 # ------------------------------------------------------------- sparsestmax
@@ -232,8 +227,7 @@ def test_stage_face_closed_form():
 
 
 def test_stage_vertex_exact_one_hot():
-    geom = SimplexGeometry(3)
-    res = sparsestmax([0.5, 0.3, 0.2], geom.r_circum)
+    res = sparsestmax([0.5, 0.3, 0.2], circumradius(3))
     assert res.stage == Stage.VERTEX
     assert list(res.p) == [1.0, 0.0, 0.0]
     # Radius past the circumradius clamps to the same answer.
@@ -242,8 +236,7 @@ def test_stage_vertex_exact_one_hot():
 
 
 def test_vertex_gradient_is_zero():
-    geom = SimplexGeometry(3)
-    res = sparsestmax([0.5, 0.3, 0.2], geom.r_circum)
+    res = sparsestmax([0.5, 0.3, 0.2], circumradius(3))
     g = sparsestmax_vjp(res, np.array([1.0, -2.0, 3.0]))
     assert list(g) == [0.0, 0.0, 0.0]
 
@@ -270,8 +263,6 @@ def test_invalid_inputs_rejected():
         sparsestmax([1.0, 2.0], -0.1)
     with pytest.raises(InvalidInputError):
         sparsestmax([1.0, 2.0], np.inf)
-    with pytest.raises(InvalidInputError):
-        sparsestmax([1.0, 2.0, 3.0], 0.1, geometry=SimplexGeometry(4))
     with pytest.raises(InvalidInputError):
         sparsestmax([1.0, 2.0, 3.0], "0.3")
     with pytest.raises(InvalidInputError):
@@ -306,10 +297,9 @@ def test_near_center_push_keeps_sum_one(k, r):
 @given(logits_strategy(), st.floats(0.0, 1.5, allow_nan=False))
 def test_radius_constraint_satisfied(z, r):
     k = len(z)
-    geom = SimplexGeometry(k)
-    r_eff = min(r, geom.r_circum)
-    p = sparsestmax(z, r, geom).p
-    assert np.linalg.norm(p - geom.center) >= r_eff - 1e-9
+    r_eff = min(r, circumradius(k))
+    p = sparsestmax(z, r).p
+    assert np.linalg.norm(p - np.full(k, 1.0 / k)) >= r_eff - 1e-9
 
 
 @settings(max_examples=200, deadline=None)
@@ -355,7 +345,7 @@ def test_support_monotone_in_radius(z, r):
     # Growing the radius never re-activates a zeroed component's complement:
     # the support never grows with r.
     small = sparsestmax(z, r)
-    large = sparsestmax(z, min(r + 0.1, SimplexGeometry(len(z)).r_circum))
+    large = sparsestmax(z, min(r + 0.1, circumradius(len(z))))
     assert set(large.support.tolist()) <= set(small.support.tolist()) or \
         small.stage == Stage.SPARSEMAX
 
@@ -375,13 +365,12 @@ def test_each_level_holds_the_sparsemax_of_its_input(k):
     # radial push on as the next level's sparsemax output; that is exact
     # only if every projecting level's p_sm is sparsemax(z_in), bit for bit.
     # The last level of a result may instead pick a single vertex.
-    geom = SimplexGeometry(k)
     rng = np.random.default_rng(k)
     checked = set()
     for _ in range(400):
         z = rng.normal(size=k) * rng.choice([0.05, 0.3, 1.0])
-        r = rng.choice([rng.uniform(0.0, geom.r_circum), geom.r_circum])
-        res = sparsestmax(z, r, geom)
+        r = rng.choice([rng.uniform(0.0, circumradius(k)), circumradius(k)])
+        res = sparsestmax(z, r)
         for lv in res.levels:
             if lv is res.levels[-1] and lv.support.size == 1:
                 continue
@@ -397,7 +386,6 @@ def test_projection_matches_numpy_reference(k):
     # arrays, whose ``v @ v`` may fuse multiply-adds: every discrete choice
     # must agree, values to round-off.  The VJP's round-off is scaled by
     # the radial pushes it passes through, each amplifying by r / ||d||.
-    geom = SimplexGeometry(k)
     rng = np.random.default_rng(200 + k)
     stages, degenerate = set(), 0
     for i in range(1500):
@@ -412,9 +400,9 @@ def test_projection_matches_numpy_reference(k):
             z = 1.0 + rng.normal(size=k) * rng.choice([0.05, 0.3])
         else:              # exactly the center
             z = np.full(k, rng.normal())
-        r = (geom.r_circum, rng.uniform(0.0, geom.r_circum),
+        r = (circumradius(k), rng.uniform(0.0, circumradius(k)),
              rng.uniform(0.0, 0.3))[i % 3]
-        res, ref = sparsestmax(z, r, geom), sparsestmax_numpy(z, r, geom)
+        res, ref = sparsestmax(z, r), sparsestmax_numpy(z, r)
         assert res.stage == ref.stage
         assert res.support.tolist() == ref.support.tolist()
         assert len(res.levels) == len(ref.levels)
@@ -452,15 +440,14 @@ def _fd_grad(z, r, g, eps=1e-6):
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_vjp_matches_finite_differences(k):
     rng = np.random.default_rng(100 + k)
-    geom = SimplexGeometry(k)
     done = 0
     while done < 60:
         z = rng.normal(size=k)
-        r = rng.uniform(0.05, 0.9 * geom.r_circum)
-        if not is_smooth_point(z, r, geom):
+        r = rng.uniform(0.05, 0.9 * circumradius(k))
+        if not is_smooth_point(z, r):
             continue
         g = rng.normal(size=k)
-        analytic = sparsestmax_vjp(sparsestmax(z, r, geom), g)
+        analytic = sparsestmax_vjp(sparsestmax(z, r), g)
         fd = _fd_grad(z, r, g)
         denom = max(np.linalg.norm(fd), np.linalg.norm(analytic), 1e-3)
         assert np.linalg.norm(analytic - fd) <= 1e-5 * denom
@@ -471,20 +458,25 @@ def test_vjp_gradcheck_matches_reference_loop():
     # Same draws (z, r, skip, g) as the checker, with this file's own
     # finite differences; the worst error must agree exactly.
     rng = np.random.default_rng(7)
-    geom = SimplexGeometry(4)
     worst, done = 0.0, 0
     while done < 30:
         z = rng.normal(size=4)
         r = rng.uniform(0.05, 0.7)
-        if not is_smooth_point(z, r, geom):
+        if not is_smooth_point(z, r):
             continue
         g = rng.normal(size=4)
-        analytic = sparsestmax_vjp(sparsestmax(z, r, geom), g)
+        analytic = sparsestmax_vjp(sparsestmax(z, r), g)
         fd = _fd_grad(z, r, g)
         denom = max(np.linalg.norm(fd), np.linalg.norm(analytic), 1e-3)
         worst = max(worst, float(np.linalg.norm(analytic - fd) / denom))
         done += 1
     assert vjp_gradcheck(np.random.default_rng(7), 4, 30, 0.7) == worst
+
+
+@pytest.mark.parametrize("k", [1, 0, -1])
+def test_vjp_gradcheck_rejects_degenerate_simplex(k):
+    with pytest.raises(InvalidInputError):
+        vjp_gradcheck(np.random.default_rng(0), k, 1, 0.5)
 
 
 def test_vjp_gradcheck_flags_vjp_without_radial_push(monkeypatch):

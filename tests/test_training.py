@@ -9,7 +9,7 @@ import pytest
 
 from ssnorm.errors import (InvalidInputError, NotConvergedError,
                            TrainingFailedError)
-from ssnorm.simplex import RadiusSchedule, SimplexGeometry, Stage
+from ssnorm.simplex import RadiusSchedule, Stage, circumradius, inradius
 from ssnorm.training import (OptimizerConfig, ToyModelConfig, _ToyNet,
                              make_synthetic_dataset,
                              schedule_insensitivity_experiment,
@@ -107,10 +107,9 @@ def test_radius_non_decreasing_and_linear_before_clamp(default_run):
     _, log = default_run
     rs = [row.r for row in log.rows]
     assert all(b >= a for a, b in zip(rs, rs[1:]))
-    geom = SimplexGeometry(3)
     total = len(log.rows)
     for step, r in enumerate(rs):
-        assert r == min(geom.r_circum, step / total)
+        assert r == min(circumradius(3), step / total)
 
 
 def test_loss_decreases(default_run):
@@ -248,6 +247,30 @@ def test_divergence_raises_with_step_index():
     assert err.value.step >= 0
 
 
+@pytest.mark.parametrize("case", ["5 channels", "3-D x", "NaN in x",
+                                  "label too large", "negative label",
+                                  "labels too short"])
+def test_train_rejects_data_that_does_not_fit_the_model(case):
+    x, labels = make_synthetic_dataset(0, 20, (3, 8, 8), 4)
+    if case == "5 channels":
+        x = make_synthetic_dataset(0, 20, (5, 8, 8), 4)[0]
+    elif case == "3-D x":
+        x = x[:, 0]
+    elif case == "NaN in x":
+        x = x.copy()
+        x[2, 1, 0, 0] = np.nan
+    elif case == "label too large":
+        labels = labels.copy()
+        labels[3] = 4
+    elif case == "negative label":
+        labels = labels.copy()
+        labels[0] = -1
+    else:
+        labels = labels[:-1]
+    with pytest.raises(InvalidInputError):
+        train(MODEL, replace(OPT, epochs=1), (x, labels))
+
+
 def test_toy_net_gradients_match_finite_differences():
     # Two layers, the first mixing a 3-channel input, with both gates of
     # each layer pushed onto the circle so every normalizer contributes.
@@ -262,7 +285,7 @@ def test_toy_net_gradients_match_finite_differences():
     labels = np.arange(6) % 3
     r = 0.2
     _, grads, caches = net.loss_and_grads(x, labels, r)
-    for _, _, cache, _ in caches:
+    for _, cache, _ in caches:
         assert cache.p_res.stage == cache.pp_res.stage == Stage.CIRCLE
 
     eps = 1e-6
@@ -304,18 +327,17 @@ def test_selection_histogram_rejects_unconverged():
 
 # ------------------------------------------------------ schedule experiments
 
-def _insensitivity_schedule(total_steps, ri_step, geom):
-    return RadiusSchedule(((0, 0), (ri_step, geom.r_inscribed),
-                           (total_steps - 1, geom.r_circum)))
+def _insensitivity_schedule(total_steps, ri_step):
+    return RadiusSchedule(((0, 0), (ri_step, inradius(3)),
+                           (total_steps - 1, circumradius(3))))
 
 
 def test_insensitivity_schedule_shape():
-    geom = SimplexGeometry(3)
-    sched = _insensitivity_schedule(100, 40, geom)
-    assert sched.radius(0, geom) == 0.0
-    assert sched.radius(40, geom) == pytest.approx(geom.r_inscribed, abs=1e-15)
-    assert sched.radius(99, geom) == pytest.approx(geom.r_circum, abs=1e-12)
-    vals = [sched.radius(s, geom) for s in range(100)]
+    sched = _insensitivity_schedule(100, 40)
+    assert sched.radius(0, 3) == 0.0
+    assert sched.radius(40, 3) == pytest.approx(inradius(3), abs=1e-15)
+    assert sched.radius(99, 3) == pytest.approx(circumradius(3), abs=1e-12)
+    vals = [sched.radius(s, 3) for s in range(100)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     data = make_synthetic_dataset(0, 200, (3, 8, 8), 4)
     # The crossing step must lie strictly inside the 100-step run.
@@ -328,7 +350,7 @@ def test_insensitivity_schedule_shape():
 def test_single_element_experiment_matches_direct_train():
     data = make_synthetic_dataset(0, 200, (3, 8, 8), 4)
     [log] = schedule_insensitivity_experiment(MODEL, OPT, data, [50])
-    sched = _insensitivity_schedule(100, 50, SimplexGeometry(3))
+    sched = _insensitivity_schedule(100, 50)
     direct = train(MODEL, replace(OPT, schedule=sched), data)
     assert log.final_accuracy == direct.final_accuracy
     assert log.to_csv() == direct.to_csv()
@@ -340,6 +362,6 @@ def test_config_schedule_drives_radius_and_holds_last_knot():
     data = make_synthetic_dataset(0, 80, (3, 8, 8), 4)
     sched = RadiusSchedule(((0, 0.1), (3, 2.0)))
     log = train(MODEL, replace(OPT, epochs=3, schedule=sched), data)
-    r_c = SimplexGeometry(3).r_circum
+    r_c = circumradius(3)
     assert [row.r for row in log.rows] == [0.1, 0.1 + (2.0 - 0.1) * 1 / 3] + \
         [r_c] * 4
