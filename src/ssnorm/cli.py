@@ -83,7 +83,7 @@ def cmd_project(args) -> int:
         if args.r < 0:
             raise InvalidInputError(f"--r: must be >= 0, got {args.r}")
         res = sparsestmax(z, args.r)
-        p, stage, support = res.p, res.stage.value, res.support
+        p, stage, support = res.p, res.stage.value, np.flatnonzero(res.p > 0.0)
     _emit({"p": [_sig12(v) for v in p], "stage": stage,
            "support": [int(i) for i in support]})
     return 0

@@ -405,10 +405,13 @@ def load_checkpoint(path, omega) -> SsnParams:
     """Read parameters written by ``save_checkpoint`` under the same
     ``omega``.  A malformed payload (a missing or mistyped field,
     mismatched lengths, non-finite values) or a different stored omega
-    raises ``InvalidInputError``."""
+    raises ``InvalidInputError``, as does a file that is not JSON."""
     omega = validate_omega(omega)
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidInputError(f"checkpoint {path} is not JSON: {exc}")
     return _params_from_payload(raw, omega)
 
 

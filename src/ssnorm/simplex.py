@@ -47,6 +47,13 @@ def as_logits(z) -> np.ndarray:
     return np.array(_logits(z))
 
 
+def _radius(r) -> float:
+    """Validate a projection radius (a finite real number >= 0)."""
+    if not (isinstance(r, numbers.Real) and math.isfinite(r) and r >= 0):
+        raise InvalidInputError(f"radius r must be a finite real number >= 0, got {r!r}")
+    return float(r)
+
+
 def circumradius(k: int) -> float:
     """Distance from the center of the probability simplex in R^k to each
     vertex: the radius at which only one-hot outputs stay feasible."""
@@ -92,8 +99,8 @@ class RadiusSchedule:
         """Radius at ``step``, clamped to the circumradius for ``k``
         normalizers.  A step on an interior knot is read from the segment
         ending there; past the last knot the radius holds its last value."""
-        if step < 0:
-            raise InvalidInputError(f"step must be >= 0, got {step}")
+        if not isinstance(step, numbers.Integral) or step < 0:
+            raise InvalidInputError(f"step must be an integer >= 0, got {step!r}")
         r_circum = circumradius(k)
         step = min(step, self.knots[-1][0])
         for (s0, r0), (s1, r1) in zip(self.knots, self.knots[1:]):
@@ -136,8 +143,8 @@ def _dist_sq(a, b) -> float:
     return total
 
 
-def _support(p) -> np.ndarray:
-    return np.array([i for i, v in enumerate(p) if v > 0.0], dtype=np.intp)
+def _support(p) -> tuple[int, ...]:
+    return tuple(i for i, v in enumerate(p) if v > 0.0)
 
 
 def _sparsemax(z: list[float]) -> list[float]:
@@ -163,18 +170,18 @@ def sparsemax(z) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProjectionLevel:
-    """One recursion level of the staged projection, kept for the backward
-    pass.  ``d`` is the radial direction (sparsemax output minus the level's
-    face center); ``applied_circle`` records whether the radial push ran."""
+    """What the backward pass reads of one recursion level of the staged
+    projection.  ``support`` holds the indices where the level's sparsemax
+    output is positive; its Jacobian is (delta_ij - 1/|S|) on that support.
+    When the radial push ran, ``d`` is its direction (the sparsemax output
+    minus the level's face center) with norm ``d_norm``, and ``r`` the
+    level's radius; otherwise ``d`` is None.  ``degenerate`` marks a push
+    along the fallback direction, which does not depend on the input."""
 
-    z_in: np.ndarray
-    p_sm: np.ndarray
-    support: np.ndarray
-    u: np.ndarray
-    r: float
-    d: np.ndarray | None
-    d_norm: float
-    applied_circle: bool
+    support: tuple[int, ...]
+    d: tuple[float, ...] | None = None
+    r: float = 0.0
+    d_norm: float = 0.0
     degenerate: bool = False
 
 
@@ -182,24 +189,7 @@ class ProjectionLevel:
 class ProjectionResult:
     p: np.ndarray
     stage: Stage
-    support: np.ndarray
     levels: tuple[ProjectionLevel, ...]
-
-
-def _vertex_result(z: list[float], z_in: np.ndarray, p0: list[float],
-                   u: list[float], r_circum: float) -> ProjectionResult:
-    # At r == r_circum only the vertices are feasible; the closest one is
-    # the argmax of the sparsemax output (argmax of z when p0 is uniform).
-    top = z if math.sqrt(_dist_sq(p0, u)) < DEGENERATE_TOL else p0
-    m = top.index(max(top))
-    p = np.zeros(len(z))
-    p[m] = 1.0
-    p_sm, u_arr, vertex = np.array(p0), np.array(u), np.array([m])
-    levels = (
-        ProjectionLevel(z_in, p_sm, _support(p0), u_arr, r_circum, None, 0.0, False),
-        ProjectionLevel(p_sm, p, vertex, u_arr, r_circum, None, 0.0, False),
-    )
-    return ProjectionResult(p=p, stage=Stage.VERTEX, support=vertex, levels=levels)
 
 
 def sparsestmax(z, r: float) -> ProjectionResult:
@@ -213,34 +203,35 @@ def sparsestmax(z, r: float) -> ProjectionResult:
     """
     z = _logits(z)
     k = len(z)
-    if not (isinstance(r, numbers.Real) and math.isfinite(r) and r >= 0):
-        raise InvalidInputError(f"radius r must be a finite real number >= 0, got {r!r}")
     r_circum = circumradius(k)
-    r = min(float(r), r_circum)
+    r = min(_radius(r), r_circum)
 
     u = [1.0 / k] * k
-    z_in = np.array(z)
     p0 = _sparsemax(z)
-    if math.sqrt(_dist_sq(p0, u)) >= r:
-        p, support = np.array(p0), _support(p0)
-        level = ProjectionLevel(z_in, p, support, np.array(u), r, None, 0.0, False)
-        return ProjectionResult(p=p, stage=Stage.SPARSEMAX, support=support,
-                                levels=(level,))
+    dist0 = math.sqrt(_dist_sq(p0, u))
+    if dist0 >= r:
+        return ProjectionResult(np.array(p0), Stage.SPARSEMAX,
+                                (ProjectionLevel(_support(p0)),))
     if r == r_circum:
-        return _vertex_result(z, z_in, p0, u, r_circum)
+        # Only the vertices are feasible; the closest one is the argmax of
+        # the sparsemax output (argmax of z when p0 is uniform).
+        top = z if dist0 < DEGENERATE_TOL else p0
+        m = top.index(max(top))
+        p = [0.0] * k
+        p[m] = 1.0
+        return ProjectionResult(np.array(p), Stage.VERTEX,
+                                (ProjectionLevel(_support(p0)), ProjectionLevel((m,))))
 
     # Each level projects once: level 0 starts from p0, and a face level
     # from the re-projection p2 of its own input z_cur = p1.
     levels: list[ProjectionLevel] = []
     z_cur, p_sm, r_cur = z, p0, r
     while True:
-        u_arr = np.array(u)
-        face = [i for i, v in enumerate(u) if v > 0.0]
+        face = _support(u)
         if len(face) == 1:
             # The recursion shrank the face to a single vertex.
             p_out = u
-            levels.append(ProjectionLevel(z_in, np.array(u), np.array(face), u_arr,
-                                          r_cur, None, 0.0, False))
+            levels.append(ProjectionLevel(face))
             break
         d = [a - b for a, b in zip(p_sm, u)]
         # Drop d's round-off normal to the face (u is the face barycenter,
@@ -248,10 +239,8 @@ def sparsestmax(z, r: float) -> ProjectionResult:
         d_sum = _sum(d)
         d = [a - d_sum * b for a, b in zip(d, u)]
         d_norm = math.sqrt(_dot(d, d))
-        p_sm_arr, support = np.array(p_sm), _support(p_sm)
         if d_norm >= r_cur:
-            levels.append(ProjectionLevel(z_in, p_sm_arr, support, u_arr, r_cur,
-                                          None, 0.0, False))
+            levels.append(ProjectionLevel(_support(p_sm)))
             p_out = p_sm
             break
         degenerate = d_norm < DEGENERATE_TOL
@@ -262,30 +251,28 @@ def sparsestmax(z, r: float) -> ProjectionResult:
             d_norm = math.sqrt(_dot(d, d))
         scale = r_cur / d_norm
         p1 = [a + scale * b for a, b in zip(u, d)]
-        levels.append(ProjectionLevel(z_in, p_sm_arr, support, u_arr, r_cur,
-                                      np.array(d), d_norm, True, degenerate))
+        levels.append(ProjectionLevel(_support(p_sm), tuple(d), r_cur, d_norm,
+                                      degenerate))
         if all(v >= 0.0 for v in p1):
             p_out = p1
             break
         # Radial push left the simplex: re-project and recurse on the face
         # spanned by the support, with the center moved to its barycenter.
         p2 = _sparsemax(p1)
-        s2 = [i for i, v in enumerate(p2) if v > 0.0]
+        s2 = _support(p2)
         u_next = [0.0] * k
         for i in s2:
             u_next[i] = 1.0 / len(s2)
         r_next = math.sqrt(max(r_cur ** 2 - _dist_sq(u, u_next), 0.0))
-        z_cur, z_in, p_sm, u, r_cur = p1, np.array(p1), p2, u_next, r_next
+        z_cur, p_sm, u, r_cur = p1, p2, u_next, r_next
 
-    support_out = _support(p_out)
-    if support_out.size == 1:
+    if len(_support(p_out)) == 1:
         stage = Stage.VERTEX
     elif len(levels) == 1:
         stage = Stage.CIRCLE
     else:
         stage = Stage.FACE
-    return ProjectionResult(p=np.array(p_out), stage=stage, support=support_out,
-                            levels=tuple(levels))
+    return ProjectionResult(np.array(p_out), stage, tuple(levels))
 
 
 def sparsestmax_vjp(result: ProjectionResult, upstream) -> np.ndarray:
@@ -306,17 +293,17 @@ def sparsestmax_vjp(result: ProjectionResult, upstream) -> np.ndarray:
         raise InvalidInputError("upstream vector must be finite")
     k = len(g)
     for level in reversed(result.levels):
-        if level.applied_circle:
+        if level.d is not None:
             if level.degenerate:
                 # Fallback direction is locally constant, so the radial
                 # push does not depend on the sparsemax output at all.
                 g = [0.0] * k
             else:
-                d, nd = level.d.tolist(), level.d_norm
+                d, nd = level.d, level.d_norm
                 along = _dot(d, g) / (nd * nd)
                 scale = level.r / nd
                 g = [scale * (a - along * b) for a, b in zip(g, d)]
-        support = level.support.tolist()
+        support = level.support
         gs = [0.0] * k
         if support:
             mean = _sum([g[i] for i in support]) / len(support)
@@ -330,8 +317,7 @@ def recursion_signature(result: ProjectionResult) -> tuple:
     """Discrete structure of a projection: per-level support and whether
     the radial push ran.  Equal signatures on both sides of a point imply
     the map is smooth there."""
-    return tuple((tuple(int(i) for i in lv.support), lv.applied_circle)
-                 for lv in result.levels)
+    return tuple((lv.support, lv.d is not None) for lv in result.levels)
 
 
 def is_smooth_point(z, r: float) -> bool:
@@ -344,6 +330,7 @@ def is_smooth_point(z, r: float) -> bool:
     """
     dr, dz = 1e-3, 1e-4
     z = as_logits(z)
+    r = _radius(r)
     if r - dr < 0 or r + dr > circumradius(z.size):
         return False
     try:
@@ -351,7 +338,7 @@ def is_smooth_point(z, r: float) -> bool:
         # Reject ill-conditioned radial pushes: finite differences lose
         # accuracy when the sparsemax output sits close to the face center.
         for lv in res.levels:
-            if lv.applied_circle and lv.d_norm < 1e-2:
+            if lv.d is not None and lv.d_norm < 1e-2:
                 return False
         ref = recursion_signature(res)
         if recursion_signature(sparsestmax(z, r - dr)) != ref:

@@ -44,6 +44,12 @@ class ToyModelConfig:
         if min(self.layer_widths) < 1 or min(self.batch_size, self.channels,
                                              self.height, self.width) < 1:
             raise InvalidInputError("all dimensions must be positive")
+        if "GN" in self.omega and (self.gn_groups < 1 or any(
+                w % self.gn_groups for w in self.layer_widths)):
+            raise InvalidInputError(f"gn_groups must be >= 1 and divide every "
+                                    f"layer width, got {self.gn_groups}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -58,8 +64,14 @@ class OptimizerConfig:
     schedule: RadiusSchedule | None = None
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise InvalidInputError("lr must be > 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise InvalidInputError(f"lr must be finite and > 0, got {self.lr}")
+        for name in ("weight_decay", "z_lr_ratio"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidInputError(f"{name} must be finite and >= 0, got {value}")
+        if not math.isfinite(self.z_init):
+            raise InvalidInputError(f"z_init must be finite, got {self.z_init}")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidInputError("momentum must be in [0, 1)")
         if self.epochs < 1:
@@ -75,7 +87,8 @@ class LayerRecord:
     stage: str
     z_grad_mean: tuple
     z_grad_var: tuple
-    # grad_z . (p0 - u), recorded while the mean gate sits on the circle.
+    # grad_z . d (the radial push direction), recorded while the mean gate
+    # sits on the circle.
     circle_dot: float | None
 
 
@@ -274,8 +287,7 @@ def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
                 p, pp = cache.p_res.p, cache.pp_res.p
                 circle_dot = None
                 if cache.p_res.stage == Stage.CIRCLE:
-                    lv = cache.p_res.levels[0]
-                    circle_dot = float(ssn_g.z_mean @ (lv.p_sm - lv.u))
+                    circle_dot = float(ssn_g.z_mean @ cache.p_res.levels[0].d)
                 layer_records.append(LayerRecord(
                     p=tuple(p), pp=tuple(pp),
                     frozen_mean=params.gate.frozen_mean,

@@ -74,20 +74,8 @@ def sparsemax_numpy(z) -> np.ndarray:
     return _sparsemax_numpy_raw(as_logits(z))
 
 
-def _vertex_result_numpy(z, p0, u, r_circum) -> ProjectionResult:
-    if _norm(p0 - u) < DEGENERATE_TOL:
-        m = int(np.argmax(z))
-    else:
-        m = int(np.argmax(p0))
-    p = np.zeros(z.size)
-    p[m] = 1.0
-    levels = (
-        ProjectionLevel(z, p0, np.flatnonzero(p0 > 0.0), u, r_circum,
-                        None, 0.0, False),
-        ProjectionLevel(p0, p, np.array([m]), u, r_circum,
-                        None, 0.0, False),
-    )
-    return ProjectionResult(p=p, stage=Stage.VERTEX, support=np.array([m]), levels=levels)
+def _support_numpy(p: np.ndarray) -> tuple[int, ...]:
+    return tuple(np.flatnonzero(p > 0.0).tolist())
 
 
 def sparsestmax_numpy(z, r: float) -> ProjectionResult:
@@ -101,30 +89,29 @@ def sparsestmax_numpy(z, r: float) -> ProjectionResult:
     u = np.full(k, 1.0 / k)
     p0 = _sparsemax_numpy_raw(z)
     if _norm(p0 - u) >= r:
-        level = ProjectionLevel(z, p0, np.flatnonzero(p0 > 0.0), u, r,
-                                None, 0.0, False)
-        return ProjectionResult(p=p0, stage=Stage.SPARSEMAX,
-                                support=np.flatnonzero(p0 > 0.0), levels=(level,))
+        return ProjectionResult(p0, Stage.SPARSEMAX,
+                                (ProjectionLevel(_support_numpy(p0)),))
     if r == r_circum:
-        return _vertex_result_numpy(z, p0, u, r_circum)
+        m = int(np.argmax(z if _norm(p0 - u) < DEGENERATE_TOL else p0))
+        p = np.zeros(k)
+        p[m] = 1.0
+        return ProjectionResult(p, Stage.VERTEX, (ProjectionLevel(_support_numpy(p0)),
+                                                  ProjectionLevel((m,))))
 
     levels = []
     z_cur, p_sm, r_cur = z, p0, r
     p_out = None
     while True:
-        support = np.flatnonzero(p_sm > 0.0)
         face = np.flatnonzero(u > 0.0)
         if face.size == 1:
             p_out = u.copy()
-            levels.append(ProjectionLevel(z_cur, p_out, face, u, r_cur,
-                                          None, 0.0, False))
+            levels.append(ProjectionLevel(_support_numpy(u)))
             break
         d = p_sm - u
         d -= d.sum() * u
         d_norm = _norm(d)
         if d_norm >= r_cur:
-            levels.append(ProjectionLevel(z_cur, p_sm, support, u, r_cur,
-                                          None, 0.0, False))
+            levels.append(ProjectionLevel(_support_numpy(p_sm)))
             p_out = p_sm
             break
         degenerate = d_norm < DEGENERATE_TOL
@@ -134,8 +121,8 @@ def sparsestmax_numpy(z, r: float) -> ProjectionResult:
             d[m] += 1.0
             d_norm = _norm(d)
         p1 = u + (r_cur / d_norm) * d
-        levels.append(ProjectionLevel(z_cur, p_sm, support, u, r_cur,
-                                      d, d_norm, True, degenerate))
+        levels.append(ProjectionLevel(_support_numpy(p_sm), tuple(d.tolist()), r_cur,
+                                      d_norm, degenerate))
         if np.all(p1 >= 0.0):
             p_out = p1
             break
@@ -146,29 +133,27 @@ def sparsestmax_numpy(z, r: float) -> ProjectionResult:
         r_next = math.sqrt(max(r_cur ** 2 - float(np.sum((u - u_next) ** 2)), 0.0))
         z_cur, p_sm, u, r_cur = p1, p2, u_next, r_next
 
-    support_out = np.flatnonzero(p_out > 0.0)
-    if support_out.size == 1:
+    if np.count_nonzero(p_out > 0.0) == 1:
         stage = Stage.VERTEX
     elif len(levels) == 1:
         stage = Stage.CIRCLE
     else:
         stage = Stage.FACE
-    return ProjectionResult(p=p_out, stage=stage, support=support_out,
-                            levels=tuple(levels))
+    return ProjectionResult(p_out, stage, tuple(levels))
 
 
 def sparsestmax_vjp_numpy(result: ProjectionResult, upstream) -> np.ndarray:
     g = np.asarray(upstream, dtype=np.float64).copy()
     for level in reversed(result.levels):
-        if level.applied_circle:
+        if level.d is not None:
             if level.degenerate:
                 g = np.zeros_like(g)
             else:
-                d, nd = level.d, level.d_norm
+                d, nd = np.array(level.d), level.d_norm
                 g = (level.r / nd) * (g - (float(d @ g) / (nd * nd)) * d)
-        s = level.support
+        s = list(level.support)
         gs = np.zeros_like(g)
-        if s.size:
+        if s:
             gs[s] = g[s] - g[s].mean()
         g = gs
     g[result.p == 0.0] = 0.0

@@ -231,6 +231,21 @@ def test_bad_config_names_key_and_exits_2(capsys, tmp_path, subcommand,
     assert named in err
 
 
+@pytest.mark.parametrize("model,args,named", [
+    pytest.param({"omega": ["IN", "BN", "LN", "GN"], "gn_groups": 0}, [],
+                 "gn_groups", id="gn-groups-zero"),
+    pytest.param({"omega": ["IN", "BN", "LN", "GN"], "gn_groups": 3}, [],
+                 "gn_groups", id="gn-groups-not-dividing"),
+    pytest.param({}, ["--seed", "-1"], "seed", id="negative-seed"),
+])
+def test_train_unusable_model_exits_2(capsys, tmp_path, model, args, named):
+    cfg = _write_config(tmp_path, {"model": model})
+    code, out, err = run(["train", "--config", str(cfg), *args], capsys)
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
 def test_train_zero_epochs_exits_2(capsys, tmp_path):
     cfg = _write_config(tmp_path, {"optimizer": {
         "epochs": 0, "schedule": [[0, 0.0], [10, 1.0]]}})

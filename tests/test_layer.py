@@ -553,6 +553,17 @@ def test_checkpoint_rejects_a_different_omega(tmp_path):
         load_checkpoint(path, OMEGA3)
 
 
+@pytest.mark.parametrize("text", ["{not json", ""])
+def test_load_checkpoint_rejects_non_json_file(tmp_path, text):
+    path = tmp_path / "ckpt.json"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError, match="not JSON") as info:
+        load_checkpoint(path, OMEGA3)
+    assert str(path) in str(info.value)
+    with pytest.raises(FileNotFoundError):
+        load_checkpoint(tmp_path / "missing.json", OMEGA3)
+
+
 @pytest.mark.parametrize("field,value", [
     ("z_var", [1.0, 2.0]),
     ("bn_running_mean", [0.0, 0.0, 0.0, 0.0]),

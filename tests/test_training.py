@@ -84,6 +84,34 @@ def test_config_validation():
         OptimizerConfig(epochs=0)
 
 
+@pytest.mark.parametrize("fields,named", [
+    ({"omega": ("IN", "BN", "LN", "GN"), "gn_groups": 0}, "gn_groups"),
+    ({"omega": ("IN", "BN", "LN", "GN"), "gn_groups": 3}, "gn_groups"),
+    ({"seed": -1}, "seed"),
+])
+def test_model_config_rejects_configs_that_fail_in_training(fields, named):
+    with pytest.raises(InvalidInputError, match=named):
+        ToyModelConfig(**fields)
+
+
+def test_model_config_checks_gn_groups_only_with_gn():
+    ToyModelConfig(gn_groups=3)
+    ToyModelConfig(omega=("IN", "BN", "LN", "GN"), gn_groups=4)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lr", float("nan")), ("lr", float("inf")), ("lr", -0.1),
+    ("weight_decay", float("inf")), ("weight_decay", float("nan")),
+    ("weight_decay", -1e-4),
+    ("z_lr_ratio", float("nan")), ("z_lr_ratio", float("inf")),
+    ("z_lr_ratio", -0.1),
+    ("z_init", float("nan")), ("z_init", float("-inf")),
+])
+def test_optimizer_config_rejects_non_finite_fields(field, value):
+    with pytest.raises(InvalidInputError, match=field):
+        OptimizerConfig(**{field: value})
+
+
 # ----------------------------------------------------------------- training
 
 def test_training_converges_all_gates_one_hot(default_run):
