@@ -4,10 +4,8 @@ layer built on them, and a toy training harness."""
 from .errors import (InvalidInputError, InvalidStateError, NotConvergedError,
                      TrainingFailedError)
 from .layer import (SsnParams, benchmark_forward, fold_bn_into_affine,
-                    load_checkpoint, save_checkpoint, select_normalizer,
-                    ssn_backward, ssn_forward, update_running_stats,
-                    validate_omega)
-from .oracle import oracle_project
+                    select_normalizer, ssn_backward, ssn_forward,
+                    update_running_stats, validate_omega)
 from .simplex import (ProjectionResult, RadiusSchedule, Stage, circumradius,
                       inradius, is_smooth_point, softmax, sparsemax,
                       sparsestmax, sparsestmax_vjp, vjp_gradcheck)
@@ -21,10 +19,8 @@ __version__ = "0.1.0"
 __all__ = [
     "InvalidInputError", "InvalidStateError", "NotConvergedError",
     "TrainingFailedError",
-    "SsnParams", "benchmark_forward", "fold_bn_into_affine",
-    "load_checkpoint", "save_checkpoint", "select_normalizer",
+    "SsnParams", "benchmark_forward", "fold_bn_into_affine", "select_normalizer",
     "ssn_backward", "ssn_forward", "update_running_stats", "validate_omega",
-    "oracle_project",
     "ProjectionResult", "RadiusSchedule", "Stage", "circumradius",
     "inradius", "is_smooth_point", "softmax", "sparsemax", "sparsestmax",
     "sparsestmax_vjp", "vjp_gradcheck",

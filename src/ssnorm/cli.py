@@ -188,6 +188,8 @@ def _load_train_configs(path: str, seed_override):
                           for key, value in section.items()}
     model_raw = sections.get("model", {})
     if seed_override is not None:
+        if seed_override < 0:
+            raise InvalidInputError(f"--seed: must be >= 0, got {seed_override}")
         model_raw["seed"] = seed_override
     try:
         model = ToyModelConfig(**model_raw)

@@ -7,12 +7,11 @@ serves every normalizer: ``REDUCE_AXES`` names the axes each one reduces
 over in an (N, G, C/G, H*W) view of the input, and the mixed moments are
 applied as a fused per-(n, c) scale and shift.  The exact backward pass
 collapses the same way to per-(n, c) coefficients.  Also includes
-running-statistics bookkeeping for evaluation mode, checkpointing, and BN
-folding into a preceding convolution.
+running-statistics bookkeeping for evaluation mode and BN folding into a
+preceding convolution.
 """
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -26,6 +25,9 @@ NORMALIZER_ORDER = ("IN", "BN", "LN", "GN")
 
 TRAIN = "train"
 EVAL = "eval"
+
+# Weight of the batch moments in the BN running-statistics average.
+BN_MOMENTUM = 0.1
 
 
 def _validate_tensor4(x) -> np.ndarray:
@@ -281,20 +283,18 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
                     beta=grad_beta, z_mean=grad_z_mean, z_var=grad_z_var)
 
 
-def update_running_stats(params: SsnParams, batch_mean, batch_var,
-                         momentum: float = 0.1) -> SsnParams:
-    """Exponential moving average update of the BN running statistics."""
-    if not 0.0 <= momentum <= 1.0:
-        raise InvalidInputError("momentum must be in [0, 1]")
+def update_running_stats(params: SsnParams, batch_mean, batch_var) -> SsnParams:
+    """Exponential moving average update of the BN running statistics,
+    weighting the batch moments by ``BN_MOMENTUM``."""
     batch_mean = np.asarray(batch_mean, dtype=np.float64)
     batch_var = np.asarray(batch_var, dtype=np.float64)
     if batch_mean.shape != params.bn_running_mean.shape or \
             batch_var.shape != params.bn_running_var.shape:
         raise InvalidInputError("batch moments must have the running statistics' shape")
-    params.bn_running_mean = (1.0 - momentum) * params.bn_running_mean + \
-        momentum * batch_mean
-    params.bn_running_var = (1.0 - momentum) * params.bn_running_var + \
-        momentum * batch_var
+    params.bn_running_mean = (1.0 - BN_MOMENTUM) * params.bn_running_mean + \
+        BN_MOMENTUM * batch_mean
+    params.bn_running_var = (1.0 - BN_MOMENTUM) * params.bn_running_var + \
+        BN_MOMENTUM * batch_var
     return params
 
 
@@ -335,84 +335,6 @@ def fold_bn_into_affine(conv_weight, conv_bias, params: SsnParams, omega):
     w_folded = w * scale[:, None, None, None]
     b_folded = (b - params.bn_running_mean) * scale + params.beta
     return w_folded, b_folded
-
-
-def save_checkpoint(params: SsnParams, path, omega) -> None:
-    """Serialize parameters, and the omega their gates index, as JSON.
-    Parameters that ``load_checkpoint`` would reject raise
-    ``InvalidInputError`` before the file is opened."""
-    omega = validate_omega(omega)
-    text = json.dumps({
-        "omega": list(omega),
-        "z_mean": params.gate.z_mean.tolist(),
-        "z_var": params.gate.z_var.tolist(),
-        "frozen_mean": params.gate.frozen_mean,
-        "frozen_var": params.gate.frozen_var,
-        "gamma": params.gamma.tolist(),
-        "beta": params.beta.tolist(),
-        "bn_running_mean": params.bn_running_mean.tolist(),
-        "bn_running_var": params.bn_running_var.tolist(),
-        "eps": params.eps,
-    })
-    _params_from_payload(json.loads(text), omega)
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def _checkpoint_array(raw: dict, key: str, length: int | None = None) -> np.ndarray:
-    try:
-        arr = np.array(raw[key], dtype=np.float64)
-    except (KeyError, TypeError, ValueError):
-        raise InvalidInputError(
-            f"checkpoint field {key!r} is missing or not numeric") from None
-    if arr.ndim != 1 or (length is not None and arr.size != length):
-        raise InvalidInputError(f"checkpoint field {key!r} has the wrong shape")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"checkpoint field {key!r} must be finite")
-    return arr
-
-
-def _checkpoint_scalar(raw: dict, key: str, kinds: tuple[type, ...]):
-    """A JSON scalar field whose decoded type is exactly one of ``kinds``."""
-    if type(raw.get(key)) not in kinds:
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise InvalidInputError(f"checkpoint field {key!r} is missing or not {names}")
-    return raw[key]
-
-
-def _params_from_payload(raw, omega: tuple[str, ...]) -> SsnParams:
-    """Parameters from a decoded checkpoint payload, with every field
-    checked against ``omega`` and against each other."""
-    if not isinstance(raw, dict):
-        raise InvalidInputError("checkpoint must hold a JSON object")
-    if raw.get("omega") != list(omega):
-        raise InvalidInputError(f"checkpoint field 'omega' is missing or not "
-                                f"{list(omega)!r}: {raw.get('omega')!r}")
-    k = len(omega)
-    gamma = _checkpoint_array(raw, "gamma")
-    c = gamma.size
-    gate = GateParams(z_mean=_checkpoint_array(raw, "z_mean", k),
-                      z_var=_checkpoint_array(raw, "z_var", k),
-                      frozen_mean=_checkpoint_scalar(raw, "frozen_mean", (bool,)),
-                      frozen_var=_checkpoint_scalar(raw, "frozen_var", (bool,)))
-    return SsnParams(gate=gate, gamma=gamma, beta=_checkpoint_array(raw, "beta", c),
-                     eps=float(_checkpoint_scalar(raw, "eps", (int, float))),
-                     bn_running_mean=_checkpoint_array(raw, "bn_running_mean", c),
-                     bn_running_var=_checkpoint_array(raw, "bn_running_var", c))
-
-
-def load_checkpoint(path, omega) -> SsnParams:
-    """Read parameters written by ``save_checkpoint`` under the same
-    ``omega``.  A malformed payload (a missing or mistyped field,
-    mismatched lengths, non-finite values) or a different stored omega
-    raises ``InvalidInputError``, as does a file that is not JSON."""
-    omega = validate_omega(omega)
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise InvalidInputError(f"checkpoint {path} is not JSON: {exc}")
-    return _params_from_payload(raw, omega)
 
 
 def benchmark_forward(n: int, c: int, h: int, w: int, reps: int,

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidInputError, NotConvergedError, TrainingFailedError
-from .layer import (SsnParams, ssn_backward, ssn_forward, update_running_stats,
-                    validate_omega)
+from .layer import (GateParams, SsnParams, ssn_backward, ssn_forward,
+                    update_running_stats, validate_omega)
 from .simplex import RadiusSchedule, Stage, circumradius, inradius
 
 
@@ -106,6 +106,8 @@ class TrajectoryLog:
     layer_count: int
     rows: list[StepRecord]
     final_accuracy: float
+    # The trained net, in its state after the last step.
+    net: _ToyNet
 
     def to_csv(self, path=None) -> str:
         header = ["step", "r", "loss"]
@@ -153,8 +155,24 @@ def _flat(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[0], a.shape[1], -1)
 
 
+@dataclass
+class _Param:
+    """One trained array and its SGD state.  Gate logits carry their gate
+    and the name of the flag that stops their updates once set."""
+
+    value: np.ndarray
+    lr: float
+    weight_decay: float
+    frozen: tuple[GateParams, str] | None = None
+
+    def __post_init__(self):
+        self.velocity = np.zeros_like(self.value)
+
+
 class _ToyNet:
-    """Hand-written forward/backward for the toy architecture."""
+    """Hand-written forward/backward for the toy architecture.  ``params``
+    holds every trained array in the order of ``loss_and_grads``'s
+    gradients: head_w, head_b, then per layer mix, gamma, beta, z_mean, z_var."""
 
     def __init__(self, cfg: ToyModelConfig, opt: OptimizerConfig, rng):
         self.cfg = cfg
@@ -168,6 +186,14 @@ class _ToyNet:
         self.head_w = rng.normal(size=(cfg.layer_widths[-1], cfg.n_classes)) * \
             math.sqrt(1.0 / cfg.layer_widths[-1])
         self.head_b = np.zeros(cfg.n_classes)
+        lr, wd = opt.lr, opt.weight_decay
+        z_lr = opt.lr * opt.z_lr_ratio
+        self.params = [_Param(self.head_w, lr, wd), _Param(self.head_b, lr, wd)]
+        for mix_w, p in zip(self.mix, self.ssn):
+            self.params += [_Param(mix_w, lr, wd), _Param(p.gamma, lr, wd),
+                            _Param(p.beta, lr, wd),
+                            _Param(p.gate.z_mean, z_lr, 0.0, (p.gate, "frozen_mean")),
+                            _Param(p.gate.z_var, z_lr, 0.0, (p.gate, "frozen_var"))]
 
     def forward(self, x, r):
         caches = []
@@ -184,6 +210,8 @@ class _ToyNet:
         return logits, (caches, h, pooled)
 
     def loss_and_grads(self, x, labels, r):
+        """The loss, the gradients in ``params`` order, and each gated
+        layer's forward cache and gradients."""
         logits, (caches, feat, pooled) = self.forward(x, r)
         n = x.shape[0]
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -194,21 +222,22 @@ class _ToyNet:
         g_logits[np.arange(n), labels] -= 1.0
         g_logits /= n
 
-        grads = {"head_w": pooled.T @ g_logits, "head_b": g_logits.sum(axis=0),
-                 "mix": [], "ssn": []}
         g_pooled = g_logits @ self.head_w.T
         h, w = feat.shape[2:]
         g_h = np.broadcast_to(g_pooled[:, :, None, None] / (h * w), feat.shape).copy()
+        grads = [pooled.T @ g_logits, g_logits.sum(axis=0)]
+        layers = []
+        # The backward runs from the last layer down, so each layer's
+        # entries go in front of those of the layers above it.
         for (inp, cache, y), mix_w in zip(reversed(caches), reversed(self.mix)):
             g_y = g_h * (y > 0.0)
             ssn_g = ssn_backward(cache, g_y)
-            grads["ssn"].append(ssn_g)
+            layers.insert(0, (cache, ssn_g))
             g_pre = _flat(ssn_g.x)
-            grads["mix"].append((g_pre @ _flat(inp).transpose(0, 2, 1)).sum(axis=0))
+            g_mix = (g_pre @ _flat(inp).transpose(0, 2, 1)).sum(axis=0)
+            grads[2:2] = [g_mix, ssn_g.gamma, ssn_g.beta, ssn_g.z_mean, ssn_g.z_var]
             g_h = (mix_w.T @ g_pre).reshape(inp.shape)
-        grads["mix"].reverse()
-        grads["ssn"].reverse()
-        return loss, grads, caches
+        return loss, grads, layers
 
     def accuracy(self, x, labels, r):
         logits, _ = self.forward(x, r)
@@ -225,7 +254,8 @@ def _one_hot_index(p: np.ndarray):
 def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
     """SGD with momentum; gate logits use lr * z_lr_ratio, no weight decay,
     and stop updating once their ratio goes one-hot.  The radius follows
-    ``opt.schedule``.  Returns the full per-step trajectory."""
+    ``opt.schedule``.  Returns the full per-step trajectory together with
+    the trained net."""
     x_all, y_all = data
     x_all = np.asarray(x_all, dtype=np.float64)
     y_all = np.asarray(y_all)
@@ -249,20 +279,8 @@ def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
 
     rng = np.random.default_rng(model.seed)
     net = _ToyNet(model, opt, rng)
-    vel = {"head_w": np.zeros_like(net.head_w), "head_b": np.zeros_like(net.head_b),
-           "mix": [np.zeros_like(w) for w in net.mix],
-           "ssn": [{"gamma": np.zeros_like(p.gamma), "beta": np.zeros_like(p.beta),
-                    "z_mean": np.zeros_like(p.gate.z_mean),
-                    "z_var": np.zeros_like(p.gate.z_var)} for p in net.ssn]}
-
-    def _sgd(param, grad, v, lr, wd):
-        v *= opt.momentum
-        v += grad + wd * param
-        param -= lr * v
-
     rows = []
     step = 0
-    z_lr = opt.lr * opt.z_lr_ratio
     for _ in range(opt.epochs):
         order = rng.permutation(n)
         for b in range(steps_per_epoch):
@@ -270,16 +288,22 @@ def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
             xb, yb = x_all[idx], y_all[idx]
             r = sched.radius(step, k)
             try:
-                loss, grads, caches = net.loss_and_grads(xb, yb, r)
+                loss, grads, layers = net.loss_and_grads(xb, yb, r)
             except InvalidInputError:
                 # Non-finite activations mean the parameters blew up.
                 raise TrainingFailedError(step, "activations are not finite")
             if not math.isfinite(loss):
                 raise TrainingFailedError(step, "loss is not finite")
 
+            for param, grad in zip(net.params, grads):
+                if param.frozen and getattr(*param.frozen):
+                    continue
+                param.velocity *= opt.momentum
+                param.velocity += grad + param.weight_decay * param.value
+                param.value -= param.lr * param.velocity
+
             layer_records = []
-            for li, (params, ssn_g) in enumerate(zip(net.ssn, grads["ssn"])):
-                cache = caches[li][1]
+            for params, (cache, ssn_g) in zip(net.ssn, layers):
                 if "BN" in cache.stats:
                     bn_mean, bn_var = cache.stats["BN"]
                     update_running_stats(params, bn_mean.reshape(-1),
@@ -296,37 +320,19 @@ def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
                     z_grad_mean=tuple(ssn_g.z_mean),
                     z_grad_var=tuple(ssn_g.z_var),
                     circle_dot=circle_dot))
+                # Freeze on the first exactly one-hot ratio; never unfreeze.
+                if _one_hot_index(p) is not None:
+                    params.gate.frozen_mean = True
+                if _one_hot_index(pp) is not None:
+                    params.gate.frozen_var = True
             rows.append(StepRecord(step=step, r=r, loss=float(loss),
                                    layers=tuple(layer_records)))
-
-            _sgd(net.head_w, grads["head_w"], vel["head_w"], opt.lr, opt.weight_decay)
-            _sgd(net.head_b, grads["head_b"], vel["head_b"], opt.lr, opt.weight_decay)
-            for li, params in enumerate(net.ssn):
-                _sgd(net.mix[li], grads["mix"][li], vel["mix"][li], opt.lr,
-                     opt.weight_decay)
-                ssn_g = grads["ssn"][li]
-                _sgd(params.gamma, ssn_g.gamma, vel["ssn"][li]["gamma"], opt.lr,
-                     opt.weight_decay)
-                _sgd(params.beta, ssn_g.beta, vel["ssn"][li]["beta"], opt.lr,
-                     opt.weight_decay)
-                if not params.gate.frozen_mean:
-                    _sgd(params.gate.z_mean, ssn_g.z_mean,
-                         vel["ssn"][li]["z_mean"], z_lr, 0.0)
-                if not params.gate.frozen_var:
-                    _sgd(params.gate.z_var, ssn_g.z_var,
-                         vel["ssn"][li]["z_var"], z_lr, 0.0)
-                # Freeze on the first exactly one-hot ratio; never unfreeze.
-                cache = caches[li][1]
-                if _one_hot_index(cache.p_res.p) is not None:
-                    params.gate.frozen_mean = True
-                if _one_hot_index(cache.pp_res.p) is not None:
-                    params.gate.frozen_var = True
             step += 1
 
     final_r = rows[-1].r if rows else 0.0
     acc = net.accuracy(x_all, y_all, final_r)
     return TrajectoryLog(omega=model.omega, layer_count=model.ssn_layer_count,
-                         rows=rows, final_accuracy=acc)
+                         rows=rows, final_accuracy=acc, net=net)
 
 
 def selection_histogram(log: TrajectoryLog):

@@ -1,7 +1,9 @@
 """Reference implementations that only the tests use: a direct
 convolution, the closed-form sparsemax Jacobian, a simplex-membership
-check, and numpy versions of the staged projection and its VJP."""
+check, numpy versions of the staged projection and its VJP, and a
+brute-force grid oracle for the projection."""
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -158,3 +160,65 @@ def sparsestmax_vjp_numpy(result: ProjectionResult, upstream) -> np.ndarray:
         g = gs
     g[result.p == 0.0] = 0.0
     return g
+
+
+# Brute-force grid oracle: enumerates a barycentric grid of the simplex,
+# discards points inside the excluded ball and returns the grid point
+# closest to the query.  Intentionally independent of the closed form.
+
+MAX_K = 4
+
+
+def _grid_counts(k: int, g: int) -> np.ndarray:
+    """Integer compositions of g into k parts, one row per grid point."""
+    if k == 2:
+        i = np.arange(g + 1, dtype=np.int32)
+        return np.stack([i, g - i], axis=1)
+    if k == 3:
+        i, j = np.meshgrid(np.arange(g + 1, dtype=np.int32),
+                           np.arange(g + 1, dtype=np.int32), indexing="ij")
+        i, j = i.ravel(), j.ravel()
+        keep = i + j <= g
+        i, j = i[keep], j[keep]
+        return np.stack([i, j, g - i - j], axis=1)
+    # k == 4: extend each (i, j) pair by every split of the remainder.
+    base = _grid_counts(3, g)
+    i, j, rem = base[:, 0], base[:, 1], base[:, 2]
+    counts = rem.astype(np.int64) + 1
+    total = int(counts.sum())
+    row = np.repeat(np.arange(base.shape[0], dtype=np.int64), counts)
+    offsets = np.repeat(np.cumsum(counts) - counts, counts)
+    t = (np.arange(total, dtype=np.int64) - offsets).astype(np.int32)
+    return np.stack([i[row], j[row], t, rem[row] - t], axis=1)
+
+
+@lru_cache(maxsize=4)
+def _grid(k: int, g: int):
+    counts = _grid_counts(k, g)
+    pts = counts.astype(np.float32) / np.float32(g)
+    center_dist = np.sqrt(((pts - np.float32(1.0 / k)) ** 2).sum(axis=1))
+    sq_norm = (pts * pts).sum(axis=1)
+    return counts, pts, center_dist, sq_norm
+
+
+def oracle_project(z, r: float, grid_n: int) -> np.ndarray:
+    """Closest feasible grid point to ``z`` (resolution 1/grid_n).
+
+    Supports k <= 4; the grid size is combinatorial in k.
+    """
+    z = as_logits(z)
+    k = z.size
+    if k > MAX_K:
+        raise InvalidInputError(f"grid oracle supports k <= {MAX_K}, got {k}")
+    if grid_n < 100:
+        raise InvalidInputError("grid_n must be >= 100")
+    if not np.isfinite(r) or r < 0:
+        raise InvalidInputError("radius r must be finite and >= 0")
+    counts, pts, center_dist, sq_norm = _grid(k, grid_n)
+    # ||p - z||^2 up to the constant ||z||^2.
+    obj = sq_norm - 2.0 * (pts @ z.astype(np.float32))
+    # Small slack absorbs float32 round-off on the constraint boundary;
+    # the vertices are always feasible so the mask is never empty.
+    obj = np.where(center_dist >= np.float32(r) - np.float32(1e-6), obj, np.float32(np.inf))
+    best = int(np.argmin(obj))
+    return counts[best].astype(np.float64) / grid_n

@@ -18,11 +18,10 @@ import time
 import numpy as np
 import pytest
 
-from reference import conv2d
+from reference import conv2d, oracle_project
 from ssnorm.cli import main as cli_main
 from ssnorm.layer import (EVAL, GateParams, SsnParams, benchmark_forward,
                           fold_bn_into_affine, ssn_backward, ssn_forward)
-from ssnorm.oracle import oracle_project
 from ssnorm.simplex import (RadiusSchedule, Stage, circumradius, inradius,
                             is_smooth_point, sparsemax, sparsestmax,
                             sparsestmax_vjp, vjp_gradcheck)

@@ -1,4 +1,5 @@
-"""The benchmark's trace probe reads the projection record.
+"""The benchmark's tracer finds the functions it wraps, and its trace
+probe reads the projection record.
 
 The tracer in ``bench/harness.py`` treats an ``AttributeError`` from a
 probe as "no data", so a record that lost a field the probe reads would
@@ -31,3 +32,14 @@ def test_probe_reads_projection_record(stage):
     probe = harness.PROBES["simplex.sparsestmax"]
     assert probe((), {}, res) == {"stage": stage.value, "levels": len(res.levels),
                                   "support": np.flatnonzero(res.p).tolist()}
+
+
+def test_tracer_finds_every_traced_function():
+    # A renamed or deleted traced function reads as a null metric in the
+    # benchmark report rather than as an error.
+    tracer = harness.Tracer()
+    try:
+        tracer.install()
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()

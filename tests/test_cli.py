@@ -236,7 +236,8 @@ def test_bad_config_names_key_and_exits_2(capsys, tmp_path, subcommand,
                  "gn_groups", id="gn-groups-zero"),
     pytest.param({"omega": ["IN", "BN", "LN", "GN"], "gn_groups": 3}, [],
                  "gn_groups", id="gn-groups-not-dividing"),
-    pytest.param({}, ["--seed", "-1"], "seed", id="negative-seed"),
+    pytest.param({}, ["--seed", "-1"], "--seed", id="negative-seed"),
+    pytest.param({"seed": -1}, [], "--config", id="negative-seed-in-file"),
 ])
 def test_train_unusable_model_exits_2(capsys, tmp_path, model, args, named):
     cfg = _write_config(tmp_path, {"model": model})

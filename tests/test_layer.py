@@ -1,7 +1,6 @@
 """Tests for the gated normalization layer: forward against a scalar-loop
-oracle, exact backward against finite differences, running statistics,
-checkpointing and convolution folding."""
-import json
+oracle, exact backward against finite differences, running statistics
+and convolution folding."""
 import math
 
 import numpy as np
@@ -12,9 +11,8 @@ from ssnorm.errors import (InvalidInputError, InvalidStateError,
                            NotConvergedError)
 from ssnorm.layer import (EVAL, TRAIN, GateParams, SsnParams,
                           benchmark_forward, fold_bn_into_affine,
-                          load_checkpoint, save_checkpoint, select_normalizer,
-                          ssn_backward, ssn_forward, update_running_stats,
-                          validate_omega)
+                          select_normalizer, ssn_backward, ssn_forward,
+                          update_running_stats, validate_omega)
 from ssnorm.simplex import circumradius, is_smooth_point, sparsestmax
 
 
@@ -395,12 +393,9 @@ def test_backward_requires_train_mode():
 
 def test_update_running_stats_ema():
     params = SsnParams.init(2, 3)
-    update_running_stats(params, np.array([1.0, 2.0]), np.array([3.0, 4.0]),
-                         momentum=0.1)
+    update_running_stats(params, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
     assert np.allclose(params.bn_running_mean, [0.1, 0.2], atol=1e-15)
     assert np.allclose(params.bn_running_var, [0.9 + 0.3, 0.9 + 0.4], atol=1e-15)
-    with pytest.raises(InvalidInputError):
-        update_running_stats(params, np.zeros(2), np.zeros(2), momentum=1.5)
 
 
 def test_update_running_stats_rejects_shape_mismatch():
@@ -506,115 +501,7 @@ def test_fold_requires_bn_selection():
                             ("IN", "BN", "LN"))
 
 
-# ---------------------------------------------------- checkpoint / bench
-
-OMEGA3 = ("IN", "BN", "LN")
-MISSING = object()
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    rng = np.random.default_rng(14)
-    params = _rand_params(rng, 5, 3)
-    params.gate.frozen_mean = True
-    params.bn_running_mean = rng.normal(size=5)
-    params.bn_running_var = rng.uniform(0.1, 2.0, size=5)
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(params, path, OMEGA3)
-    assert json.loads(path.read_text())["omega"] == list(OMEGA3)
-    loaded = load_checkpoint(path, OMEGA3)
-    assert np.array_equal(loaded.gate.z_mean, params.gate.z_mean)
-    assert np.array_equal(loaded.gate.z_var, params.gate.z_var)
-    assert loaded.gate.frozen_mean and not loaded.gate.frozen_var
-    assert np.array_equal(loaded.gamma, params.gamma)
-    assert np.array_equal(loaded.beta, params.beta)
-    assert np.array_equal(loaded.bn_running_mean, params.bn_running_mean)
-    assert np.array_equal(loaded.bn_running_var, params.bn_running_var)
-    assert loaded.eps == params.eps
-
-
-def test_checkpoint_rejects_a_different_omega(tmp_path):
-    # A frozen (BN, BN) layer: under another omega of the same length its
-    # hot index would name LN.
-    params = SsnParams.init(4, 3)
-    params.gate.z_mean = np.array([0.0, 5.0, 0.0])
-    params.gate.z_var = params.gate.z_mean.copy()
-    params.gate.frozen_mean = params.gate.frozen_var = True
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(params, path, OMEGA3)
-    assert select_normalizer(load_checkpoint(path, OMEGA3), OMEGA3) == ("BN", "BN")
-    with pytest.raises(InvalidInputError, match="omega"):
-        load_checkpoint(path, ("BN", "LN", "GN"))
-    with pytest.raises(InvalidInputError):
-        save_checkpoint(params, path, ("IN", "BN"))
-    payload = json.loads(path.read_text())
-    del payload["omega"]
-    path.write_text(json.dumps(payload))
-    with pytest.raises(InvalidInputError, match="omega"):
-        load_checkpoint(path, OMEGA3)
-
-
-@pytest.mark.parametrize("text", ["{not json", ""])
-def test_load_checkpoint_rejects_non_json_file(tmp_path, text):
-    path = tmp_path / "ckpt.json"
-    path.write_text(text)
-    with pytest.raises(InvalidInputError, match="not JSON") as info:
-        load_checkpoint(path, OMEGA3)
-    assert str(path) in str(info.value)
-    with pytest.raises(FileNotFoundError):
-        load_checkpoint(tmp_path / "missing.json", OMEGA3)
-
-
-@pytest.mark.parametrize("field,value", [
-    ("z_var", [1.0, 2.0]),
-    ("bn_running_mean", [0.0, 0.0, 0.0, 0.0]),
-    ("gamma", [1.0, float("nan"), 1.0, 1.0, 1.0]),
-    ("bn_running_var", [1.0, 1.0, float("nan"), 1.0, 1.0]),
-    ("frozen_mean", MISSING),
-    ("eps", MISSING),
-    ("eps", "abc"),
-    ("eps", [1]),
-    ("frozen_mean", "false"),
-    ("frozen_var", 0),
-    ("eps", float("nan")),
-    ("eps", float("inf")),
-    ("eps", 0.0),
-    ("z_mean", [1.0, 2.0, 3.0, 4.0]),
-])
-def test_load_checkpoint_rejects_malformed_payload(tmp_path, field, value):
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(SsnParams.init(5, 3), path, OMEGA3)
-    payload = json.loads(path.read_text())
-    if value is MISSING:
-        del payload[field]
-    else:
-        payload[field] = value
-    path.write_text(json.dumps(payload))
-    with pytest.raises(InvalidInputError, match=field):
-        load_checkpoint(path, OMEGA3)
-
-
-@pytest.mark.parametrize("field,value", [
-    ("z_var", np.zeros(2)),
-    ("beta", np.zeros(4)),
-    ("gamma", np.array([1.0, np.nan, 1.0, 1.0, 1.0])),
-])
-def test_save_checkpoint_rejects_what_load_would(tmp_path, field, value):
-    # Assigned after construction, so only the save-time check sees them;
-    # no file may be left behind.
-    params = SsnParams.init(5, 3)
-    setattr(params.gate if field.startswith("z_") else params, field, value)
-    path = tmp_path / "ckpt.json"
-    with pytest.raises(InvalidInputError, match=field):
-        save_checkpoint(params, path, OMEGA3)
-    assert not path.exists()
-
-
-def test_load_checkpoint_rejects_non_object(tmp_path):
-    path = tmp_path / "ckpt.json"
-    path.write_text(json.dumps([1.0, 2.0]))
-    with pytest.raises(InvalidInputError, match="JSON object"):
-        load_checkpoint(path, OMEGA3)
-
+# ---------------------------------------------------------- params / bench
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1e-5])
 def test_params_require_finite_positive_eps(eps):

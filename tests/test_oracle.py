@@ -3,8 +3,8 @@ closed-form projection."""
 import numpy as np
 import pytest
 
+from reference import _grid_counts, oracle_project
 from ssnorm.errors import InvalidInputError
-from ssnorm.oracle import _grid_counts, oracle_project
 from ssnorm.simplex import circumradius, sparsestmax
 
 

@@ -3,12 +3,15 @@ import csv
 import io
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ssnorm.cli import _load_train_configs
 from ssnorm.errors import (InvalidInputError, NotConvergedError,
                            TrainingFailedError)
+from ssnorm.layer import EVAL
 from ssnorm.simplex import RadiusSchedule, Stage, circumradius, inradius
 from ssnorm.training import (OptimizerConfig, ToyModelConfig, _ToyNet,
                              make_synthetic_dataset,
@@ -20,6 +23,7 @@ MODEL = ToyModelConfig(layer_widths=[8, 8, 8, 8], ssn_layer_count=4,
                        height=8, width=8, seed=0, n_classes=4)
 OPT = OptimizerConfig(lr=0.05, momentum=0.9, weight_decay=1e-4,
                       z_lr_ratio=0.1, z_init=1.0, epochs=20)
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "toy_default.json"
 
 
 @pytest.fixture(scope="module")
@@ -312,15 +316,16 @@ def test_toy_net_gradients_match_finite_differences():
     x = rng.normal(size=(6, 3, 2, 2))
     labels = np.arange(6) % 3
     r = 0.2
-    _, grads, caches = net.loss_and_grads(x, labels, r)
-    for _, cache, _ in caches:
+    _, grads, layers = net.loss_and_grads(x, labels, r)
+    for cache, _ in layers:
         assert cache.p_res.stage == cache.pp_res.stage == Stage.CIRCLE
 
+    names = ["head_w", "head_b"] + [f"{name}[{li}]" for li in range(2) for name in
+                                    ("mix", "gamma", "beta", "z_mean", "z_var")]
+    assert len(net.params) == len(grads) == len(names)
     eps = 1e-6
-    checks = [(f"mix[{i}]", w, g) for i, (w, g) in enumerate(zip(net.mix, grads["mix"]))]
-    checks += [("head_w", net.head_w, grads["head_w"]),
-               ("head_b", net.head_b, grads["head_b"])]
-    for name, param, analytic in checks:
+    for name, entry, analytic in zip(names, net.params, grads):
+        param = entry.value
         fd = np.empty_like(param)
         for i in range(param.size):
             orig = param.flat[i]
@@ -332,6 +337,24 @@ def test_toy_net_gradients_match_finite_differences():
             fd.flat[i] = (lp - lm) / (2 * eps)
         rel = np.linalg.norm(analytic - fd) / np.linalg.norm(fd)
         assert rel <= 1e-6, f"{name}: relative error {rel:.2e}"
+
+
+# ------------------------------------------------------------ trained net
+
+@pytest.mark.parametrize("seed,train_accuracy,eval_accuracy",
+                         [(0, 0.81, 0.52), (5, 0.89, 0.255)])
+def test_returned_net_accuracy_in_train_and_eval_mode(seed, train_accuracy,
+                                                      eval_accuracy):
+    model, opt, (x, labels) = _load_train_configs(str(DEFAULT_CONFIG), seed)
+    log = train(model, opt, (x, labels))
+    r = log.rows[-1].r
+    assert log.net.accuracy(x, labels, r) == log.final_accuracy == train_accuracy
+    # Eval mode reads the running averages of the batch BN moments, not
+    # the full-set moments that train mode computes here; the gap between
+    # the two figures is pinned as it stands.
+    for params in log.net.ssn:
+        params.mode = EVAL
+    assert log.net.accuracy(x, labels, r) == eval_accuracy
 
 
 # -------------------------------------------------------------- histograms
