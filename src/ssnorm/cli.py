@@ -188,8 +188,6 @@ def _load_train_configs(path: str, seed_override):
                           for key, value in section.items()}
     model_raw = sections.get("model", {})
     if seed_override is not None:
-        if seed_override < 0:
-            raise InvalidInputError(f"--seed: must be >= 0, got {seed_override}")
         model_raw["seed"] = seed_override
     try:
         model = ToyModelConfig(**model_raw)
@@ -226,6 +224,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.epochs < 1:
+        raise InvalidInputError(f"--epochs: must be >= 1, got {args.epochs}")
     if not all(0.0 < f < 1.0 for f in args.fractions):
         raise InvalidInputError("--fractions: each must lie in (0, 1)")
     model, opt, data = _load_train_configs(args.config, None)
@@ -384,14 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        return _usage_error(f"--seed: must be >= 0, got {seed}")
     try:
         return args.func(args)
     except InvalidInputError as exc:
         return _usage_error(str(exc))
-    except TrainingFailedError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except NotConvergedError as exc:
+    except (TrainingFailedError, NotConvergedError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
 

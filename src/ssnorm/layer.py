@@ -319,7 +319,6 @@ def fold_bn_into_affine(conv_weight, conv_bias, params: SsnParams, omega):
 
     Returns (weight', bias') such that conv(x, weight', bias') equals the
     normalized conv output computed from the running statistics."""
-    omega = validate_omega(omega)
     choice = select_normalizer(params, omega)
     if choice != ("BN", "BN"):
         raise InvalidStateError(f"both gates must select BN, got {choice}")

@@ -329,8 +329,7 @@ def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
                                    layers=tuple(layer_records)))
             step += 1
 
-    final_r = rows[-1].r if rows else 0.0
-    acc = net.accuracy(x_all, y_all, final_r)
+    acc = net.accuracy(x_all, y_all, rows[-1].r)
     return TrajectoryLog(omega=model.omega, layer_count=model.ssn_layer_count,
                          rows=rows, final_accuracy=acc, net=net)
 

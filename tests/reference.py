@@ -1,7 +1,10 @@
 """Reference implementations that only the tests use: a direct
 convolution, the closed-form sparsemax Jacobian, a simplex-membership
-check, numpy versions of the staged projection and its VJP, and a
-brute-force grid oracle for the projection."""
+check, central finite differences, a scalar-loop oracle of the gated
+normalization and the moments of each plain normalizer, the revival and
+frozen-gradient checks of a training log, numpy versions of the staged
+projection and its VJP, and a brute-force grid oracle for the
+projection."""
 import math
 from functools import lru_cache
 
@@ -9,7 +12,8 @@ import numpy as np
 
 from ssnorm.errors import InvalidInputError
 from ssnorm.simplex import (DEGENERATE_TOL, ProjectionLevel, ProjectionResult,
-                            Stage, as_logits, circumradius, sparsemax)
+                            Stage, as_logits, circumradius, sparsemax,
+                            sparsestmax)
 
 
 def conv2d(x, weight, bias=None) -> np.ndarray:
@@ -48,6 +52,102 @@ def validate_prob_vector(p) -> np.ndarray:
         raise InvalidInputError("probability vector entries must be >= 0")
     np.maximum(p, 0.0, out=p)
     return p
+
+
+def central_difference(loss, a, eps, indices=None) -> np.ndarray:
+    """Central differences of the scalar ``loss()`` in the entries of ``a``.
+
+    Each entry ``a.flat[i]`` is set in place to ``orig + eps``, then to
+    ``orig - eps``, and restored.  Returns an array shaped like ``a``, or
+    one value per index when ``indices`` picks flat entries."""
+    out = np.empty(a.shape if indices is None else len(indices))
+    for t, i in enumerate(range(a.size) if indices is None else indices):
+        orig = a.flat[i]
+        a.flat[i] = orig + eps
+        lp = loss()
+        a.flat[i] = orig - eps
+        lm = loss()
+        a.flat[i] = orig
+        out.flat[t] = (lp - lm) / (2 * eps)
+    return out
+
+
+# The gated normalization: the SN/SSN mixture of IN, BN, LN and GN moments.
+
+def forward_oracle(x, params, r, omega, gn_groups):
+    """Pure scalar-loop reference of the gated normalization."""
+    n, c, h, w = x.shape
+    p = sparsestmax(params.gate.z_mean, r).p
+    pp = sparsestmax(params.gate.z_var, r).p
+    y = np.empty_like(x)
+    per = c // gn_groups if "GN" in omega else None
+    for i in range(n):
+        for j in range(c):
+            mu_mix, var_mix = 0.0, 0.0
+            for idx, name in enumerate(omega):
+                if name == "IN":
+                    vals = x[i, j].ravel()
+                elif name == "BN":
+                    vals = x[:, j].ravel()
+                elif name == "LN":
+                    vals = x[i].ravel()
+                else:
+                    g = j // per
+                    vals = x[i, g * per:(g + 1) * per].ravel()
+                m = float(np.mean(vals))
+                v = float(np.mean((vals - m) ** 2))
+                mu_mix += p[idx] * m
+                var_mix += pp[idx] * v
+            for a in range(h):
+                for b in range(w):
+                    y[i, j, a, b] = params.gamma[j] * \
+                        (x[i, j, a, b] - mu_mix) / math.sqrt(var_mix + params.eps) + \
+                        params.beta[j]
+    return y
+
+
+_PLAIN_AXES = {"IN": (2, 3), "BN": (0, 2, 3), "LN": (1, 2, 3), "GN": (2, 3, 4)}
+
+
+def plain_moments(x, name, gn_groups=1):
+    """(mean, var) of one plain normalizer over NCHW ``x``, each per (N, C)."""
+    n, c, h, w = x.shape
+    src = x.reshape(n, gn_groups, c // gn_groups, h, w) if name == "GN" else x
+    return tuple(np.broadcast_to(moment(src, axis=_PLAIN_AXES[name], keepdims=True),
+                                 src.shape[:-2] + (1, 1)).reshape(n, c)
+                 for moment in (np.mean, np.var))
+
+
+# Trajectory invariants of a training log, as (layer, gate, step) offenders.
+
+def revived_ratios(log) -> list[tuple[int, str, int]]:
+    """Steps at which a gate ratio that was zero at an earlier step is
+    positive again."""
+    found = []
+    for li in range(log.layer_count):
+        for gate, kind in (("mean", "p"), ("var", "pp")):
+            zeroed = [False] * len(log.omega)
+            for row in log.rows:
+                vals = getattr(row.layers[li], kind)
+                if any(z and v > 0.0 for z, v in zip(zeroed, vals)):
+                    found.append((li, gate, row.step))
+                zeroed = [z or v == 0.0 for z, v in zip(zeroed, vals)]
+    return found
+
+
+def frozen_gate_gradients(log) -> list[tuple[int, str, int]]:
+    """Steps at which a gate frozen at an earlier step has a nonzero logit
+    gradient."""
+    found = []
+    for li in range(log.layer_count):
+        for gate in ("mean", "var"):
+            frozen = False
+            for row in log.rows:
+                rec = row.layers[li]
+                if frozen and any(g != 0.0 for g in getattr(rec, f"z_grad_{gate}")):
+                    found.append((li, gate, row.step))
+                frozen |= getattr(rec, f"frozen_{gate}")
+    return found
 
 
 # The projection as numpy array code: the same algorithm as

@@ -11,23 +11,21 @@ r=0.3 row does not (0.10400 rounds up to 0.11 to make the sum 1), so
 the test compares the largest-remainder rounding exactly and pins that
 row to its closed form.
 """
-import json
 import math
 import time
 
 import numpy as np
-import pytest
 
-from reference import conv2d, oracle_project
-from ssnorm.cli import main as cli_main
+from reference import (central_difference, conv2d, forward_oracle,
+                       frozen_gate_gradients, oracle_project, plain_moments,
+                       revived_ratios)
 from ssnorm.layer import (EVAL, GateParams, SsnParams, benchmark_forward,
                           fold_bn_into_affine, ssn_backward, ssn_forward)
 from ssnorm.simplex import (RadiusSchedule, Stage, circumradius, inradius,
                             is_smooth_point, sparsemax, sparsestmax,
                             sparsestmax_vjp, vjp_gradcheck)
-from ssnorm.training import (OptimizerConfig, ToyModelConfig,
-                             make_synthetic_dataset,
-                             schedule_insensitivity_experiment, train)
+from ssnorm.training import (OptimizerConfig, schedule_insensitivity_experiment,
+                             train)
 
 
 def _report(n, desc, ok):
@@ -139,53 +137,20 @@ def test_criterion_6_gradient_suite():
                       f"{worst_rel:.2e}, null direction {worst_dot:.2e})", ok)
 
 
-MODEL = ToyModelConfig(layer_widths=[8, 8, 8, 8], ssn_layer_count=4,
-                       omega=("IN", "BN", "LN"), batch_size=40, channels=3,
-                       height=8, width=8, seed=0, n_classes=4)
-OPT = OptimizerConfig(lr=0.05, momentum=0.9, weight_decay=1e-4,
-                      z_lr_ratio=0.1, z_init=1.0, epochs=20)
-
-
-@pytest.fixture(scope="module")
-def toy_run():
-    data = make_synthetic_dataset(0, 200, (3, 8, 8), 4)
-    return data, train(MODEL, OPT, data)
-
-
-def test_criterion_7_sparsity_stability(toy_run):
-    _, log = toy_run
-    k = len(log.omega)
-    no_revival = True
-    zeros_after_freeze = True
-    for li in range(log.layer_count):
-        frozen_m = frozen_v = False
-        zeroed_p = [False] * k
-        zeroed_pp = [False] * k
-        for row in log.rows:
-            lr_ = row.layers[li]
-            for j in range(k):
-                if zeroed_p[j] and lr_.p[j] > 0.0:
-                    no_revival = False
-                if zeroed_pp[j] and lr_.pp[j] > 0.0:
-                    no_revival = False
-                zeroed_p[j] |= lr_.p[j] == 0.0
-                zeroed_pp[j] |= lr_.pp[j] == 0.0
-            if frozen_m and any(g != 0.0 for g in lr_.z_grad_mean):
-                zeros_after_freeze = False
-            if frozen_v and any(g != 0.0 for g in lr_.z_grad_var):
-                zeros_after_freeze = False
-            frozen_m |= lr_.frozen_mean
-            frozen_v |= lr_.frozen_var
+def test_criterion_7_sparsity_stability(default_run):
+    *_, log = default_run
+    no_revival = not revived_ratios(log)
+    zeros_after_freeze = not frozen_gate_gradients(log)
     ok = no_revival and zeros_after_freeze
     assert _report(7, "sparsity stability (no ratio revival: "
                       f"{no_revival}, frozen-gate zero grads: "
                       f"{zeros_after_freeze})", ok)
 
 
-def test_criterion_8_end_to_end_convergence(toy_run):
-    data, log = toy_run
+def test_criterion_8_end_to_end_convergence(default_run):
+    model, opt, data, log = default_run
     t0 = time.time()
-    log2 = train(MODEL, OPT, data)
+    log2 = train(model, opt, data)
     elapsed = time.time() - t0
     last = log.rows[-1]
     one_hot = all(max(lr_.p) == 1.0 and max(lr_.pp) == 1.0
@@ -210,42 +175,18 @@ def test_criterion_9_layer_correctness():
             gamma=rng.normal(size=2) + 1.0, beta=rng.normal(size=2))
         r = rng.uniform(0.0, 0.5)
         y, _ = ssn_forward(x, params, r, omega)
-        p = sparsestmax(params.gate.z_mean, r).p
-        pp = sparsestmax(params.gate.z_var, r).p
-        for i in range(2):
-            for j in range(2):
-                stats = {"IN": x[i, j].ravel(), "BN": x[:, j].ravel(),
-                         "LN": x[i].ravel()}
-                mu = sum(p[t] * float(np.mean(stats[nm]))
-                         for t, nm in enumerate(omega))
-                var = sum(pp[t] * float(np.var(stats[nm]))
-                          for t, nm in enumerate(omega))
-                for a in range(2):
-                    for b in range(2):
-                        ref = params.gamma[j] * (x[i, j, a, b] - mu) / \
-                            math.sqrt(var + params.eps) + params.beta[j]
-                        forward_worst = max(forward_worst,
-                                            abs(y[i, j, a, b] - ref))
+        ref = forward_oracle(x, params, r, omega, 1)
+        forward_worst = max(forward_worst, float(np.max(np.abs(y - ref))))
     # (b) one-hot mixtures reproduce each plain normalizer.
     onehot_worst = 0.0
     x = rng.normal(size=(3, 4, 5, 5))
     full = ("IN", "BN", "LN", "GN")
-    axes = {"IN": (2, 3), "BN": (0, 2, 3), "LN": (1, 2, 3), "GN": (2, 3, 4)}
-    xg = x.reshape(3, 2, 2, 5, 5)
-
-    def expand(moment, name):
-        # One plain normalizer's moment, expanded to (N, C).
-        src = xg if name == "GN" else x
-        stat = moment(src, axis=axes[name], keepdims=True)
-        return np.broadcast_to(stat, src.shape).reshape(x.shape)[:, :, 0, 0]
-
     for hot, name in enumerate(full):
         params = SsnParams.init(4, 4)
         params.gate.z_mean = np.where(np.arange(4) == hot, 5.0, 0.0)
         params.gate.z_var = params.gate.z_mean.copy()
         y, _ = ssn_forward(x, params, circumradius(4), full, 2)
-        mu = expand(np.mean, name)
-        var = expand(np.var, name)
+        mu, var = plain_moments(x, name, 2)
         ref = (x - mu[:, :, None, None]) / \
             np.sqrt(var[:, :, None, None] + params.eps)
         onehot_worst = max(onehot_worst, float(np.max(np.abs(y - ref))))
@@ -260,35 +201,20 @@ def test_criterion_9_layer_correctness():
     x = rng.normal(size=(2, 4, 3, 3))
     w_loss = rng.normal(size=x.shape)
 
-    def loss(x_, params_):
-        y, _ = ssn_forward(x_, params_, r, omega)
+    def loss():
+        y, _ = ssn_forward(x, params, r, omega)
         return float((y * w_loss).sum())
 
     _, cache = ssn_forward(x, params, r, omega)
     grads = ssn_backward(cache, w_loss)
-    feps = 1e-5
     backward_worst = 0.0
-
-    def check(got, vec):
-        nonlocal backward_worst
-        ref = np.empty(vec.size)
-        for i in range(vec.size):
-            orig = vec.flat[i]
-            vec.flat[i] = orig + feps
-            lp = loss(x, params)
-            vec.flat[i] = orig - feps
-            lm = loss(x, params)
-            vec.flat[i] = orig
-            ref.flat[i] = (lp - lm) / (2 * feps)
+    for got, vec in [(grads.gamma, params.gamma), (grads.beta, params.beta),
+                     (grads.z_mean, params.gate.z_mean),
+                     (grads.z_var, params.gate.z_var), (grads.x, x)]:
+        ref = central_difference(loss, vec, 1e-5)
         denom = max(np.linalg.norm(ref), 1e-3)
         backward_worst = max(backward_worst,
-                             float(np.linalg.norm(got.ravel() - ref) / denom))
-
-    check(grads.gamma, params.gamma)
-    check(grads.beta, params.beta)
-    check(grads.z_mean, params.gate.z_mean)
-    check(grads.z_var, params.gate.z_var)
-    check(grads.x, x)
+                             float(np.linalg.norm(got - ref) / denom))
     ok = forward_worst <= 1e-12 and onehot_worst <= 1e-12 and \
         backward_worst <= 1e-4
     assert _report(9, f"layer correctness (forward {forward_worst:.1e}, "
@@ -323,13 +249,13 @@ def test_criterion_10_inference_specialization():
                        f"{bench['combined_ms']:.1f}ms: {faster})", ok)
 
 
-def test_criterion_11_schedule_insensitivity(toy_run):
-    data, _ = toy_run
+def test_criterion_11_schedule_insensitivity(default_run):
+    model, _, data, _ = default_run
     opt = OptimizerConfig(lr=0.05, momentum=0.9, weight_decay=1e-4,
                           z_lr_ratio=0.1, z_init=1.0, epochs=80)
     total = 80 * 5
     ri_steps = [int(f * total) for f in (0.4, 0.5, 0.6, 0.7)]
-    logs = schedule_insensitivity_experiment(MODEL, opt, data, ri_steps)
+    logs = schedule_insensitivity_experiment(model, opt, data, ri_steps)
     accs = [log.final_accuracy for log in logs]
     losses = [log.rows[-1].loss for log in logs]
     spread = max(accs) - min(accs)

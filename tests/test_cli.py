@@ -82,6 +82,16 @@ def test_bad_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["gradcheck"], ["trajectory", "--z", "1,1,1"], ["train", "--config", "x.json"],
+    ["bench", "--dims", "1x1x1x1"], ["verify"]], ids=lambda args: args[0])
+def test_negative_seed_exits_2(capsys, args):
+    code, out, err = run([*args, "--seed", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--seed: must be >= 0, got -1" in err
+
+
 # ---------------------------------------------------------------- gradcheck
 
 def test_gradcheck_k3_passes(capsys):
@@ -277,7 +287,9 @@ def test_sweep_matches_insensitivity_experiment(capsys, tmp_path):
 
 def test_sweep_usage_errors(capsys, tmp_path):
     cfg = str(_write_config(tmp_path))
-    assert run(["sweep", "--config", cfg, "--epochs", "0"], capsys)[0] == 2
+    code, _, err = run(["sweep", "--config", cfg, "--epochs", "0"], capsys)
+    assert code == 2
+    assert "--epochs" in err
     assert run(["sweep", "--config", cfg, "--epochs", "2",
                 "--fractions", "0.0"], capsys)[0] == 2
     # 5 steps: a fraction landing on step 0 or on the last step is unusable.

@@ -1,12 +1,10 @@
 """Tests for the gated normalization layer: forward against a scalar-loop
 oracle, exact backward against finite differences, running statistics
 and convolution folding."""
-import math
-
 import numpy as np
 import pytest
 
-from reference import conv2d
+from reference import central_difference, conv2d, forward_oracle, plain_moments
 from ssnorm.errors import (InvalidInputError, InvalidStateError,
                            NotConvergedError)
 from ssnorm.layer import (EVAL, TRAIN, GateParams, SsnParams,
@@ -88,38 +86,6 @@ def test_validate_omega():
 
 # ---------------------------------------------------------------- forward
 
-def _forward_oracle(x, params, r, omega, gn_groups):
-    """Pure scalar-loop reference of the gated normalization."""
-    n, c, h, w = x.shape
-    p = sparsestmax(params.gate.z_mean, r).p
-    pp = sparsestmax(params.gate.z_var, r).p
-    y = np.empty_like(x)
-    per = c // gn_groups if "GN" in omega else None
-    for i in range(n):
-        for j in range(c):
-            mu_mix, var_mix = 0.0, 0.0
-            for idx, name in enumerate(omega):
-                if name == "IN":
-                    vals = x[i, j].ravel()
-                elif name == "BN":
-                    vals = x[:, j].ravel()
-                elif name == "LN":
-                    vals = x[i].ravel()
-                else:
-                    g = j // per
-                    vals = x[i, g * per:(g + 1) * per].ravel()
-                m = float(np.mean(vals))
-                v = float(np.mean((vals - m) ** 2))
-                mu_mix += p[idx] * m
-                var_mix += pp[idx] * v
-            for a in range(h):
-                for b in range(w):
-                    y[i, j, a, b] = params.gamma[j] * \
-                        (x[i, j, a, b] - mu_mix) / math.sqrt(var_mix + params.eps) + \
-                        params.beta[j]
-    return y
-
-
 @pytest.mark.parametrize("omega,gn_groups", [
     (("IN", "BN", "LN"), 1), (("IN", "BN", "LN", "GN"), 2)])
 def test_forward_matches_scalar_oracle(omega, gn_groups):
@@ -128,7 +94,7 @@ def test_forward_matches_scalar_oracle(omega, gn_groups):
         x = rng.normal(size=(2, 2, 2, 2))
         params = _rand_params(rng, 2, len(omega))
         y, _ = ssn_forward(x, params, r, omega, gn_groups)
-        y_ref = _forward_oracle(x, params, r, omega, gn_groups)
+        y_ref = forward_oracle(x, params, r, omega, gn_groups)
         assert np.max(np.abs(y - y_ref)) <= 1e-12
 
 
@@ -137,22 +103,12 @@ def test_one_hot_gates_reproduce_plain_normalizers():
     x = rng.normal(size=(3, 4, 5, 5))
     omega = ("IN", "BN", "LN", "GN")
     gn_groups = 2
-    axes = {"IN": (2, 3), "BN": (0, 2, 3), "LN": (1, 2, 3), "GN": (2, 3, 4)}
-    xg = x.reshape(3, gn_groups, 4 // gn_groups, 5, 5)
-
-    def broadcast(moment, name):
-        # One plain normalizer's moment, expanded to (N, C).
-        src = xg if name == "GN" else x
-        stat = moment(src, axis=axes[name], keepdims=True)
-        return np.broadcast_to(stat, src.shape).reshape(x.shape)[:, :, 0, 0]
-
     for hot, name in enumerate(omega):
         params = SsnParams.init(4, 4)
         params.gate.z_mean = np.where(np.arange(4) == hot, 5.0, 0.0)
         params.gate.z_var = params.gate.z_mean.copy()
         y, cache = ssn_forward(x, params, circumradius(4), omega, gn_groups)
-        mu = broadcast(np.mean, name)
-        var = broadcast(np.var, name)
+        mu, var = plain_moments(x, name, gn_groups)
         y_ref = (x - mu[:, :, None, None]) / \
             np.sqrt(var[:, :, None, None] + params.eps)
         assert np.max(np.abs(y - y_ref)) <= 1e-12
@@ -199,18 +155,15 @@ def test_forward_large_mean_matches_extended_precision():
     y, _ = ssn_forward(x, params, r, omega, gn_groups)
 
     xl = x.astype(np.longdouble)
-    xg = xl.reshape(4, gn_groups, 2, 5, 5)
-    axes = {"IN": (2, 3), "BN": (0, 2, 3), "LN": (1, 2, 3), "GN": (2, 3, 4)}
     p = sparsestmax(params.gate.z_mean, r).p
     pp = sparsestmax(params.gate.z_var, r).p
-    mu = np.zeros(x.shape, dtype=np.longdouble)
-    var = np.zeros(x.shape, dtype=np.longdouble)
+    mu = np.zeros(x.shape[:2], dtype=np.longdouble)
+    var = np.zeros(x.shape[:2], dtype=np.longdouble)
     for i, name in enumerate(omega):
-        src = xg if name == "GN" else xl
-        m = src.mean(axis=axes[name], keepdims=True)
-        v = ((src - m) ** 2).mean(axis=axes[name], keepdims=True)
-        mu += p[i] * np.broadcast_to(m, src.shape).reshape(x.shape)
-        var += pp[i] * np.broadcast_to(v, src.shape).reshape(x.shape)
+        m, v = plain_moments(xl, name, gn_groups)
+        mu += p[i] * m
+        var += pp[i] * v
+    mu, var = mu[:, :, None, None], var[:, :, None, None]
     gamma = params.gamma.astype(np.longdouble)[None, :, None, None]
     beta = params.beta.astype(np.longdouble)[None, :, None, None]
     y_ref = gamma * (xl - mu) / np.sqrt(var + params.eps) + beta
@@ -308,46 +261,19 @@ def test_backward_matches_finite_differences(omega, gn_groups):
     _, grads = _loss_and_grads(x, params, r, omega, gn_groups, w_loss)
     eps = 1e-5
 
-    def fd(setter, getter, size):
-        out = np.empty(size)
-        for i in range(size):
-            orig = getter()
-            pert = orig.copy()
-            pert.flat[i] = orig.flat[i] + eps
-            setter(pert)
-            lp, _ = _loss_and_grads(x, params, r, omega, gn_groups, w_loss)
-            pert.flat[i] = orig.flat[i] - eps
-            setter(pert)
-            lm, _ = _loss_and_grads(x, params, r, omega, gn_groups, w_loss)
-            setter(orig)
-            out.flat[i] = (lp - lm) / (2 * eps)
-        return out
+    def loss():
+        return _loss_and_grads(x, params, r, omega, gn_groups, w_loss)[0]
 
     # Input gradient on a random subset of elements.
-    fd_x = np.empty(8)
     flat_idx = rng.choice(x.size, size=8, replace=False)
-    for t, i in enumerate(flat_idx):
-        xp, xm = x.copy(), x.copy()
-        xp.flat[i] += eps
-        xm.flat[i] -= eps
-        lp, _ = _loss_and_grads(xp, params, r, omega, gn_groups, w_loss)
-        lm, _ = _loss_and_grads(xm, params, r, omega, gn_groups, w_loss)
-        fd_x[t] = (lp - lm) / (2 * eps)
+    fd_x = central_difference(loss, x, eps, flat_idx)
     got_x = grads.x.flat[flat_idx]
     assert np.max(np.abs(got_x - fd_x)) <= 1e-4 * max(1.0, np.abs(fd_x).max())
 
-    pairs = [
-        ("gamma", lambda v: setattr(params, "gamma", v), lambda: params.gamma),
-        ("beta", lambda v: setattr(params, "beta", v), lambda: params.beta),
-        ("z_mean", lambda v: setattr(params.gate, "z_mean", v),
-         lambda: params.gate.z_mean),
-        ("z_var", lambda v: setattr(params.gate, "z_var", v),
-         lambda: params.gate.z_var),
-    ]
-    for name, setter, getter in pairs:
-        got = getattr(grads, name) if name in ("gamma", "beta", "x") else \
-            getattr(grads, name)
-        ref = fd(setter, getter, getter().size)
+    for name, vec in [("gamma", params.gamma), ("beta", params.beta),
+                      ("z_mean", params.gate.z_mean), ("z_var", params.gate.z_var)]:
+        got = getattr(grads, name)
+        ref = central_difference(loss, vec, eps)
         denom = max(np.linalg.norm(ref), 1e-3)
         assert np.linalg.norm(got - ref) <= 1e-4 * denom, name
 

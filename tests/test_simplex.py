@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import (sparsemax_jacobian, sparsestmax_numpy,
-                       sparsestmax_vjp_numpy, validate_prob_vector)
+from reference import (central_difference, sparsemax_jacobian,
+                       sparsestmax_numpy, sparsestmax_vjp_numpy,
+                       validate_prob_vector)
 from ssnorm.errors import InvalidInputError
 from ssnorm.simplex import (DEGENERATE_TOL, RadiusSchedule,
                             Stage, circumradius, inradius, is_smooth_point,
@@ -412,17 +413,6 @@ def test_projection_matches_numpy_reference(k):
 
 # --------------------------------------------------------------- gradients
 
-def _fd_grad(z, r, g, eps=1e-6):
-    k = z.size
-    fd = np.empty(k)
-    for i in range(k):
-        zp, zm = z.copy(), z.copy()
-        zp[i] += eps
-        zm[i] -= eps
-        fd[i] = (g @ sparsestmax(zp, r).p - g @ sparsestmax(zm, r).p) / (2 * eps)
-    return fd
-
-
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_vjp_matches_finite_differences(k):
     rng = np.random.default_rng(100 + k)
@@ -434,14 +424,14 @@ def test_vjp_matches_finite_differences(k):
             continue
         g = rng.normal(size=k)
         analytic = sparsestmax_vjp(sparsestmax(z, r), g)
-        fd = _fd_grad(z, r, g)
+        fd = central_difference(lambda: g @ sparsestmax(z, r).p, z, 1e-6)
         denom = max(np.linalg.norm(fd), np.linalg.norm(analytic), 1e-3)
         assert np.linalg.norm(analytic - fd) <= 1e-5 * denom
         done += 1
 
 
 def test_vjp_gradcheck_matches_reference_loop():
-    # Same draws (z, r, skip, g) as the checker, with this file's own
+    # Same draws (z, r, skip, g) as the checker, with the test suite's own
     # finite differences; the worst error must agree exactly.
     rng = np.random.default_rng(7)
     worst, done = 0.0, 0
@@ -452,7 +442,7 @@ def test_vjp_gradcheck_matches_reference_loop():
             continue
         g = rng.normal(size=4)
         analytic = sparsestmax_vjp(sparsestmax(z, r), g)
-        fd = _fd_grad(z, r, g)
+        fd = central_difference(lambda: g @ sparsestmax(z, r).p, z, 1e-6)
         denom = max(np.linalg.norm(fd), np.linalg.norm(analytic), 1e-3)
         worst = max(worst, float(np.linalg.norm(analytic - fd) / denom))
         done += 1
@@ -495,7 +485,7 @@ def test_vjp_zero_columns_for_zeroed_components():
         grad = sparsestmax_vjp(res, g)
         assert all(grad[j] == 0.0 for j in zeroed)
         if is_smooth_point(z, r):
-            fd = _fd_grad(z, r, g)
+            fd = central_difference(lambda: g @ sparsestmax(z, r).p, z, 1e-6)
             assert all(abs(fd[j]) <= 1e-7 for j in zeroed)
         found += 1
 

@@ -3,11 +3,12 @@ import csv
 import io
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import DEFAULT_CONFIG
+from reference import central_difference, frozen_gate_gradients, revived_ratios
 from ssnorm.cli import _load_train_configs
 from ssnorm.errors import (InvalidInputError, NotConvergedError,
                            TrainingFailedError)
@@ -23,14 +24,6 @@ MODEL = ToyModelConfig(layer_widths=[8, 8, 8, 8], ssn_layer_count=4,
                        height=8, width=8, seed=0, n_classes=4)
 OPT = OptimizerConfig(lr=0.05, momentum=0.9, weight_decay=1e-4,
                       z_lr_ratio=0.1, z_init=1.0, epochs=20)
-DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "toy_default.json"
-
-
-@pytest.fixture(scope="module")
-def default_run():
-    data = make_synthetic_dataset(0, 200, (3, 8, 8), 4)
-    log = train(MODEL, OPT, data)
-    return data, log
 
 
 # ----------------------------------------------------------------- dataset
@@ -119,7 +112,7 @@ def test_optimizer_config_rejects_non_finite_fields(field, value):
 # ----------------------------------------------------------------- training
 
 def test_training_converges_all_gates_one_hot(default_run):
-    _, log = default_run
+    *_, log = default_run
     last = log.rows[-1]
     for lr_ in last.layers:
         assert max(lr_.p) == 1.0
@@ -129,14 +122,14 @@ def test_training_converges_all_gates_one_hot(default_run):
 
 
 def test_training_deterministic_bitwise(default_run):
-    data, log = default_run
-    log2 = train(MODEL, OPT, data)
+    model, opt, data, log = default_run
+    log2 = train(model, opt, data)
     assert log.to_csv() == log2.to_csv()
     assert log.final_accuracy == log2.final_accuracy
 
 
 def test_radius_non_decreasing_and_linear_before_clamp(default_run):
-    _, log = default_run
+    *_, log = default_run
     rs = [row.r for row in log.rows]
     assert all(b >= a for a, b in zip(rs, rs[1:]))
     total = len(log.rows)
@@ -145,23 +138,13 @@ def test_radius_non_decreasing_and_linear_before_clamp(default_run):
 
 
 def test_loss_decreases(default_run):
-    _, log = default_run
+    *_, log = default_run
     assert log.rows[-1].loss < log.rows[0].loss
 
 
 def test_no_ratio_component_revives(default_run):
-    _, log = default_run
-    k = len(log.omega)
-    for li in range(log.layer_count):
-        for kind in ("p", "pp"):
-            zeroed = [False] * k
-            for row in log.rows:
-                vals = getattr(row.layers[li], kind)
-                for j, v in enumerate(vals):
-                    assert not (zeroed[j] and v > 0.0), \
-                        f"layer {li} {kind}[{j}] revived at step {row.step}"
-                    if v == 0.0:
-                        zeroed[j] = True
+    *_, log = default_run
+    assert revived_ratios(log) == []
 
 
 def _discrete_trajectory(log):
@@ -182,7 +165,7 @@ def _discrete_trajectory(log):
 def test_default_runs_discrete_trajectory_pinned(default_run):
     # Literal values of the default runs (seeds 0 and 123): a change that
     # moves the gates' values at round-off must not move these.
-    assert _discrete_trajectory(default_run[1]) == (
+    assert _discrete_trajectory(default_run[-1]) == (
         [(41, 42, 83, 83), (47, 43, 83, 83), (47, 67, 83, 83), (45, 52, 83, 83)],
         [("BN", "IN"), ("LN", "BN"), ("BN", "IN"), ("LN", "BN")])
     data = make_synthetic_dataset(123, 200, (3, 8, 8), 4)
@@ -193,21 +176,12 @@ def test_default_runs_discrete_trajectory_pinned(default_run):
 
 
 def test_frozen_gates_receive_zero_gradients(default_run):
-    _, log = default_run
-    for li in range(log.layer_count):
-        seen_frozen_mean = seen_frozen_var = False
-        for row in log.rows:
-            lr_ = row.layers[li]
-            if seen_frozen_mean:
-                assert all(g == 0.0 for g in lr_.z_grad_mean)
-            if seen_frozen_var:
-                assert all(g == 0.0 for g in lr_.z_grad_var)
-            seen_frozen_mean |= lr_.frozen_mean
-            seen_frozen_var |= lr_.frozen_var
+    *_, log = default_run
+    assert frozen_gate_gradients(log) == []
 
 
 def test_freeze_monotone_and_hot_index_stable(default_run):
-    _, log = default_run
+    *_, log = default_run
     for li in range(log.layer_count):
         frozen_m = frozen_v = False
         hot_m = hot_v = None
@@ -227,7 +201,7 @@ def test_freeze_monotone_and_hot_index_stable(default_run):
 
 
 def test_null_direction_at_logged_circle_steps(default_run):
-    _, log = default_run
+    *_, log = default_run
     found = 0
     for row in log.rows:
         for lr_ in row.layers:
@@ -238,7 +212,7 @@ def test_null_direction_at_logged_circle_steps(default_run):
 
 
 def test_csv_schema(default_run):
-    _, log = default_run
+    *_, log = default_run
     text = log.to_csv()
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
@@ -257,13 +231,10 @@ def test_csv_schema(default_run):
             ("Sparsemax", "Circle", "Face", "Vertex")
 
 
-def test_seed_changes_bytes_but_not_convergence():
+def test_seed_changes_bytes_but_not_convergence(default_run):
+    model, opt, _, base = default_run
     data = make_synthetic_dataset(123, 200, (3, 8, 8), 4)
-    model = ToyModelConfig(layer_widths=[8, 8, 8, 8], ssn_layer_count=4,
-                           omega=("IN", "BN", "LN"), batch_size=40, channels=3,
-                           height=8, width=8, seed=123, n_classes=4)
-    log = train(model, OPT, data)
-    base = train(MODEL, OPT, make_synthetic_dataset(0, 200, (3, 8, 8), 4))
+    log = train(replace(model, seed=123), opt, data)
     assert log.to_csv() != base.to_csv()
     for lr_ in log.rows[-1].layers:
         assert max(lr_.p) == 1.0 and max(lr_.pp) == 1.0
@@ -323,18 +294,9 @@ def test_toy_net_gradients_match_finite_differences():
     names = ["head_w", "head_b"] + [f"{name}[{li}]" for li in range(2) for name in
                                     ("mix", "gamma", "beta", "z_mean", "z_var")]
     assert len(net.params) == len(grads) == len(names)
-    eps = 1e-6
     for name, entry, analytic in zip(names, net.params, grads):
-        param = entry.value
-        fd = np.empty_like(param)
-        for i in range(param.size):
-            orig = param.flat[i]
-            param.flat[i] = orig + eps
-            lp = net.loss_and_grads(x, labels, r)[0]
-            param.flat[i] = orig - eps
-            lm = net.loss_and_grads(x, labels, r)[0]
-            param.flat[i] = orig
-            fd.flat[i] = (lp - lm) / (2 * eps)
+        fd = central_difference(lambda: net.loss_and_grads(x, labels, r)[0],
+                                entry.value, 1e-6)
         rel = np.linalg.norm(analytic - fd) / np.linalg.norm(fd)
         assert rel <= 1e-6, f"{name}: relative error {rel:.2e}"
 
@@ -360,7 +322,7 @@ def test_returned_net_accuracy_in_train_and_eval_mode(seed, train_accuracy,
 # -------------------------------------------------------------- histograms
 
 def test_selection_histogram_counts(default_run):
-    _, log = default_run
+    *_, log = default_run
     hist = selection_histogram(log)
     assert set(hist) == {"mean", "var"}
     for gate in ("mean", "var"):
