@@ -52,6 +52,8 @@ def _parse_z(text: str) -> np.ndarray:
         raise InvalidInputError(f"--z: could not parse '{text}' as a comma list")
     if len(vals) < 2:
         raise InvalidInputError("--z: need at least two components")
+    if not all(math.isfinite(v) for v in vals):
+        raise InvalidInputError("--z: values must be finite")
     return np.asarray(vals, dtype=np.float64)
 
 
@@ -80,8 +82,8 @@ def cmd_project(args) -> int:
     else:
         if args.r is None:
             raise InvalidInputError("--r: required for sparsestmax")
-        if args.r < 0:
-            raise InvalidInputError(f"--r: must be >= 0, got {args.r}")
+        if not (math.isfinite(args.r) and args.r >= 0):
+            raise InvalidInputError(f"--r: must be a finite number >= 0, got {args.r}")
         res = sparsestmax(z, args.r)
         p, stage, support = res.p, res.stage.value, np.flatnonzero(res.p > 0.0)
     _emit({"p": [_sig12(v) for v in p], "stage": stage,

@@ -31,13 +31,12 @@ BN_MOMENTUM = 0.1
 
 
 def _validate_tensor4(x) -> np.ndarray:
+    """Shape and size checks only; ``ssn_forward`` checks finiteness."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
         raise InvalidInputError("activation tensor must have shape (N, C, H, W)")
     if x.size == 0:
         raise InvalidInputError("activation tensor must be non-empty")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("activation tensor must be finite")
     return x
 
 
@@ -127,8 +126,10 @@ class SsnCache:
     """Forward intermediates for the backward pass, in the shapes it reads
     them.  ``view`` is the (N, G, C/G, H*W) shape that ``REDUCE_AXES``
     indexes.  ``stats`` maps each active normalizer to its (mean, variance)
-    with keepdims over its own axes of that view; ``mu`` and ``inv_std``
-    are the mixed moments per (n, c) and ``gamma`` is shaped to match."""
+    with keepdims over its own axes of that view; the variance is None
+    where the variance gate's ratio is zero, except for train-mode BN.
+    ``mu`` and ``inv_std`` are the mixed moments per (n, c) and ``gamma``
+    is shaped to match."""
 
     x: np.ndarray
     omega: tuple[str, ...]
@@ -149,9 +150,13 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
 
     Both gates are projected independently with the same radius.  Only the
     normalizers with nonzero ratio in either gate have their statistics
-    computed, so a one-hot layer touches a single normalizer.  In eval
-    mode the BN path reads the running averages.  The mixed moments are
-    applied as one per-(n, c) scale and shift, ``y = x * a + b``.
+    computed, so a one-hot layer touches a single normalizer, and only
+    those of the variance gate (plus BN in train mode) have a variance.
+    In eval mode the BN path reads the running averages.  The mixed
+    moments are applied as one per-(n, c) scale and shift,
+    ``y = x * a + b``.  Finiteness of ``x`` is read off the mixed moments;
+    the full check of ``x`` runs only when they are not finite or when no
+    statistic came from ``x``.
     """
     x = _validate_tensor4(x)
     omega = validate_omega(omega)
@@ -187,12 +192,24 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
             axes = REDUCE_AXES[name]
             mean_k = shift = xv.mean(axis=axes, keepdims=True)
             centered = np.subtract(xv, mean_k, out=centered)
-            var_k = _mean_of_squares(centered, axes)
+            # Train-mode BN always has its variance: ``train`` feeds it to
+            # the running statistics.
+            var_k = _mean_of_squares(centered, axes) \
+                if pp[i] != 0.0 or name == "BN" else None
         stats[name] = (mean_k, var_k)
         if p[i] != 0.0:
             mu += p[i] * mean_k
         if pp[i] != 0.0:
             var += pp[i] * var_k
+
+    # Each normalizer's groups partition x, so a NaN or inf element makes
+    # its group's mean non-finite and, through the centered copy, its
+    # variance NaN; a ratio > 0 carries that into mu or var.  The full pass
+    # over x runs only when no statistic came from x, or to tell a
+    # non-finite x from a finite one whose sums overflow.
+    if centered is None or not (np.isfinite(mu).all() and np.isfinite(var).all()):
+        if not np.all(np.isfinite(x)):
+            raise InvalidInputError("activation tensor must be finite")
 
     # y = x * a + b with a = gamma / sqrt(var + eps) and b = beta - mu * a,
     # applied in place to the centered copy when there is one:

@@ -155,7 +155,8 @@ def test_criterion_8_end_to_end_convergence(default_run):
     last = log.rows[-1]
     one_hot = all(max(lr_.p) == 1.0 and max(lr_.pp) == 1.0
                   for lr_ in last.layers)
-    deterministic = log.to_csv() == log2.to_csv()
+    deterministic = log.to_csv() == log2.to_csv() and \
+        log.final_accuracy == log2.final_accuracy
     ok = one_hot and deterministic and elapsed < 60 and len(log.rows) == 100
     assert _report(8, f"toy convergence (one-hot {one_hot}, deterministic "
                       f"{deterministic}, {elapsed:.1f}s, "

@@ -7,20 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import DEFAULT_CONFIG
 from ssnorm.cli import main
 from ssnorm.simplex import circumradius
 from ssnorm.training import (OptimizerConfig, ToyModelConfig,
                              make_synthetic_dataset,
                              schedule_insensitivity_experiment)
 
-CONFIG = {
-    "model": {"layer_widths": [8, 8, 8, 8], "ssn_layer_count": 4,
-              "omega": ["IN", "BN", "LN"], "batch_size": 40, "channels": 3,
-              "height": 8, "width": 8, "seed": 0, "n_classes": 4},
-    "optimizer": {"lr": 0.05, "momentum": 0.9, "weight_decay": 1e-4,
-                  "z_lr_ratio": 0.1, "z_init": 1.0, "epochs": 20},
-    "data": {"n_samples": 200, "separation": 2.0, "noise": 1.0},
-}
+CONFIG = json.loads(DEFAULT_CONFIG.read_text())
 
 
 def run(args, capsys):
@@ -65,6 +59,25 @@ def test_project_negative_radius_names_flag(capsys):
     assert code == 2
     assert out == ""
     assert "--r" in err
+
+
+@pytest.mark.parametrize("r", ["nan", "inf"])
+def test_project_non_finite_radius_names_flag(capsys, r):
+    code, out, err = run(["project", "--z", "0.5,0.5", "--r", r], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"--r: must be a finite number >= 0, got {r}" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["project", "--z", "nan,0.5", "--r", "0.3"],
+    ["project", "--fn", "softmax", "--z", "0.5,inf"],
+    ["trajectory", "--z", "1,-inf,1"]], ids=["project", "softmax", "trajectory"])
+def test_non_finite_logits_name_flag(capsys, args):
+    code, out, err = run(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert "--z: values must be finite" in err
 
 
 def test_project_usage_errors(capsys):

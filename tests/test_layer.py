@@ -86,13 +86,31 @@ def test_validate_omega():
 
 # ---------------------------------------------------------------- forward
 
-@pytest.mark.parametrize("omega,gn_groups", [
-    (("IN", "BN", "LN"), 1), (("IN", "BN", "LN", "GN"), 2)])
-def test_forward_matches_scalar_oracle(omega, gn_groups):
+# Mean gate on {IN, LN}, variance gate on BN: the forward skips the IN and
+# LN variances.
+DISJOINT_GATES = (np.array([1.0, -2.0, 0.8]), np.array([-2.0, 1.0, -2.0]))
+
+# Random gates on each omega, then the disjoint gates.  The first two ids
+# are the ones these cases had before the disjoint case joined them.
+GATE_CASES = [
+    pytest.param(("IN", "BN", "LN"), 1, None, id="omega0-1"),
+    pytest.param(("IN", "BN", "LN", "GN"), 2, None, id="omega1-2"),
+    pytest.param(("IN", "BN", "LN"), 1, DISJOINT_GATES, id="disjoint-gates"),
+]
+
+
+def _set_gates(params, gates):
+    if gates is not None:
+        params.gate.z_mean, params.gate.z_var = (z.copy() for z in gates)
+
+
+@pytest.mark.parametrize("omega,gn_groups,gates", GATE_CASES)
+def test_forward_matches_scalar_oracle(omega, gn_groups, gates):
     rng = np.random.default_rng(42)
     for r in (0.0, 0.2, 0.5):
         x = rng.normal(size=(2, 2, 2, 2))
         params = _rand_params(rng, 2, len(omega))
+        _set_gates(params, gates)
         y, _ = ssn_forward(x, params, r, omega, gn_groups)
         y_ref = forward_oracle(x, params, r, omega, gn_groups)
         assert np.max(np.abs(y - y_ref)) <= 1e-12
@@ -125,6 +143,20 @@ def test_forward_skips_unused_statistics():
     params.gate.z_var = np.array([0.0, 5.0, 0.0])
     _, cache = ssn_forward(x, params, circumradius(3), ("IN", "BN", "LN"))
     assert set(cache.stats) == {"IN", "BN"}
+    # Only the variance gate's normalizers get a variance.
+    assert cache.stats["IN"][1] is None
+
+
+def test_train_mode_bn_keeps_its_variance_outside_the_variance_gate():
+    # ``train`` feeds BN's batch variance to the running statistics even
+    # when only the mean gate selects BN.
+    x = np.random.default_rng(4).normal(size=(3, 4, 3, 3))
+    params = SsnParams.init(4, 3)
+    params.gate.z_mean = np.array([0.0, 5.0, 0.0])
+    params.gate.z_var = np.array([5.0, 0.0, 0.0])
+    _, cache = ssn_forward(x, params, circumradius(3), ("IN", "BN", "LN"))
+    bn_var = cache.stats["BN"][1].reshape(-1)
+    assert np.max(np.abs(bn_var - x.var(axis=(0, 2, 3)))) <= 1e-15
 
 
 def test_eval_mode_bn_uses_running_stats():
@@ -201,6 +233,41 @@ def test_forward_validates_shapes():
         ssn_forward(np.zeros((1, 4, 2, 2)), bad, 0.1, ("IN", "BN", "LN"))
 
 
+# Per omega, the (mean, variance) selections: None is r = 0 with every
+# normalizer active, then each one-hot and two disjoint pairs.
+FINITENESS_CASES = [
+    pytest.param(omega, gates, id=f"{'-'.join(omega)}:{'-'.join(gates or ['r0'])}")
+    for omega in (("IN", "BN", "LN"), ("IN", "BN", "LN", "GN"))
+    for gates in [None, *((name, name) for name in omega), ("LN", "BN"), ("BN", "IN")]]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mode", [TRAIN, EVAL])
+@pytest.mark.parametrize("omega,gates", FINITENESS_CASES)
+def test_forward_rejects_non_finite_input(omega, gates, mode):
+    # Finiteness is read off the mixed moments wherever a statistic comes
+    # from x; one-hot BN in eval mode has none and checks x directly.
+    k = len(omega)
+    params = _rand_params(np.random.default_rng(17), 4, k, mode=mode)
+    r = 0.0
+    if gates is not None:
+        params.gate.z_mean, params.gate.z_var = (
+            np.where(np.arange(k) == omega.index(name), 5.0, 0.0) for name in gates)
+        r = circumradius(k)
+    x = np.random.default_rng(18).normal(size=(3, 4, 3, 3))
+    nan_last = x.copy()
+    nan_last[-1, -1, -1, -1] = np.nan
+    inf_pair = x.copy()
+    inf_pair[1, 2, 0, 0], inf_pair[1, 2, 2, 1] = np.inf, -np.inf
+    lone_neg_inf = x.copy()
+    lone_neg_inf[0, 3, 1, 2] = -np.inf
+    for bad in (nan_last, inf_pair, lone_neg_inf):
+        with pytest.raises(InvalidInputError, match="activation tensor must be finite"):
+            ssn_forward(bad, params, r, omega, 2)
+    # A finite x whose sums overflow is not rejected.
+    ssn_forward(np.where(x > 0, 1e308, -1e308), params, r, omega, 2)
+
+
 @pytest.mark.parametrize("mode", ["evl", "Train", "", None])
 def test_forward_rejects_unknown_mode(mode):
     # Any mode other than "eval" once ran silently on batch BN statistics.
@@ -249,14 +316,16 @@ def _smooth_gate_params(rng, c, k, r):
             return params
 
 
-@pytest.mark.parametrize("omega,gn_groups", [
-    (("IN", "BN", "LN"), 1), (("IN", "BN", "LN", "GN"), 2)])
-def test_backward_matches_finite_differences(omega, gn_groups):
+@pytest.mark.parametrize("omega,gn_groups,gates", GATE_CASES)
+def test_backward_matches_finite_differences(omega, gn_groups, gates):
     rng = np.random.default_rng(7)
     k = len(omega)
     r = 0.25
     x = rng.normal(size=(2, 4, 3, 3))
     params = _smooth_gate_params(rng, 4, k, r)
+    _set_gates(params, gates)
+    assert is_smooth_point(params.gate.z_mean, r)
+    assert is_smooth_point(params.gate.z_var, r)
     w_loss = rng.normal(size=x.shape)
     _, grads = _loss_and_grads(x, params, r, omega, gn_groups, w_loss)
     eps = 1e-5
