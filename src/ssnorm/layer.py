@@ -60,6 +60,17 @@ def validate_omega(omega) -> tuple[str, ...]:
 # statistic's adjoint in the backward pass.
 REDUCE_AXES = {"IN": (3,), "BN": (0, 3), "LN": (1, 2, 3), "GN": (2, 3)}
 
+# The same reductions as einsum subscripts of a sum of squares: the output
+# keeps the axes of "ngkh" that ``REDUCE_AXES`` leaves.
+SQUARE_SUBSCRIPTS = {
+    name: "ngkh,ngkh->" + "".join(l for i, l in enumerate("ngkh") if i not in axes)
+    for name, axes in REDUCE_AXES.items()}
+
+# Bytes of one block of whole samples in the backward's sweeps over x and g,
+# about the per-core L2 of the reference host: a block read by one pass is
+# still in cache for the next.
+BLOCK_BYTES = 1 << 21
+
 
 def _grouped_shape(shape, omega, gn_groups: int) -> tuple[int, int, int, int]:
     """The (N, G, C/G, H*W) view that ``REDUCE_AXES`` indexes."""
@@ -70,12 +81,15 @@ def _grouped_shape(shape, omega, gn_groups: int) -> tuple[int, int, int, int]:
     return n, groups, c // groups, h * w
 
 
-def _mean_of_squares(d: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Mean of ``d * d`` over ``axes`` of the grouped view, with keepdims."""
-    keep = "".join(letter for i, letter in enumerate("ngkh") if i not in axes)
-    shape = tuple(1 if i in axes else size for i, size in enumerate(d.shape))
-    count = math.prod(d.shape[i] for i in axes)
-    return (np.einsum(f"ngkh,ngkh->{keep}", d, d) / count).reshape(shape)
+def _sample_blocks(view, *arrays) -> list[tuple[np.ndarray, ...]]:
+    """Cut the N axis of the grouped view into blocks of whole float64
+    samples, as many as fit in ``BLOCK_BYTES`` and at least one, and give
+    each block's views of ``arrays`` (the full tensors or per-(n, c)
+    arrays).  A single block is the arrays themselves."""
+    step = max(1, BLOCK_BYTES // (8 * math.prod(view[1:])))
+    if step >= view[0]:
+        return [arrays]
+    return [tuple(a[i:i + step] for a in arrays) for i in range(0, view[0], step)]
 
 
 @dataclass
@@ -152,9 +166,11 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     normalizers with nonzero ratio in either gate have their statistics
     computed, so a one-hot layer touches a single normalizer, and only
     those of the variance gate (plus BN in train mode) have a variance.
-    In eval mode the BN path reads the running averages.  The mixed
-    moments are applied as one per-(n, c) scale and shift,
-    ``y = x * a + b``.  Finiteness of ``x`` is read off the mixed moments;
+    In eval mode the BN path reads the running averages.  One centered
+    copy of ``x`` serves every statistic taken from ``x``: each mean after
+    the first re-centres it in place.  The mixed moments are applied as
+    one per-(n, c) scale and shift, ``y = x * a + b``, in place on that
+    copy.  Finiteness of ``x`` is read off the mixed moments;
     the full check of ``x`` runs only when they are not finite or when no
     statistic came from ``x``.
     """
@@ -189,13 +205,20 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
             mean_k = params.bn_running_mean.reshape(per_nc[1:])
             var_k = params.bn_running_var.reshape(per_nc[1:])
         else:
-            axes = REDUCE_AXES[name]
-            mean_k = shift = xv.mean(axis=axes, keepdims=True)
-            centered = np.subtract(xv, mean_k, out=centered)
+            mean_k = xv.mean(axis=REDUCE_AXES[name], keepdims=True)
+            # The first mean allocates the centered copy; each later one
+            # re-centres it in place, from the previous mean to its own.
+            if centered is None:
+                centered = xv - mean_k
+            else:
+                centered -= mean_k - shift
+            shift = mean_k
             # Train-mode BN always has its variance: ``train`` feeds it to
             # the running statistics.
-            var_k = _mean_of_squares(centered, axes) \
-                if pp[i] != 0.0 or name == "BN" else None
+            var_k = None
+            if pp[i] != 0.0 or name == "BN":
+                sum_sq = np.einsum(SQUARE_SUBSCRIPTS[name], centered, centered)
+                var_k = (sum_sq / (xv.size // mean_k.size)).reshape(mean_k.shape)
         stats[name] = (mean_k, var_k)
         if p[i] != 0.0:
             mu += p[i] * mean_k
@@ -203,8 +226,9 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
             var += pp[i] * var_k
 
     # Each normalizer's groups partition x, so a NaN or inf element makes
-    # its group's mean non-finite and, through the centered copy, its
-    # variance NaN; a ratio > 0 carries that into mu or var.  The full pass
+    # its group's mean non-finite and, through the centered copy (where the
+    # element is NaN from the first centring on), its variance NaN; a ratio
+    # > 0 carries that into mu or var.  The full pass
     # over x runs only when no statistic came from x, or to tell a
     # non-finite x from a finite one whose sums overflow.
     if centered is None or not (np.isfinite(mu).all() and np.isfinite(var).all()):
@@ -240,11 +264,16 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
     and both gate logit vectors.
 
     Every normalizer's mean and variance terms reduce to per-(n, c)
-    coefficients, so ``grad_x = g * alpha + x * coef + const`` takes the
-    same few full-tensor passes whatever the number of normalizers.  The
-    gate gradients flow through the projection's vector-Jacobian
-    product, so normalizers with zero ratio get exactly-zero logit
-    gradients; frozen gates get zeros unconditionally.
+    coefficients, so ``grad_x = x * coef + const + g * alpha`` takes the
+    same two sweeps over x and g whatever the number of normalizers.
+    Each sweep goes through blocks of whole samples (``BLOCK_BYTES``), so
+    a block read by one pass is still in cache for the next and the only
+    full-size array written is ``grad_x``.  Per-row sums do not depend on
+    the blocks, so neither do the gradients.  Finiteness of the upstream
+    tensor is read off its per-(n, c) sums.  The gate gradients flow
+    through the projection's vector-Jacobian product, so normalizers with
+    zero ratio get exactly-zero logit gradients; frozen gates get zeros
+    unconditionally.
     """
     if cache.mode != TRAIN:
         raise InvalidStateError("backward requires a train-mode cache")
@@ -258,9 +287,18 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
     p, pp = cache.p_res.p, cache.pp_res.p
     s, mu, gamma = cache.inv_std, cache.mu, cache.gamma
 
-    # The only reads of the full tensors: per-(n, c) sums of g and g * x.
-    sum_g = gv.sum(axis=3, keepdims=True)
-    sum_gx = np.einsum("ngkh,ngkh->ngk", gv, xv)[..., None]
+    # Sweep 1: per-(n, c) sums of g and g * x, a block of g read once from
+    # memory for both.
+    sums = np.empty((2,) + view[:3])
+    for gb, xb, sum_gb, sum_gxb in _sample_blocks(view, gv, xv, sums[0], sums[1]):
+        np.add.reduce(gb, axis=3, out=sum_gb)
+        np.einsum("ngkh,ngkh->ngk", gb, xb, out=sum_gxb)
+    # x is finite (the forward checked it), so a NaN or inf in g makes its
+    # row's sums, and so their total, non-finite.  The full check tells that
+    # from a finite g whose sums, or their total, overflow.
+    if not math.isfinite(sums.sum()) and not np.isfinite(g).all():
+        raise InvalidInputError("upstream tensor must be finite")
+    sum_g, sum_gx = sums[0, ..., None], sums[1, ..., None]
     sum_gxhat = s * (sum_gx - mu * sum_g)
     grad_beta = sum_g.sum(axis=0).reshape(c)
     grad_gamma = sum_gxhat.sum(axis=0).reshape(c)
@@ -279,8 +317,8 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
         if p[i] == 0.0 and pp[i] == 0.0:
             continue
         axes = REDUCE_AXES[name]
-        m = math.prod(view[a] for a in axes)
         mean_k, var_k = cache.stats[name]
+        m = xv.size // mean_k.size
         if p[i] != 0.0:
             g_p[i] = float((g_mu * mean_k).sum())
             const += (p[i] / m) * g_mu.sum(axis=axes, keepdims=True)
@@ -290,12 +328,19 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
             coef += t
             const -= t * mean_k
 
-    grad_x = xv * coef
-    grad_x += const
-    grad_x += gv * (gamma * s)
-    zeros = np.zeros(len(omega))
-    grad_z_mean = zeros if cache.frozen_mean else sparsestmax_vjp(cache.p_res, g_p)
-    grad_z_var = zeros.copy() if cache.frozen_var else sparsestmax_vjp(cache.pp_res, g_pp)
+    # Sweep 2: grad_x block by block, g * alpha through one block-sized
+    # scratch buffer.
+    grad_x = np.empty(view)
+    blocks = _sample_blocks(view, grad_x, xv, gv, coef, const, gamma * s)
+    scratch = np.empty_like(blocks[0][0])
+    for out, xb, gb, coef_b, const_b, alpha_b in blocks:
+        np.multiply(xb, coef_b, out=out)
+        out += const_b
+        out += np.multiply(gb, alpha_b, out=scratch[:len(out)])
+    grad_z_mean = np.zeros(len(omega)) if cache.frozen_mean else \
+        sparsestmax_vjp(cache.p_res, g_p)
+    grad_z_var = np.zeros(len(omega)) if cache.frozen_var else \
+        sparsestmax_vjp(cache.pp_res, g_pp)
     return SsnGrads(x=grad_x.reshape(x.shape), gamma=grad_gamma,
                     beta=grad_beta, z_mean=grad_z_mean, z_var=grad_z_var)
 

@@ -1,10 +1,13 @@
 """Tests for the gated normalization layer: forward against a scalar-loop
 oracle, exact backward against finite differences, running statistics
 and convolution folding."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from reference import central_difference, conv2d, forward_oracle, plain_moments
+from ssnorm import layer
 from ssnorm.errors import (InvalidInputError, InvalidStateError,
                            NotConvergedError)
 from ssnorm.layer import (EVAL, TRAIN, GateParams, SsnParams,
@@ -202,6 +205,22 @@ def test_forward_large_mean_matches_extended_precision():
     assert float(np.max(np.abs(y - y_ref))) <= 1e-11
 
 
+def test_recentred_variances_match_extended_precision():
+    # With every normalizer active, each one after the first re-centres the
+    # previous one's centered copy in place; a large offset would expose a
+    # wrong shift.
+    omega = ("IN", "BN", "LN", "GN")
+    gn_groups = 3
+    x = 1e3 + np.random.default_rng(19).normal(size=(4, 6, 5, 5))
+    _, cache = ssn_forward(x, SsnParams.init(6, 4), 0.0, omega, gn_groups)
+    assert set(cache.stats) == set(omega)
+    xl = x.astype(np.longdouble)
+    for name in omega:
+        var = np.broadcast_to(cache.stats[name][1], cache.view[:3] + (1,)).reshape(4, 6)
+        ref = plain_moments(xl, name, gn_groups)[1]
+        assert float(np.max(np.abs(var - ref) / ref)) <= 1e-12, name
+
+
 def test_eval_mode_mixed_selection_uses_running_stats():
     rng = np.random.default_rng(16)
     x = rng.normal(loc=0.5, size=(3, 4, 3, 3))
@@ -372,6 +391,74 @@ def test_backward_frozen_gates_get_exact_zeros():
     grads = ssn_backward(cache, rng.normal(size=x.shape))
     assert np.all(grads.z_mean == 0.0)
     assert np.all(grads.z_var == 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "live"])
+def test_backward_rejects_non_finite_upstream(frozen):
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=(3, 4, 3, 3))
+    params = _rand_params(rng, 4, 3)
+    params.gate.frozen_mean = params.gate.frozen_var = frozen
+    _, cache = ssn_forward(x, params, 0.0, ("IN", "BN", "LN"))
+    g = rng.normal(size=x.shape)
+    for index, value in [((0, 0, 0, 0), np.nan), ((2, 3, 2, 2), np.inf),
+                         ((1, 2, 0, 1), -np.inf)]:
+        bad = g.copy()
+        bad[index] = value
+        with pytest.raises(InvalidInputError, match="upstream tensor must be finite"):
+            ssn_backward(cache, bad)
+    inf_pair = g.copy()
+    inf_pair[1, 1, 0, 0], inf_pair[1, 1, 2, 2] = np.inf, -np.inf
+    with pytest.raises(InvalidInputError, match="upstream tensor must be finite"):
+        ssn_backward(cache, inf_pair)
+    # A finite g whose sums overflow is not rejected as non-finite.  With
+    # live gates the overflowed logit gradient reaches the projection VJP.
+    huge = np.where(g > 0, 1e308, -1e308)
+    if frozen:
+        ssn_backward(cache, huge)
+    else:
+        with pytest.raises(InvalidInputError, match="upstream vector must be finite"):
+            ssn_backward(cache, huge)
+
+
+@pytest.mark.parametrize("omega,gn_groups", [(("IN", "BN", "LN"), 1),
+                                             (("IN", "BN", "LN", "GN"), 2)])
+def test_backward_does_not_depend_on_block_size(monkeypatch, omega, gn_groups):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(5, 4, 3, 3))
+    params = _rand_params(rng, 4, len(omega))
+    _, cache = ssn_forward(x, params, 0.1, omega, gn_groups)
+    g = rng.normal(size=x.shape)
+    one_block = ssn_backward(cache, g)
+    sample_bytes = x[0].nbytes
+    for samples, sizes in [(1, [1] * 5), (2, [2, 2, 1])]:
+        monkeypatch.setattr(layer, "BLOCK_BYTES", samples * sample_bytes)
+        blocks = layer._sample_blocks(cache.view, x)
+        assert [len(xb) for (xb,) in blocks] == sizes
+        grads = ssn_backward(cache, g)
+        for field in ("x", "gamma", "beta", "z_mean", "z_var"):
+            assert getattr(grads, field).tobytes() == \
+                getattr(one_block, field).tobytes(), (samples, field)
+
+
+def test_backward_writes_no_full_size_temporary(monkeypatch):
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(8, 16, 32, 32))
+    monkeypatch.setattr(layer, "BLOCK_BYTES", 2 * x[0].nbytes)
+    _, cache = ssn_forward(x, SsnParams.init(16, 4), 0.1, ("IN", "BN", "LN", "GN"), 4)
+    assert len(layer._sample_blocks(cache.view, x)) == 4
+    g = rng.normal(size=x.shape)
+    tracemalloc.start()
+    try:
+        grads = ssn_backward(cache, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # grad_x itself plus one block of scratch and the per-(n, c) arrays;
+    # a full-size temporary would add another x.nbytes.
+    assert grads.x.shape == x.shape
+    assert peak < 1.5 * x.nbytes
 
 
 def test_backward_requires_train_mode():
