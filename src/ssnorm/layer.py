@@ -140,8 +140,8 @@ class SsnCache:
     """Forward intermediates for the backward pass, in the shapes it reads
     them.  ``view`` is the (N, G, C/G, H*W) shape that ``REDUCE_AXES``
     indexes.  ``stats`` maps each active normalizer to its (mean, variance)
-    with keepdims over its own axes of that view; the variance is None
-    where the variance gate's ratio is zero, except for train-mode BN.
+    with keepdims over its own axes of that view; a variance computed from
+    x is None where the variance gate's ratio is zero.
     ``mu`` and ``inv_std`` are the mixed moments per (n, c) and ``gamma``
     is shaped to match."""
 
@@ -164,14 +164,14 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
 
     Both gates are projected independently with the same radius.  Only the
     normalizers with nonzero ratio in either gate have their statistics
-    computed, so a one-hot layer touches a single normalizer, and only
-    those of the variance gate (plus BN in train mode) have a variance.
-    In eval mode the BN path reads the running averages.  One centered
-    copy of ``x`` serves every statistic taken from ``x``: each mean after
-    the first re-centres it in place.  The mixed moments are applied as
-    one per-(n, c) scale and shift, ``y = x * a + b``, in place on that
-    copy.  Finiteness of ``x`` is read off the mixed moments;
-    the full check of ``x`` runs only when they are not finite or when no
+    computed, so a one-hot layer touches a single normalizer.  In both
+    modes a variance is computed only where the variance gate's ratio is
+    nonzero.  In eval mode the BN path reads the running statistics.  One
+    centered copy of ``x`` serves every statistic taken from ``x``: each
+    mean after the first re-centres it in place.  The mixed moments are
+    applied as one per-(n, c) scale and shift, ``y = x * a + b``, in place
+    on that copy.  Finiteness of ``x`` is read off the mixed moments; the
+    full check of ``x`` runs only when they are not finite or when no
     statistic came from ``x``.
     """
     x = _validate_tensor4(x)
@@ -213,10 +213,8 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
             else:
                 centered -= mean_k - shift
             shift = mean_k
-            # Train-mode BN always has its variance: ``train`` feeds it to
-            # the running statistics.
             var_k = None
-            if pp[i] != 0.0 or name == "BN":
+            if pp[i] != 0.0:
                 sum_sq = np.einsum(SQUARE_SUBSCRIPTS[name], centered, centered)
                 var_k = (sum_sq / (xv.size // mean_k.size)).reshape(mean_k.shape)
         stats[name] = (mean_k, var_k)
@@ -270,10 +268,10 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
     a block read by one pass is still in cache for the next and the only
     full-size array written is ``grad_x``.  Per-row sums do not depend on
     the blocks, so neither do the gradients.  Finiteness of the upstream
-    tensor is read off its per-(n, c) sums.  The gate gradients flow
-    through the projection's vector-Jacobian product, so normalizers with
-    zero ratio get exactly-zero logit gradients; frozen gates get zeros
-    unconditionally.
+    tensor and overflow of its sums are read off its per-(n, c) sums.  The
+    gate gradients flow through the projection's vector-Jacobian product,
+    so normalizers with zero ratio get exactly-zero logit gradients; frozen
+    gates get zeros unconditionally.
     """
     if cache.mode != TRAIN:
         raise InvalidStateError("backward requires a train-mode cache")
@@ -295,9 +293,12 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
         np.einsum("ngkh,ngkh->ngk", gb, xb, out=sum_gxb)
     # x is finite (the forward checked it), so a NaN or inf in g makes its
     # row's sums, and so their total, non-finite.  The full check tells that
-    # from a finite g whose sums, or their total, overflow.
-    if not math.isfinite(sums.sum()) and not np.isfinite(g).all():
-        raise InvalidInputError("upstream tensor must be finite")
+    # from a finite g whose sums, or their total, overflow; that g is too
+    # large to give finite gradients and is rejected as such.
+    if not math.isfinite(sums.sum()):
+        if not np.isfinite(g).all():
+            raise InvalidInputError("upstream tensor must be finite")
+        raise InvalidInputError("upstream tensor is too large: its sums overflow")
     sum_g, sum_gx = sums[0, ..., None], sums[1, ..., None]
     sum_gxhat = s * (sum_gx - mu * sum_g)
     grad_beta = sum_g.sum(axis=0).reshape(c)
@@ -347,7 +348,7 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
 
 def update_running_stats(params: SsnParams, batch_mean, batch_var) -> SsnParams:
     """Exponential moving average update of the BN running statistics,
-    weighting the batch moments by ``BN_MOMENTUM``."""
+    weighting the batch moments by ``BN_MOMENTUM``; ``train`` does not call it."""
     batch_mean = np.asarray(batch_mean, dtype=np.float64)
     batch_var = np.asarray(batch_var, dtype=np.float64)
     if batch_mean.shape != params.bn_running_mean.shape or \

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidInputError, NotConvergedError, TrainingFailedError
-from .layer import (GateParams, SsnParams, ssn_backward, ssn_forward,
-                    update_running_stats, validate_omega)
-from .simplex import RadiusSchedule, Stage, circumradius, inradius
+from .layer import GateParams, SsnParams, ssn_backward, ssn_forward, validate_omega
+from .simplex import RadiusSchedule, circumradius, inradius
 
 
 @dataclass
@@ -87,9 +86,6 @@ class LayerRecord:
     stage: str
     z_grad_mean: tuple
     z_grad_var: tuple
-    # grad_z . d (the radial push direction), recorded while the mean gate
-    # sits on the circle.
-    circle_dot: float | None
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,7 @@ class TrajectoryLog:
     layer_count: int
     rows: list[StepRecord]
     final_accuracy: float
-    # The trained net, in its state after the last step.
+    # The trained net; its BN running statistics come from the final forward.
     net: _ToyNet
 
     def to_csv(self, path=None) -> str:
@@ -304,22 +300,14 @@ def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
 
             layer_records = []
             for params, (cache, ssn_g) in zip(net.ssn, layers):
-                if "BN" in cache.stats:
-                    bn_mean, bn_var = cache.stats["BN"]
-                    update_running_stats(params, bn_mean.reshape(-1),
-                                         bn_var.reshape(-1))
                 p, pp = cache.p_res.p, cache.pp_res.p
-                circle_dot = None
-                if cache.p_res.stage == Stage.CIRCLE:
-                    circle_dot = float(ssn_g.z_mean @ cache.p_res.levels[0].d)
                 layer_records.append(LayerRecord(
                     p=tuple(p), pp=tuple(pp),
                     frozen_mean=params.gate.frozen_mean,
                     frozen_var=params.gate.frozen_var,
                     stage=cache.p_res.stage.value,
                     z_grad_mean=tuple(ssn_g.z_mean),
-                    z_grad_var=tuple(ssn_g.z_var),
-                    circle_dot=circle_dot))
+                    z_grad_var=tuple(ssn_g.z_var)))
                 # Freeze on the first exactly one-hot ratio; never unfreeze.
                 if _one_hot_index(p) is not None:
                     params.gate.frozen_mean = True
@@ -329,7 +317,17 @@ def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
                                    layers=tuple(layer_records)))
             step += 1
 
-    acc = net.accuracy(x_all, y_all, rows[-1].r)
+    # One train-mode forward over the full set gives the final accuracy, and
+    # its BN moments become the running statistics (precise BN), so eval mode
+    # reproduces it.  BN has a variance wherever eval mode reads one.
+    logits, (caches, _, _) = net.forward(x_all, rows[-1].r)
+    for params, (_, cache, _) in zip(net.ssn, caches):
+        bn_mean, bn_var = cache.stats.get("BN", (None, None))
+        if bn_mean is not None:
+            params.bn_running_mean = bn_mean.reshape(-1)
+        if bn_var is not None:
+            params.bn_running_var = bn_var.reshape(-1)
+    acc = float((logits.argmax(axis=1) == y_all).mean())
     return TrajectoryLog(omega=model.omega, layer_count=model.ssn_layer_count,
                          rows=rows, final_accuracy=acc, net=net)
 

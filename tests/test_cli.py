@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import DEFAULT_CONFIG
-from ssnorm.cli import main
+from ssnorm.cli import _load_train_configs, main
 from ssnorm.simplex import circumradius
 from ssnorm.training import (OptimizerConfig, ToyModelConfig,
                              make_synthetic_dataset,
@@ -276,6 +276,17 @@ def test_train_zero_epochs_exits_2(capsys, tmp_path):
     code, _, err = run(["train", "--config", str(cfg)], capsys)
     assert code == 2
     assert "epochs" in err
+
+
+def test_bench_config_is_the_default_config():
+    # The toy-train benchmark runs bench/toy_default.json, while the tests
+    # and the README use configs/toy_default.json: what is measured must be
+    # what is tested.
+    bench = DEFAULT_CONFIG.parents[1] / "bench" / "toy_default.json"
+    model, opt, (x, labels) = _load_train_configs(str(DEFAULT_CONFIG), None)
+    b_model, b_opt, (b_x, b_labels) = _load_train_configs(str(bench), None)
+    assert (b_model, b_opt) == (model, opt)
+    assert np.array_equal(b_x, x) and np.array_equal(b_labels, labels)
 
 
 # -------------------------------------------------------------------- sweep

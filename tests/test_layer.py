@@ -150,16 +150,18 @@ def test_forward_skips_unused_statistics():
     assert cache.stats["IN"][1] is None
 
 
-def test_train_mode_bn_keeps_its_variance_outside_the_variance_gate():
-    # ``train`` feeds BN's batch variance to the running statistics even
-    # when only the mean gate selects BN.
+def test_train_mode_bn_outside_the_variance_gate_has_no_variance():
+    # Only the mean gate selects BN, so in train mode as in eval mode its
+    # variance is not computed.
     x = np.random.default_rng(4).normal(size=(3, 4, 3, 3))
     params = SsnParams.init(4, 3)
     params.gate.z_mean = np.array([0.0, 5.0, 0.0])
     params.gate.z_var = np.array([5.0, 0.0, 0.0])
     _, cache = ssn_forward(x, params, circumradius(3), ("IN", "BN", "LN"))
-    bn_var = cache.stats["BN"][1].reshape(-1)
-    assert np.max(np.abs(bn_var - x.var(axis=(0, 2, 3)))) <= 1e-15
+    assert set(cache.stats) == {"IN", "BN"}
+    assert cache.stats["BN"][1] is None
+    bn_mean = cache.stats["BN"][0].reshape(-1)
+    assert np.max(np.abs(bn_mean - x.mean(axis=(0, 2, 3)))) <= 1e-15
 
 
 def test_eval_mode_bn_uses_running_stats():
@@ -412,14 +414,11 @@ def test_backward_rejects_non_finite_upstream(frozen):
     inf_pair[1, 1, 0, 0], inf_pair[1, 1, 2, 2] = np.inf, -np.inf
     with pytest.raises(InvalidInputError, match="upstream tensor must be finite"):
         ssn_backward(cache, inf_pair)
-    # A finite g whose sums overflow is not rejected as non-finite.  With
-    # live gates the overflowed logit gradient reaches the projection VJP.
+    # A finite g whose sums overflow is too large, not non-finite, and is
+    # rejected as such with frozen and live gates alike.
     huge = np.where(g > 0, 1e308, -1e308)
-    if frozen:
+    with pytest.raises(InvalidInputError, match="upstream tensor is too large"):
         ssn_backward(cache, huge)
-    else:
-        with pytest.raises(InvalidInputError, match="upstream vector must be finite"):
-            ssn_backward(cache, huge)
 
 
 @pytest.mark.parametrize("omega,gn_groups", [(("IN", "BN", "LN"), 1),
