@@ -116,23 +116,40 @@ class SsnParams:
     mode: str = TRAIN
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise InvalidInputError(f"eps must be finite and > 0, got {self.eps!r}")
-        c = self.gamma.shape[0]
+        c = np.size(self.gamma)
         if self.bn_running_mean is None:
             self.bn_running_mean = np.zeros(c)
         if self.bn_running_var is None:
             self.bn_running_var = np.ones(c)
-        for name in ("beta", "bn_running_mean", "bn_running_var"):
-            if np.shape(getattr(self, name)) != (c,):
-                raise InvalidInputError(f"{name} must be 1-D with gamma's length {c}")
-        if np.any(self.bn_running_var < 0):
-            raise InvalidInputError("running variances must be >= 0")
+        _check_params(self, np.size(self.gate.z_mean), c)
 
     @classmethod
     def init(cls, channels: int, k: int, z_init: float = 1.0):
         gate = GateParams(z_mean=np.full(k, z_init), z_var=np.full(k, z_init))
         return cls(gate=gate, gamma=np.ones(channels), beta=np.zeros(channels))
+
+
+def _check_params(params: SsnParams, k: int, c: int) -> None:
+    """Every rule of a valid ``SsnParams`` with k normalizers and c channels.
+    Callers reassign fields after construction, so each entry point runs it."""
+    if params.mode not in (TRAIN, EVAL):
+        raise InvalidInputError(f"mode must be {TRAIN!r} or {EVAL!r}, got {params.mode!r}")
+    if not (math.isfinite(params.eps) and params.eps > 0):
+        raise InvalidInputError(f"eps must be finite and > 0, got {params.eps!r}")
+    gate = params.gate
+    shapes = (getattr(gate.z_mean, "shape", None), getattr(gate.z_var, "shape", None))
+    if shapes != ((k,), (k,)):
+        raise InvalidInputError(f"gate logits length must match |omega| = {k}, got "
+                                f"z_mean {shapes[0]} and z_var {shapes[1]}")
+    for name in ("gamma", "beta", "bn_running_mean", "bn_running_var"):
+        shape = getattr(getattr(params, name), "shape", None)
+        if shape != (c,):
+            pre = "running statistics: " if name.startswith("bn") else ""
+            like = "" if name == "gamma" else " like gamma"
+            raise InvalidInputError(f"{pre}{name} must have shape ({c},){like}, got {shape}")
+    if c and not params.bn_running_var.min() >= 0:  # NaN fails too
+        raise InvalidInputError("running variances must be >= 0, got bn_running_var "
+                                f"with min {params.bn_running_var.min():g}")
 
 
 @dataclass
@@ -142,8 +159,8 @@ class SsnCache:
     indexes.  ``stats`` maps each active normalizer to its (mean, variance)
     with keepdims over its own axes of that view; a variance computed from
     x is None where the variance gate's ratio is zero.
-    ``mu`` and ``inv_std`` are the mixed moments per (n, c) and ``gamma``
-    is shaped to match."""
+    ``mu`` and ``inv_std`` are the mixed moments per (n, c) and ``scale``
+    is the per-(n, c) scale the forward applied, ``gamma * inv_std``."""
 
     x: np.ndarray
     omega: tuple[str, ...]
@@ -153,7 +170,7 @@ class SsnCache:
     stats: dict
     mu: np.ndarray
     inv_std: np.ndarray
-    gamma: np.ndarray
+    scale: np.ndarray
     mode: str
     frozen_mean: bool
     frozen_var: bool
@@ -172,20 +189,11 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     applied as one per-(n, c) scale and shift, ``y = x * a + b``, in place
     on that copy.  Finiteness of ``x`` is read off the mixed moments; the
     full check of ``x`` runs only when they are not finite or when no
-    statistic came from ``x``.
+    statistic came from ``x``.  A rejected ``x`` raises with no numpy warning.
     """
     x = _validate_tensor4(x)
     omega = validate_omega(omega)
-    if params.mode not in (TRAIN, EVAL):
-        raise InvalidInputError(f"mode must be {TRAIN!r} or {EVAL!r}, got {params.mode!r}")
-    c = x.shape[1]
-    k = len(omega)
-    if params.gate.z_mean.shape != (k,) or params.gate.z_var.shape != (k,):
-        raise InvalidInputError("gate logits length must match |omega|")
-    if params.gamma.shape != (c,) or params.beta.shape != (c,):
-        raise InvalidInputError("gamma/beta length must match channel count")
-    if params.bn_running_mean.shape != (c,) or params.bn_running_var.shape != (c,):
-        raise InvalidInputError("running statistics length must match channel count")
+    _check_params(params, len(omega), x.shape[1])
     view = _grouped_shape(x.shape, omega, gn_groups)
     per_nc = view[:3] + (1,)
     p_res = sparsestmax(params.gate.z_mean, r)
@@ -198,51 +206,50 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     stats = {}
     mu = np.zeros(per_nc)
     var = np.zeros(per_nc)
-    for i, name in enumerate(omega):
-        if p[i] == 0.0 and pp[i] == 0.0:
-            continue
-        if name == "BN" and params.mode == EVAL:
-            mean_k = params.bn_running_mean.reshape(per_nc[1:])
-            var_k = params.bn_running_var.reshape(per_nc[1:])
-        else:
-            mean_k = xv.mean(axis=REDUCE_AXES[name], keepdims=True)
-            # The first mean allocates the centered copy; each later one
-            # re-centres it in place, from the previous mean to its own.
-            if centered is None:
-                centered = xv - mean_k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, name in enumerate(omega):
+            if p[i] == 0.0 and pp[i] == 0.0:
+                continue
+            if name == "BN" and params.mode == EVAL:
+                mean_k = params.bn_running_mean.reshape(per_nc[1:])
+                var_k = params.bn_running_var.reshape(per_nc[1:])
             else:
-                centered -= mean_k - shift
-            shift = mean_k
-            var_k = None
+                mean_k = xv.mean(axis=REDUCE_AXES[name], keepdims=True)
+                # The first mean allocates the centered copy; each later one
+                # re-centres it in place, from the previous mean to its own.
+                if centered is None:
+                    centered = xv - mean_k
+                else:
+                    centered -= mean_k - shift
+                shift = mean_k
+                var_k = None
+                if pp[i] != 0.0:
+                    sum_sq = np.einsum(SQUARE_SUBSCRIPTS[name], centered, centered)
+                    var_k = (sum_sq / (xv.size // mean_k.size)).reshape(mean_k.shape)
+            stats[name] = (mean_k, var_k)
+            if p[i] != 0.0:
+                mu += p[i] * mean_k
             if pp[i] != 0.0:
-                sum_sq = np.einsum(SQUARE_SUBSCRIPTS[name], centered, centered)
-                var_k = (sum_sq / (xv.size // mean_k.size)).reshape(mean_k.shape)
-        stats[name] = (mean_k, var_k)
-        if p[i] != 0.0:
-            mu += p[i] * mean_k
-        if pp[i] != 0.0:
-            var += pp[i] * var_k
+                var += pp[i] * var_k
 
-    # Each normalizer's groups partition x, so a NaN or inf element makes
-    # its group's mean non-finite and, through the centered copy (where the
-    # element is NaN from the first centring on), its variance NaN; a ratio
-    # > 0 carries that into mu or var.  The full pass
-    # over x runs only when no statistic came from x, or to tell a
-    # non-finite x from a finite one whose sums overflow.
-    if centered is None or not (np.isfinite(mu).all() and np.isfinite(var).all()):
-        if not np.all(np.isfinite(x)):
-            raise InvalidInputError("activation tensor must be finite")
+        # Each normalizer's groups partition x, so a NaN or inf element makes
+        # its group's mean non-finite and its variance NaN (the centered copy
+        # holds NaN there); a ratio > 0 carries that into mu or var.  The full
+        # pass over x runs when no statistic came from x, or to tell a
+        # non-finite x from a finite one whose sums overflow.
+        if centered is None or not (np.isfinite(mu).all() and np.isfinite(var).all()):
+            if not np.all(np.isfinite(x)):
+                raise InvalidInputError("activation tensor must be finite")
 
     # y = x * a + b with a = gamma / sqrt(var + eps) and b = beta - mu * a,
     # applied in place to the centered copy when there is one:
     # y = (x - shift) * a + (b + shift * a).
     inv_std = 1.0 / np.sqrt(var + params.eps)
-    gamma = params.gamma.reshape(per_nc[1:]).copy()
-    a = gamma * inv_std
+    a = params.gamma.reshape(per_nc[1:]) * inv_std
     y = np.multiply(xv if centered is None else centered, a, out=centered)
     y += params.beta.reshape(per_nc[1:]) - (mu - shift) * a
     cache = SsnCache(x=x, omega=omega, view=view, p_res=p_res, pp_res=pp_res,
-                     stats=stats, mu=mu, inv_std=inv_std, gamma=gamma,
+                     stats=stats, mu=mu, inv_std=inv_std, scale=a,
                      mode=params.mode, frozen_mean=params.gate.frozen_mean,
                      frozen_var=params.gate.frozen_var)
     return y.reshape(x.shape), cache
@@ -268,10 +275,10 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
     a block read by one pass is still in cache for the next and the only
     full-size array written is ``grad_x``.  Per-row sums do not depend on
     the blocks, so neither do the gradients.  Finiteness of the upstream
-    tensor and overflow of its sums are read off its per-(n, c) sums.  The
-    gate gradients flow through the projection's vector-Jacobian product,
-    so normalizers with zero ratio get exactly-zero logit gradients; frozen
-    gates get zeros unconditionally.
+    tensor and overflow of its sums are read off its per-(n, c) sums, with
+    no numpy warning when it is rejected.  Gate gradients flow through the
+    projection's vector-Jacobian product, so zero-ratio normalizers get
+    exactly-zero logit gradients; frozen gates get zeros unconditionally.
     """
     if cache.mode != TRAIN:
         raise InvalidStateError("backward requires a train-mode cache")
@@ -279,34 +286,34 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
     x, omega, view = cache.x, cache.omega, cache.view
     if g.shape != x.shape:
         raise InvalidInputError("upstream tensor shape must match the input")
-    c = x.shape[1]
     per_nc = view[:3] + (1,)
     xv, gv = x.reshape(view), g.reshape(view)
     p, pp = cache.p_res.p, cache.pp_res.p
-    s, mu, gamma = cache.inv_std, cache.mu, cache.gamma
+    s, mu, a = cache.inv_std, cache.mu, cache.scale
 
     # Sweep 1: per-(n, c) sums of g and g * x, a block of g read once from
     # memory for both.
     sums = np.empty((2,) + view[:3])
-    for gb, xb, sum_gb, sum_gxb in _sample_blocks(view, gv, xv, sums[0], sums[1]):
-        np.add.reduce(gb, axis=3, out=sum_gb)
-        np.einsum("ngkh,ngkh->ngk", gb, xb, out=sum_gxb)
-    # x is finite (the forward checked it), so a NaN or inf in g makes its
-    # row's sums, and so their total, non-finite.  The full check tells that
-    # from a finite g whose sums, or their total, overflow; that g is too
-    # large to give finite gradients and is rejected as such.
-    if not math.isfinite(sums.sum()):
-        if not np.isfinite(g).all():
-            raise InvalidInputError("upstream tensor must be finite")
-        raise InvalidInputError("upstream tensor is too large: its sums overflow")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for gb, xb, sum_gb, sum_gxb in _sample_blocks(view, gv, xv, sums[0], sums[1]):
+            np.add.reduce(gb, axis=3, out=sum_gb)
+            np.einsum("ngkh,ngkh->ngk", gb, xb, out=sum_gxb)
+        # x is finite (the forward checked it), so a NaN or inf in g makes
+        # its row's sums, and so their total, non-finite.  The full check
+        # tells that from a finite g whose sums, or their total, overflow;
+        # that g is too large to give finite gradients and is rejected as such.
+        if not math.isfinite(sums.sum()):
+            if not np.isfinite(g).all():
+                raise InvalidInputError("upstream tensor must be finite")
+            raise InvalidInputError("upstream tensor is too large: its sums overflow")
     sum_g, sum_gx = sums[0, ..., None], sums[1, ..., None]
     sum_gxhat = s * (sum_gx - mu * sum_g)
-    grad_beta = sum_g.sum(axis=0).reshape(c)
-    grad_gamma = sum_gxhat.sum(axis=0).reshape(c)
+    grad_beta = sum_g.sum(axis=0).reshape(-1)
+    grad_gamma = sum_gxhat.sum(axis=0).reshape(-1)
 
     # Gradients wrt the mixed per-(n, c) statistics.
-    g_mu = -gamma * s * sum_g
-    g_var = -0.5 * gamma * s * s * sum_gxhat
+    g_mu = -a * sum_g
+    g_var = -0.5 * a * s * sum_gxhat
 
     # Each statistic's adjoint is a sum over its own axes: a mean adds a
     # constant, a variance adds a multiple of (x - mean).
@@ -332,7 +339,7 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
     # Sweep 2: grad_x block by block, g * alpha through one block-sized
     # scratch buffer.
     grad_x = np.empty(view)
-    blocks = _sample_blocks(view, grad_x, xv, gv, coef, const, gamma * s)
+    blocks = _sample_blocks(view, grad_x, xv, gv, coef, const, a)
     scratch = np.empty_like(blocks[0][0])
     for out, xb, gb, coef_b, const_b, alpha_b in blocks:
         np.multiply(xb, coef_b, out=out)
@@ -366,12 +373,10 @@ def select_normalizer(params: SsnParams, omega) -> tuple[str, str]:
 
     Only valid once both gates froze (i.e. both ratios went one-hot)."""
     omega = validate_omega(omega)
-    k = len(omega)
-    if params.gate.z_mean.shape != (k,) or params.gate.z_var.shape != (k,):
-        raise InvalidInputError("gate logits length must match |omega|")
+    _check_params(params, len(omega), np.size(params.gamma))
     if not (params.gate.frozen_mean and params.gate.frozen_var):
         raise NotConvergedError("both gates must be frozen one-hot")
-    r_circum = circumradius(k)
+    r_circum = circumradius(len(omega))
     p = sparsestmax(params.gate.z_mean, r_circum).p
     pp = sparsestmax(params.gate.z_var, r_circum).p
     return omega[int(np.argmax(p))], omega[int(np.argmax(pp))]
@@ -424,23 +429,18 @@ def benchmark_forward(n: int, c: int, h: int, w: int, reps: int,
     combined = SsnParams.init(c, k)
     combined.mode = EVAL
 
-    def _time(params, r):
+    def _median_ms(params, r):
         out = []
         for _ in range(reps):
             t0 = time.perf_counter()
             ssn_forward(x, params, r, omega)
             out.append((time.perf_counter() - t0) * 1e3)
-        return out
+        return float(np.median(out))
 
     # Warm-up excluded from timing.
     ssn_forward(x, combined, 0.0, omega)
     ssn_forward(x, sparse, circumradius(k), omega)
-    combined_ts = _time(combined, 0.0)
-    sparse_ts = _time(sparse, circumradius(k))
-    combined_ms = float(np.median(combined_ts))
-    sparse_ms = float(np.median(sparse_ts))
-    return {
-        "combined_ms": combined_ms,
-        "sparse_ms": sparse_ms,
-        "ratio": combined_ms / sparse_ms,
-    }
+    combined_ms = _median_ms(combined, 0.0)
+    sparse_ms = _median_ms(sparse, circumradius(k))
+    return {"combined_ms": combined_ms, "sparse_ms": sparse_ms,
+            "ratio": combined_ms / sparse_ms}

@@ -1,7 +1,9 @@
 """Tests for the gated normalization layer: forward against a scalar-loop
 oracle, exact backward against finite differences, running statistics
 and convolution folding."""
+import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,14 @@ def _rand_params(rng, c, k, mode=TRAIN):
     params = SsnParams(gate=gate, gamma=rng.normal(size=c) + 1.0,
                        beta=rng.normal(size=c))
     params.mode = mode
+    return params
+
+
+def _bn_selected_params(c):
+    params = SsnParams.init(c, 3)
+    params.gate.z_mean = np.array([0.0, 5.0, 0.0])
+    params.gate.z_var = params.gate.z_mean.copy()
+    params.gate.frozen_mean = params.gate.frozen_var = True
     return params
 
 
@@ -262,7 +272,6 @@ FINITENESS_CASES = [
     for gates in [None, *((name, name) for name in omega), ("LN", "BN"), ("BN", "IN")]]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("mode", [TRAIN, EVAL])
 @pytest.mark.parametrize("omega,gates", FINITENESS_CASES)
 def test_forward_rejects_non_finite_input(omega, gates, mode):
@@ -285,8 +294,10 @@ def test_forward_rejects_non_finite_input(omega, gates, mode):
     for bad in (nan_last, inf_pair, lone_neg_inf):
         with pytest.raises(InvalidInputError, match="activation tensor must be finite"):
             ssn_forward(bad, params, r, omega, 2)
-    # A finite x whose sums overflow is not rejected.
-    ssn_forward(np.where(x > 0, 1e308, -1e308), params, r, omega, 2)
+    # A finite x whose sums overflow is not rejected; its output may warn.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ssn_forward(np.where(x > 0, 1e308, -1e308), params, r, omega, 2)
 
 
 @pytest.mark.parametrize("mode", ["evl", "Train", "", None])
@@ -310,7 +321,7 @@ def test_forward_checks_running_stats_shape(name, shape):
             ssn_forward(np.ones((2, 4, 3, 3)), params, 0.1, ("IN", "BN", "LN"))
 
 
-@pytest.mark.parametrize("name", ["beta", "bn_running_mean", "bn_running_var"])
+@pytest.mark.parametrize("name", ["gamma", "beta", "bn_running_mean", "bn_running_var"])
 @pytest.mark.parametrize("shape", [(5,), (3,), (1, 4), ()])
 def test_params_check_vector_lengths(name, shape):
     fields = dict(gate=GateParams(z_mean=np.zeros(3), z_var=np.zeros(3)),
@@ -318,6 +329,47 @@ def test_params_check_vector_lengths(name, shape):
     fields[name] = np.ones(shape)
     with pytest.raises(InvalidInputError, match=name):
         SsnParams(**fields)
+
+
+# Every layer entry point, as (mode, call) on a 4-channel (BN, BN) layer
+# over IN, BN and LN; the constructor re-runs on the reassigned fields.
+ENTRY_POINTS = {
+    "constructor": (TRAIN, dataclasses.replace),
+    "forward-train": (TRAIN, lambda p: ssn_forward(np.ones((2, 4, 3, 3)), p, 0.1,
+                                                   ("IN", "BN", "LN"))),
+    "forward-eval": (EVAL, lambda p: ssn_forward(np.ones((2, 4, 3, 3)), p, 0.1,
+                                                 ("IN", "BN", "LN"))),
+    "select": (EVAL, lambda p: select_normalizer(p, ("IN", "BN", "LN"))),
+    "fold": (EVAL, lambda p: fold_bn_into_affine(np.ones((4, 3, 1, 1)), None, p,
+                                                 ("IN", "BN", "LN"))),
+}
+
+# A field reassigned after construction: (owner, field, value); the error
+# must name the field.
+BROKEN_FIELDS = {
+    "short gamma": ("params", "gamma", np.ones(1)),
+    "short beta": ("params", "beta", np.zeros(1)),
+    "short running mean": ("params", "bn_running_mean", np.zeros(1)),
+    "short running var": ("params", "bn_running_var", np.ones(1)),
+    "negative running var": ("params", "bn_running_var", np.array([1.0, -1e-3, 1.0, 1.0])),
+    "eps 0": ("params", "eps", 0.0),
+    "eps NaN": ("params", "eps", float("nan")),
+    "mode evl": ("params", "mode", "evl"),
+    "long z_mean": ("gate", "z_mean", np.zeros(4)),
+    "short z_var": ("gate", "z_var", np.zeros(2)),
+}
+
+
+@pytest.mark.parametrize("broken", BROKEN_FIELDS)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_checks_params(entry, broken):
+    mode, call = ENTRY_POINTS[entry]
+    owner, field, value = BROKEN_FIELDS[broken]
+    params = _bn_selected_params(4)
+    params.mode = mode
+    setattr(params.gate if owner == "gate" else params, field, value)
+    with pytest.raises(InvalidInputError, match=field):
+        call(params)
 
 
 # --------------------------------------------------------------- backward
@@ -395,7 +447,6 @@ def test_backward_frozen_gates_get_exact_zeros():
     assert np.all(grads.z_var == 0.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "live"])
 def test_backward_rejects_non_finite_upstream(frozen):
     rng = np.random.default_rng(20)
@@ -548,14 +599,6 @@ def test_fold_bn_into_affine_equivalence():
     w_f, b_f = fold_bn_into_affine(w, b, params, ("IN", "BN", "LN"))
     y_fold = conv2d(x, w_f, b_f)
     assert np.max(np.abs(y_fold - y_ref)) <= 1e-6
-
-
-def _bn_selected_params(c):
-    params = SsnParams.init(c, 3)
-    params.gate.z_mean = np.array([0.0, 5.0, 0.0])
-    params.gate.z_var = params.gate.z_mean.copy()
-    params.gate.frozen_mean = params.gate.frozen_var = True
-    return params
 
 
 @pytest.mark.parametrize("c,weight_shape,bias_shape", [
