@@ -213,16 +213,16 @@ def cmd_train(args) -> int:
     if not args.out:
         print(csv_text, file=sys.stderr, end="")
     last = log.rows[-1]
-    all_one_hot = all(max(lr_.p) == 1.0 and max(lr_.pp) == 1.0
-                      for lr_ in last.layers)
     summary = {"steps": len(log.rows), "final_r": _sig12(last.r),
                "final_loss": _sig12(last.loss),
-               "final_accuracy": _sig12(log.final_accuracy),
-               "all_gates_one_hot": all_one_hot}
-    if all_one_hot:
-        summary["selection"] = selection_histogram(log)
-    _emit(summary)
-    return 0 if all_one_hot else 1
+               "final_accuracy": _sig12(log.final_accuracy)}
+    try:
+        selection = selection_histogram(log)
+    except NotConvergedError:
+        _emit({**summary, "all_gates_one_hot": False})
+        return 1
+    _emit({**summary, "all_gates_one_hot": True, "selection": selection})
+    return 0
 
 
 def cmd_sweep(args) -> int:

@@ -142,12 +142,16 @@ def _check_params(params: SsnParams, k: int, c: int) -> None:
         raise InvalidInputError(f"gate logits length must match |omega| = {k}, got "
                                 f"z_mean {shapes[0]} and z_var {shapes[1]}")
     for name in ("gamma", "beta", "bn_running_mean", "bn_running_var"):
-        shape = getattr(getattr(params, name), "shape", None)
+        value = getattr(params, name)
+        shape = getattr(value, "shape", None)
+        pre = "running statistics: " if name.startswith("bn") else ""
         if shape != (c,):
-            pre = "running statistics: " if name.startswith("bn") else ""
             like = "" if name == "gamma" else " like gamma"
             raise InvalidInputError(f"{pre}{name} must have shape ({c},){like}, got {shape}")
-    if c and not params.bn_running_var.min() >= 0:  # NaN fails too
+        # Faster than np.isfinite on the short vectors a layer carries.
+        if not all(map(math.isfinite, value.tolist())):
+            raise InvalidInputError(f"{pre}{name} must be finite")
+    if c and params.bn_running_var.min() < 0:
         raise InvalidInputError("running variances must be >= 0, got bn_running_var "
                                 f"with min {params.bn_running_var.min():g}")
 

@@ -333,26 +333,23 @@ def is_smooth_point(z, r: float) -> bool:
     r = _radius(r)
     if r - dr < 0 or r + dr > circumradius(z.size):
         return False
-    try:
-        res = sparsestmax(z, r)
-        # Reject ill-conditioned radial pushes: finite differences lose
-        # accuracy when the sparsemax output sits close to the face center.
-        for lv in res.levels:
-            if lv.d is not None and lv.d_norm < 1e-2:
-                return False
-        ref = recursion_signature(res)
-        if recursion_signature(sparsestmax(z, r - dr)) != ref:
+    res = sparsestmax(z, r)
+    # Reject ill-conditioned radial pushes: finite differences lose
+    # accuracy when the sparsemax output sits close to the face center.
+    for lv in res.levels:
+        if lv.d is not None and lv.d_norm < 1e-2:
             return False
-        if recursion_signature(sparsestmax(z, r + dr)) != ref:
-            return False
-        for j in range(z.size):
-            for sign in (-1.0, 1.0):
-                zj = z.copy()
-                zj[j] += sign * dz
-                if recursion_signature(sparsestmax(zj, r)) != ref:
-                    return False
-    except InvalidInputError:
+    ref = recursion_signature(res)
+    if recursion_signature(sparsestmax(z, r - dr)) != ref:
         return False
+    if recursion_signature(sparsestmax(z, r + dr)) != ref:
+        return False
+    for j in range(z.size):
+        for sign in (-1.0, 1.0):
+            zj = z.copy()
+            zj[j] += sign * dz
+            if recursion_signature(sparsestmax(zj, r)) != ref:
+                return False
     return True
 
 
@@ -364,6 +361,10 @@ def vjp_gradcheck(rng, k: int, trials: int, r_hi: float) -> float:
     noise scale, so zero gradients (pinned faces) add no spurious error."""
     if k < 2:
         raise InvalidInputError("simplex dimension k must be >= 2")
+    if trials < 1:
+        raise InvalidInputError(f"trials must be >= 1, got {trials}")
+    if not (math.isfinite(r_hi) and r_hi > 0.05):
+        raise InvalidInputError(f"r_hi must be finite and > 0.05, got {r_hi!r}")
     eps = 1e-6
     worst = 0.0
     done = 0

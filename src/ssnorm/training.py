@@ -16,8 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, NotConvergedError, TrainingFailedError
-from .layer import GateParams, SsnParams, ssn_backward, ssn_forward, validate_omega
+from .errors import InvalidInputError, TrainingFailedError
+from .layer import (GateParams, SsnParams, select_normalizer, ssn_backward, ssn_forward,
+                    validate_omega)
 from .simplex import RadiusSchedule, circumradius, inradius
 
 
@@ -240,13 +241,6 @@ class _ToyNet:
         return float((logits.argmax(axis=1) == labels).mean())
 
 
-def _one_hot_index(p: np.ndarray):
-    """Index of the hot entry when p is exactly one-hot, else None."""
-    if float(np.max(p)) == 1.0:
-        return int(np.argmax(p))
-    return None
-
-
 def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
     """SGD with momentum; gate logits use lr * z_lr_ratio, no weight decay,
     and stop updating once their ratio goes one-hot.  The radius follows
@@ -309,9 +303,9 @@ def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
                     z_grad_mean=tuple(ssn_g.z_mean),
                     z_grad_var=tuple(ssn_g.z_var)))
                 # Freeze on the first exactly one-hot ratio; never unfreeze.
-                if _one_hot_index(p) is not None:
+                if p.max() == 1.0:
                     params.gate.frozen_mean = True
-                if _one_hot_index(pp) is not None:
+                if pp.max() == 1.0:
                     params.gate.frozen_var = True
             rows.append(StepRecord(step=step, r=r, loss=float(loss),
                                    layers=tuple(layer_records)))
@@ -333,20 +327,16 @@ def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
 
 
 def selection_histogram(log: TrajectoryLog):
-    """Counts of layers selecting each normalizer at the final step, kept
-    separately for the mean and variance gates."""
-    if not log.rows:
-        raise NotConvergedError("empty trajectory")
-    last = log.rows[-1]
+    """Counts of the trained net's layers selecting each normalizer, kept
+    separately for the mean and variance gates.  Each layer's selection is
+    ``select_normalizer``'s, so a gate that never froze raises
+    ``NotConvergedError``."""
     mean_counts = {name: 0 for name in log.omega}
     var_counts = {name: 0 for name in log.omega}
-    for lr_ in last.layers:
-        mi = _one_hot_index(np.array(lr_.p))
-        vi = _one_hot_index(np.array(lr_.pp))
-        if mi is None or vi is None:
-            raise NotConvergedError("final-step ratios are not all one-hot")
-        mean_counts[log.omega[mi]] += 1
-        var_counts[log.omega[vi]] += 1
+    for params in log.net.ssn:
+        mean_name, var_name = select_normalizer(params, log.omega)
+        mean_counts[mean_name] += 1
+        var_counts[var_name] += 1
     return {"mean": mean_counts, "var": var_counts}
 
 

@@ -134,7 +134,8 @@ def test_trajectory_csv_shape_and_convergence(capsys, tmp_path):
     code, _, _ = run(["trajectory", "--z", "1.0,1.0,1.0", "--steps", "50",
                       "--seed", "0", "--out", str(out_path)], capsys)
     assert code == 0
-    rows = list(csv.DictReader(out_path.open()))
+    with out_path.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 51
     assert list(rows[0]) == ["step", "r", "p1", "p2", "p3"]
     for t, row in enumerate(rows):
@@ -184,8 +185,20 @@ def test_train_default_config_converges(capsys, tmp_path):
     summary = json.loads(out)
     assert summary["all_gates_one_hot"] is True
     assert summary["steps"] == 100
-    rows = list(csv.DictReader(out_csv.open()))
+    with out_csv.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 100
+
+
+def test_train_unconverged_exits_1(capsys, tmp_path):
+    # One epoch ends below the circumradius, so no gate freezes.
+    cfg = _write_config(tmp_path, {"optimizer": {"epochs": 1}})
+    code, out, _ = run(["train", "--config", str(cfg), "--out",
+                        str(tmp_path / "log.csv")], capsys)
+    assert code == 1
+    summary = json.loads(out)
+    assert summary["all_gates_one_hot"] is False
+    assert "selection" not in summary
 
 
 def test_train_missing_config_exits_2(capsys, tmp_path):

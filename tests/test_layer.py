@@ -352,6 +352,10 @@ BROKEN_FIELDS = {
     "short running mean": ("params", "bn_running_mean", np.zeros(1)),
     "short running var": ("params", "bn_running_var", np.ones(1)),
     "negative running var": ("params", "bn_running_var", np.array([1.0, -1e-3, 1.0, 1.0])),
+    "NaN running mean": ("params", "bn_running_mean", np.array([0.0, np.nan, 0.0, 0.0])),
+    "NaN beta": ("params", "beta", np.array([0.0, np.nan, 0.0, 0.0])),
+    "inf gamma": ("params", "gamma", np.array([1.0, np.inf, 1.0, 1.0])),
+    "inf running var": ("params", "bn_running_var", np.array([1.0, np.inf, 1.0, 1.0])),
     "eps 0": ("params", "eps", 0.0),
     "eps NaN": ("params", "eps", float("nan")),
     "mode evl": ("params", "mode", "evl"),

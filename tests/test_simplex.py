@@ -449,10 +449,26 @@ def test_vjp_gradcheck_matches_reference_loop():
     assert vjp_gradcheck(np.random.default_rng(7), 4, 30, 0.7) == worst
 
 
-@pytest.mark.parametrize("k", [1, 0, -1])
-def test_vjp_gradcheck_rejects_degenerate_simplex(k):
-    with pytest.raises(InvalidInputError):
-        vjp_gradcheck(np.random.default_rng(0), k, 1, 0.5)
+# (k, trials, r_hi, match) of a rejected call; r is drawn from U(0.05, r_hi)
+# and a run with no trials would read as a pass.
+GRADCHECK_REJECTS = {
+    "1": (1, 1, 0.5, "k"),
+    "0": (0, 1, 0.5, "k"),
+    "-1": (-1, 1, 0.5, "k"),
+    "trials 0": (3, 0, 0.5, "trials"),
+    "trials -5": (3, -5, 0.5, "trials"),
+    "r_hi 0": (3, 1, 0.0, "r_hi"),
+    "r_hi 0.05": (3, 1, 0.05, "r_hi"),
+    "r_hi NaN": (3, 1, float("nan"), "r_hi"),
+    "r_hi inf": (3, 1, float("inf"), "r_hi"),
+}
+
+
+@pytest.mark.parametrize("case", GRADCHECK_REJECTS)
+def test_vjp_gradcheck_rejects_degenerate_simplex(case):
+    k, trials, r_hi, match = GRADCHECK_REJECTS[case]
+    with pytest.raises(InvalidInputError, match=match):
+        vjp_gradcheck(np.random.default_rng(0), k, trials, r_hi)
 
 
 def test_vjp_gradcheck_flags_vjp_without_radial_push(monkeypatch):

@@ -336,13 +336,19 @@ def test_folded_bn_layer_matches_the_eval_forward(seed123_run):
 
 # -------------------------------------------------------------- histograms
 
-def test_selection_histogram_counts(default_run):
-    *_, log = default_run
-    hist = selection_histogram(log)
-    assert set(hist) == {"mean", "var"}
-    for gate in ("mean", "var"):
-        assert set(hist[gate]) == set(log.omega)
-        assert sum(hist[gate].values()) == log.layer_count
+def test_selection_histogram_counts(default_run, seed123_run):
+    for *_, log in (default_run, seed123_run):
+        hist = selection_histogram(log)
+        assert set(hist) == {"mean", "var"}
+        for gate in ("mean", "var"):
+            assert set(hist[gate]) == set(log.omega)
+            assert sum(hist[gate].values()) == log.layer_count
+        # The trained net's selections are the last row's hot entries.
+        last = log.rows[-1].layers
+        for gate, ratios in (("mean", [lr_.p for lr_ in last]),
+                             ("var", [lr_.pp for lr_ in last])):
+            hot = [log.omega[ratio.index(1.0)] for ratio in ratios]
+            assert hist[gate] == {name: hot.count(name) for name in log.omega}
 
 
 def test_selection_histogram_rejects_unconverged():
