@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .errors import (InvalidInputError, NotConvergedError, TrainingFailedError)
-from .layer import benchmark_forward
+from .layer import WORKERS, benchmark_forward
 from .simplex import (RadiusSchedule, Stage, circumradius, softmax, sparsemax,
                       sparsestmax, sparsestmax_vjp, vjp_gradcheck)
 from .training import (OptimizerConfig, ToyModelConfig, make_synthetic_dataset,
@@ -258,7 +258,7 @@ def cmd_bench(args) -> int:
     result = benchmark_forward(n, c, h, w, args.reps, seed=args.seed)
     _emit({"combined_ms": _sig12(result["combined_ms"]),
            "sparse_ms": _sig12(result["sparse_ms"]),
-           "ratio": _sig12(result["ratio"])})
+           "ratio": _sig12(result["ratio"]), "workers": WORKERS})
     return 0
 
 

@@ -6,13 +6,18 @@ from the radius-constrained simplex projection.  One statistics core
 serves every normalizer: ``REDUCE_AXES`` names the axes each one reduces
 over in an (N, G, C/G, H*W) view of the input, and the mixed moments are
 applied as a fused per-(n, c) scale and shift.  The exact backward pass
-collapses the same way to per-(n, c) coefficients.  Also includes
+collapses the same way to per-(n, c) coefficients.  The passes over a
+tensor larger than one block are shared among one thread per usable core,
+each taking whole samples.  Also includes
 running-statistics bookkeeping for evaluation mode and BN folding into a
 preceding convolution.
 """
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -56,20 +61,21 @@ def validate_omega(omega) -> tuple[str, ...]:
 
 # Axes each normalizer reduces over in the (N, G, C/G, H*W) view of x, where
 # G is the GN group count when GN is in omega and 1 otherwise.  Per-(n, c)
-# arrays keep a size-1 last axis in the same view, so the same axes sum a
-# statistic's adjoint in the backward pass.
+# arrays keep a size-1 last axis in the same view, so the same axes turn the
+# per-(n, c) row sums of x into a statistic's sum, and sum a statistic's
+# adjoint in the backward pass.
 REDUCE_AXES = {"IN": (3,), "BN": (0, 3), "LN": (1, 2, 3), "GN": (2, 3)}
 
-# The same reductions as einsum subscripts of a sum of squares: the output
-# keeps the axes of "ngkh" that ``REDUCE_AXES`` leaves.
-SQUARE_SUBSCRIPTS = {
-    name: "ngkh,ngkh->" + "".join(l for i, l in enumerate("ngkh") if i not in axes)
-    for name, axes in REDUCE_AXES.items()}
-
-# Bytes of one block of whole samples in the backward's sweeps over x and g,
-# about the per-core L2 of the reference host: a block read by one pass is
+# Bytes of one block of whole samples, about the per-core L2 of the reference
+# host.  A tensor that fits in one block is processed in the calling thread.
+# The backward sweeps x and g block by block, so a block read by one pass is
 # still in cache for the next.
 BLOCK_BYTES = 1 << 21
+
+# Threads that share a larger tensor's full-tensor passes, one per core this
+# process may run on.  numpy releases the GIL in those passes.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+    else os.cpu_count() or 1
 
 
 def _grouped_shape(shape, omega, gn_groups: int) -> tuple[int, int, int, int]:
@@ -82,14 +88,48 @@ def _grouped_shape(shape, omega, gn_groups: int) -> tuple[int, int, int, int]:
 
 
 def _sample_blocks(view, *arrays) -> list[tuple[np.ndarray, ...]]:
-    """Cut the N axis of the grouped view into blocks of whole float64
+    """Cut the N axis of ``arrays`` (full tensors in the grouped ``view`` or
+    per-(n, c) arrays, all with the same samples) into blocks of whole float64
     samples, as many as fit in ``BLOCK_BYTES`` and at least one, and give
-    each block's views of ``arrays`` (the full tensors or per-(n, c)
-    arrays).  A single block is the arrays themselves."""
+    each block's views of them.  A single block is the arrays themselves."""
+    n = len(arrays[0])
     step = max(1, BLOCK_BYTES // (8 * math.prod(view[1:])))
-    if step >= view[0]:
+    if step >= n:
         return [arrays]
-    return [tuple(a[i:i + step] for a in arrays) for i in range(0, view[0], step)]
+    return [tuple(a[i:i + step] for a in arrays) for i in range(0, n, step)]
+
+
+@functools.cache
+def _executor(workers: int, pid: int):
+    """The pool of ``workers`` threads of process ``pid``, made on first
+    use.  A forked child gets its own: the parent's pool has no threads
+    there, so a task sent to it would never run.  The import is here
+    because it alone takes about 14 ms, which a process whose tensors each
+    fit in one block never needs."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(workers, thread_name_prefix="ssnorm")
+
+
+def _map_samples(fn, view) -> list:
+    """Results of ``fn(lo, hi)`` over ranges of whole samples that cover the
+    N axis of a float64 tensor in the grouped ``view``, in sample order.  A
+    tensor that fits in one ``BLOCK_BYTES`` block is one range, run in the
+    calling thread; a larger one is cut into one range per worker (at most
+    ``WORKERS``), each run in the pool under its own copy of the caller's
+    context, so that numpy's ``errstate`` holds there too.  ``fn`` writes
+    only samples lo:hi of its outputs and sums only within a sample, so its
+    outputs are the same bits for any cut."""
+    n = view[0]
+    chunks = min(WORKERS, n) if 8 * math.prod(view) > BLOCK_BYTES else 1
+    if chunks == 1:
+        return [fn(0, n)]
+    from concurrent.futures import wait
+    bounds = [n * i // chunks for i in range(chunks + 1)]
+    pool = _executor(WORKERS, os.getpid())
+    futures = [pool.submit(contextvars.copy_context().run, fn, lo, hi)
+               for lo, hi in zip(bounds, bounds[1:])]
+    wait(futures)
+    return [f.result() for f in futures]
 
 
 @dataclass
@@ -188,12 +228,16 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     computed, so a one-hot layer touches a single normalizer.  In both
     modes a variance is computed only where the variance gate's ratio is
     nonzero.  In eval mode the BN path reads the running statistics.  One
-    centered copy of ``x`` serves every statistic taken from ``x``: each
-    mean after the first re-centres it in place.  The mixed moments are
-    applied as one per-(n, c) scale and shift, ``y = x * a + b``, in place
-    on that copy.  Finiteness of ``x`` is read off the mixed moments; the
-    full check of ``x`` runs only when they are not finite or when no
-    statistic came from ``x``.  A rejected ``x`` raises with no numpy warning.
+    pass writes the per-(n, c) row sums of ``x``, and each mean taken from
+    ``x`` is a sum of those.  One centered copy of ``x`` serves every
+    variance: each mean re-centres it in place (the first writes it from
+    ``x``), and the same pass sums its squares per row where a variance is
+    due.  The mixed moments are applied as one per-(n, c) scale and shift,
+    ``y = x * a + b``, in place on that copy.  Finiteness of ``x`` is read
+    off the mixed moments; the full check of ``x`` runs only when they are
+    not finite or when no statistic came from ``x``.  A rejected ``x``
+    raises with no numpy warning.  Each full-tensor pass is shared among
+    the workers (``_map_samples``), with the same bits for any count.
     """
     x = _validate_tensor4(x)
     omega = validate_omega(omega)
@@ -205,6 +249,7 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     p, pp = p_res.p, pp_res.p
 
     xv = x.reshape(view)
+    rows = None  # per-(n, c) row sums of x
     centered = None  # x minus ``shift``, the last mean computed from x
     shift = 0.0
     stats = {}
@@ -218,18 +263,33 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
                 mean_k = params.bn_running_mean.reshape(per_nc[1:])
                 var_k = params.bn_running_var.reshape(per_nc[1:])
             else:
-                mean_k = xv.mean(axis=REDUCE_AXES[name], keepdims=True)
-                # The first mean allocates the centered copy; each later one
+                if rows is None:
+                    rows = np.empty(per_nc)
+                    _map_samples(lambda lo, hi: np.add.reduce(
+                        xv[lo:hi], axis=3, keepdims=True, out=rows[lo:hi]), view)
+                axes = REDUCE_AXES[name]
+                mean_k = np.add.reduce(rows, axis=axes, keepdims=True)
+                m = xv.size // mean_k.size
+                mean_k /= m
+                # The first mean writes the centered copy; each later one
                 # re-centres it in place, from the previous mean to its own.
+                # The same pass sums squares per row where a variance is due.
+                src = xv if centered is None else centered
                 if centered is None:
-                    centered = xv - mean_k
-                else:
-                    centered -= mean_k - shift
+                    centered = np.empty(view)
+                delta = mean_k - shift
+                sq = np.empty(per_nc) if pp[i] != 0.0 else None
+
+                def recentre(lo, hi):
+                    out = np.subtract(src[lo:hi], delta if len(delta) == 1 else
+                                      delta[lo:hi], out=centered[lo:hi])
+                    if sq is not None:
+                        np.einsum("ngkh,ngkh->ngk", out, out, out=sq[lo:hi, ..., 0])
+                _map_samples(recentre, view)
                 shift = mean_k
                 var_k = None
-                if pp[i] != 0.0:
-                    sum_sq = np.einsum(SQUARE_SUBSCRIPTS[name], centered, centered)
-                    var_k = (sum_sq / (xv.size // mean_k.size)).reshape(mean_k.shape)
+                if sq is not None:
+                    var_k = np.add.reduce(sq, axis=axes, keepdims=True) / m
             stats[name] = (mean_k, var_k)
             if p[i] != 0.0:
                 mu += p[i] * mean_k
@@ -242,7 +302,8 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
         # pass over x runs when no statistic came from x, or to tell a
         # non-finite x from a finite one whose sums overflow.
         if centered is None or not (np.isfinite(mu).all() and np.isfinite(var).all()):
-            if not np.all(np.isfinite(x)):
+            if not all(_map_samples(
+                    lambda lo, hi: bool(np.isfinite(xv[lo:hi]).all()), view)):
                 raise InvalidInputError("activation tensor must be finite")
 
     # y = x * a + b with a = gamma / sqrt(var + eps) and b = beta - mu * a,
@@ -250,8 +311,14 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     # y = (x - shift) * a + (b + shift * a).
     inv_std = 1.0 / np.sqrt(var + params.eps)
     a = params.gamma.reshape(per_nc[1:]) * inv_std
-    y = np.multiply(xv if centered is None else centered, a, out=centered)
-    y += params.beta.reshape(per_nc[1:]) - (mu - shift) * a
+    b = params.beta.reshape(per_nc[1:]) - (mu - shift) * a
+    src = xv if centered is None else centered
+    y = np.empty(view) if centered is None else centered
+
+    def scale(lo, hi):
+        out = np.multiply(src[lo:hi], a[lo:hi], out=y[lo:hi])
+        out += b[lo:hi]
+    _map_samples(scale, view)
     cache = SsnCache(x=x, omega=omega, view=view, p_res=p_res, pp_res=pp_res,
                      stats=stats, mu=mu, inv_std=inv_std, scale=a,
                      mode=params.mode, frozen_mean=params.gate.frozen_mean,
@@ -277,10 +344,11 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
     same two sweeps over x and g whatever the number of normalizers.
     Each sweep goes through blocks of whole samples (``BLOCK_BYTES``), so
     a block read by one pass is still in cache for the next and the only
-    full-size array written is ``grad_x``.  Per-row sums do not depend on
-    the blocks, so neither do the gradients.  Finiteness of the upstream
-    tensor and overflow of its sums are read off its per-(n, c) sums, with
-    no numpy warning when it is rejected.  Gate gradients flow through the
+    full-size array written is ``grad_x``; each worker takes its own range
+    of samples (``_map_samples``).  Per-row sums do not depend on the
+    blocks or the workers, so neither do the gradients.  Finiteness of the
+    upstream tensor and overflow of its sums are read off its per-(n, c)
+    sums, with no numpy warning when it is rejected.  Gate gradients flow through the
     projection's vector-Jacobian product, so zero-ratio normalizers get
     exactly-zero logit gradients; frozen gates get zeros unconditionally.
     """
@@ -298,10 +366,14 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
     # Sweep 1: per-(n, c) sums of g and g * x, a block of g read once from
     # memory for both.
     sums = np.empty((2,) + view[:3])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for gb, xb, sum_gb, sum_gxb in _sample_blocks(view, gv, xv, sums[0], sums[1]):
+
+    def sweep_1(lo, hi):
+        for gb, xb, sum_gb, sum_gxb in _sample_blocks(
+                view, gv[lo:hi], xv[lo:hi], sums[0, lo:hi], sums[1, lo:hi]):
             np.add.reduce(gb, axis=3, out=sum_gb)
             np.einsum("ngkh,ngkh->ngk", gb, xb, out=sum_gxb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _map_samples(sweep_1, view)
         # x is finite (the forward checked it), so a NaN or inf in g makes
         # its row's sums, and so their total, non-finite.  The full check
         # tells that from a finite g whose sums, or their total, overflow;
@@ -341,14 +413,18 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
             const -= t * mean_k
 
     # Sweep 2: grad_x block by block, g * alpha through one block-sized
-    # scratch buffer.
+    # scratch buffer per worker.
     grad_x = np.empty(view)
-    blocks = _sample_blocks(view, grad_x, xv, gv, coef, const, a)
-    scratch = np.empty_like(blocks[0][0])
-    for out, xb, gb, coef_b, const_b, alpha_b in blocks:
-        np.multiply(xb, coef_b, out=out)
-        out += const_b
-        out += np.multiply(gb, alpha_b, out=scratch[:len(out)])
+
+    def sweep_2(lo, hi):
+        blocks = _sample_blocks(view, grad_x[lo:hi], xv[lo:hi], gv[lo:hi],
+                                coef[lo:hi], const[lo:hi], a[lo:hi])
+        scratch = np.empty_like(blocks[0][0])
+        for out, xb, gb, coef_b, const_b, alpha_b in blocks:
+            np.multiply(xb, coef_b, out=out)
+            out += const_b
+            out += np.multiply(gb, alpha_b, out=scratch[:len(out)])
+    _map_samples(sweep_2, view)
     grad_z_mean = np.zeros(len(omega)) if cache.frozen_mean else \
         sparsestmax_vjp(cache.p_res, g_p)
     grad_z_var = np.zeros(len(omega)) if cache.frozen_var else \

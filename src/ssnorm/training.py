@@ -285,13 +285,6 @@ def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
             if not math.isfinite(loss):
                 raise TrainingFailedError(step, "loss is not finite")
 
-            for param, grad in zip(net.params, grads):
-                if param.frozen and getattr(*param.frozen):
-                    continue
-                param.velocity *= opt.momentum
-                param.velocity += grad + param.weight_decay * param.value
-                param.value -= param.lr * param.velocity
-
             layer_records = []
             for params, (cache, ssn_g) in zip(net.ssn, layers):
                 p, pp = cache.p_res.p, cache.pp_res.p
@@ -302,11 +295,20 @@ def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
                     stage=cache.p_res.stage.value,
                     z_grad_mean=tuple(ssn_g.z_mean),
                     z_grad_var=tuple(ssn_g.z_var)))
-                # Freeze on the first exactly one-hot ratio; never unfreeze.
+                # Freeze on the first exactly one-hot ratio, before the update,
+                # so the frozen logits are the ones that went one-hot; never
+                # unfreeze.
                 if p.max() == 1.0:
                     params.gate.frozen_mean = True
                 if pp.max() == 1.0:
                     params.gate.frozen_var = True
+
+            for param, grad in zip(net.params, grads):
+                if param.frozen and getattr(*param.frozen):
+                    continue
+                param.velocity *= opt.momentum
+                param.velocity += grad + param.weight_decay * param.value
+                param.value -= param.lr * param.velocity
             rows.append(StepRecord(step=step, r=r, loss=float(loss),
                                    layers=tuple(layer_records)))
             step += 1

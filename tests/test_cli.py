@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -350,8 +351,9 @@ def test_bench_small_valid_json(capsys):
     code, out, _ = run(["bench", "--dims", "2x4x8x8", "--reps", "1"], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert set(payload) == {"combined_ms", "sparse_ms", "ratio"}
+    assert set(payload) == {"combined_ms", "sparse_ms", "ratio", "workers"}
     assert payload["combined_ms"] > 0
+    assert payload["workers"] == len(os.sched_getaffinity(0))
 
 
 def test_bench_zero_dims_exits_2(capsys):

@@ -2,6 +2,7 @@
 oracle, exact backward against finite differences, running statistics
 and convolution folding."""
 import dataclasses
+import multiprocessing
 import tracemalloc
 import warnings
 
@@ -476,8 +477,11 @@ def test_backward_rejects_non_finite_upstream(frozen):
         ssn_backward(cache, huge)
 
 
-@pytest.mark.parametrize("omega,gn_groups", [(("IN", "BN", "LN"), 1),
-                                             (("IN", "BN", "LN", "GN"), 2)])
+BLOCK_CASES = pytest.mark.parametrize("omega,gn_groups", [
+    (("IN", "BN", "LN"), 1), (("IN", "BN", "LN", "GN"), 2)])
+
+
+@BLOCK_CASES
 def test_backward_does_not_depend_on_block_size(monkeypatch, omega, gn_groups):
     rng = np.random.default_rng(21)
     x = rng.normal(size=(5, 4, 3, 3))
@@ -490,29 +494,151 @@ def test_backward_does_not_depend_on_block_size(monkeypatch, omega, gn_groups):
         monkeypatch.setattr(layer, "BLOCK_BYTES", samples * sample_bytes)
         blocks = layer._sample_blocks(cache.view, x)
         assert [len(xb) for (xb,) in blocks] == sizes
-        grads = ssn_backward(cache, g)
-        for field in ("x", "gamma", "beta", "z_mean", "z_var"):
-            assert getattr(grads, field).tobytes() == \
-                getattr(one_block, field).tobytes(), (samples, field)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(layer, "WORKERS", workers)
+            grads = ssn_backward(cache, g)
+            for field in ("x", "gamma", "beta", "z_mean", "z_var"):
+                assert getattr(grads, field).tobytes() == \
+                    getattr(one_block, field).tobytes(), (samples, workers, field)
+
+
+@pytest.mark.parametrize("mode", [TRAIN, EVAL])
+@pytest.mark.parametrize("bn_only", [False, True], ids=["mixed", "bn-only"])
+@BLOCK_CASES
+def test_forward_does_not_depend_on_block_size(monkeypatch, omega, gn_groups,
+                                               bn_only, mode):
+    # Every statistic is a sum of per-row sums, so the bits depend on the
+    # shape only, never on how the samples are cut between workers.
+    rng = np.random.default_rng(24)
+    k = len(omega)
+    x = rng.normal(size=(5, 4, 3, 3))
+    params = _rand_params(rng, 4, k, mode=mode)
+    params.bn_running_mean = rng.normal(size=4)
+    params.bn_running_var = rng.uniform(0.5, 2.0, size=4)
+    if bn_only:
+        params.gate.z_mean = np.where(np.arange(k) == 1, 5.0, 0.0)
+        params.gate.z_var = params.gate.z_mean.copy()
+        r = circumradius(k)
+    else:
+        params.gate.z_mean = 1.0 + 0.02 * rng.normal(size=k)
+        params.gate.z_var = 1.0 + 0.02 * rng.normal(size=k)
+        r = 0.1
+
+    def outputs():
+        y, cache = ssn_forward(x, params, r, omega, gn_groups)
+        return [y.tobytes()] + [None if s is None else s.tobytes()
+                                for name in omega if name in cache.stats
+                                for s in cache.stats[name]]
+    one_block = outputs()
+    assert len(one_block) == 1 + 2 * (1 if bn_only else k)
+    for samples in (1, 2):
+        monkeypatch.setattr(layer, "BLOCK_BYTES", samples * x[0].nbytes)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(layer, "WORKERS", workers)
+            assert outputs() == one_block, (samples, workers)
+
+
+def test_toy_shapes_run_in_the_calling_thread(monkeypatch):
+    # A tensor that fits in one block never makes (or imports) the pool: the
+    # toy's 40-sample batches and its 200-sample closing forward are such.
+    calls = []
+    executor = layer._executor
+    monkeypatch.setattr(layer, "_executor", lambda workers, pid: calls.append(workers) or
+                        executor(workers, pid))
+    monkeypatch.setattr(layer, "WORKERS", 2)
+    rng = np.random.default_rng(25)
+    omega = ("IN", "BN", "LN", "GN")
+    for n in (40, 200):
+        x = rng.normal(size=(n, 8, 8, 8))
+        assert x.nbytes <= layer.BLOCK_BYTES
+        _, cache = ssn_forward(x, _rand_params(rng, 8, 4), 0.0, omega, 2)
+        ssn_backward(cache, rng.normal(size=x.shape))
+        ssn_forward(x, _rand_params(rng, 8, 4, mode=EVAL), 0.0, omega, 2)
+    assert calls == []
+    # Past one block the passes go to the pool.
+    x = rng.normal(size=(5, 8, 8, 8))
+    monkeypatch.setattr(layer, "BLOCK_BYTES", x[0].nbytes)
+    _, cache = ssn_forward(x, _rand_params(rng, 8, 4), 0.0, omega, 2)
+    ssn_backward(cache, rng.normal(size=x.shape))
+    assert calls and set(calls) == {2}
+
+
+def _forward_bytes(x):
+    return ssn_forward(x, SsnParams.init(8, 3), 0.1, ("IN", "BN", "LN"))[0].tobytes()
+
+
+def test_pool_runs_in_a_forked_child(monkeypatch):
+    # A forked child inherits the parent's pool object but not its threads;
+    # the child's passes must still run, not wait forever.
+    monkeypatch.setattr(layer, "WORKERS", 2)
+    x = np.random.default_rng(27).normal(size=(5, 8, 8, 8))
+    monkeypatch.setattr(layer, "BLOCK_BYTES", x[0].nbytes)
+    expected = _forward_bytes(x)
+    with warnings.catch_warnings():
+        # Python 3.12+ warns about fork() in a process that has threads.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(_forward_bytes, (x,)).get(timeout=30) == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rejections_on_the_threaded_path(monkeypatch, workers):
+    # 16x64x28x28 spans several blocks, so with 2 workers each full-tensor
+    # pass runs in the pool, where numpy's errstate must hold too: every
+    # rejection raises its own error with no numpy warning.
+    monkeypatch.setattr(layer, "WORKERS", workers)
+    rng = np.random.default_rng(26)
+    omega = ("IN", "BN", "LN", "GN")
+    x = rng.normal(size=(16, 64, 28, 28))
+    assert x.nbytes > 2 * layer.BLOCK_BYTES
+    params = SsnParams.init(64, 4)
+    params.gate.z_mean = 1.0 + 0.02 * rng.normal(size=4)
+    params.gate.z_var = 1.0 + 0.02 * rng.normal(size=4)
+    bn_eval = SsnParams.init(64, 4)
+    bn_eval.gate.z_mean = bn_eval.gate.z_var = np.array([0.0, 5.0, 0.0, 0.0])
+    bn_eval.mode = EVAL
+    g = rng.normal(size=x.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, cache = ssn_forward(x, params, 0.1, omega, 32)
+        for value in (np.nan, np.inf):
+            bad = x.copy()
+            bad[7, 3, 5, 5] = value
+            for p_, r in ((params, 0.1), (bn_eval, circumradius(4))):
+                with pytest.raises(InvalidInputError, match="activation tensor must be finite"):
+                    ssn_forward(bad, p_, r, omega, 32)
+            bad = g.copy()
+            bad[9, 40, 1, 2] = value
+            with pytest.raises(InvalidInputError, match="upstream tensor must be finite"):
+                ssn_backward(cache, bad)
+        with pytest.raises(InvalidInputError, match="upstream tensor is too large"):
+            ssn_backward(cache, np.full(x.shape, 1e307))
 
 
 def test_backward_writes_no_full_size_temporary(monkeypatch):
     rng = np.random.default_rng(22)
     x = rng.normal(size=(8, 16, 32, 32))
-    monkeypatch.setattr(layer, "BLOCK_BYTES", 2 * x[0].nbytes)
-    _, cache = ssn_forward(x, SsnParams.init(16, 4), 0.1, ("IN", "BN", "LN", "GN"), 4)
-    assert len(layer._sample_blocks(cache.view, x)) == 4
     g = rng.normal(size=x.shape)
-    tracemalloc.start()
-    try:
-        grads = ssn_backward(cache, g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # grad_x itself plus one block of scratch and the per-(n, c) arrays;
-    # a full-size temporary would add another x.nbytes.
-    assert grads.x.shape == x.shape
-    assert peak < 1.5 * x.nbytes
+    monkeypatch.setattr(layer, "BLOCK_BYTES", 2 * x[0].nbytes)
+    for workers in (1, 2):
+        monkeypatch.setattr(layer, "WORKERS", workers)
+        # The forward makes the pool, if any, before the traced window.
+        _, cache = ssn_forward(x, SsnParams.init(16, 4), 0.1, ("IN", "BN", "LN", "GN"), 4)
+        assert len(layer._sample_blocks(cache.view, x)) == 4
+        tracemalloc.start()
+        try:
+            grads = ssn_backward(cache, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # grad_x itself; per worker, one block of scratch and numpy's buffer
+        # for a broadcast ufunc (np.getbufsize() elements); room for 64
+        # per-(n, c) arrays.  A full-size temporary would add another x.nbytes.
+        per_worker = layer.BLOCK_BYTES + 8 * np.getbufsize()
+        bound = x.nbytes + workers * per_worker + 64 * 8 * x.shape[0] * x.shape[1]
+        assert bound < 2 * x.nbytes
+        assert grads.x.shape == x.shape
+        assert peak < bound, workers
 
 
 def test_backward_requires_train_mode():

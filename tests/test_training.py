@@ -14,7 +14,7 @@ from reference import (central_difference, conv2d, frozen_gate_gradients,
 from ssnorm.cli import _load_train_configs
 from ssnorm.errors import (InvalidInputError, NotConvergedError,
                            TrainingFailedError)
-from ssnorm.layer import EVAL, fold_bn_into_affine, ssn_forward
+from ssnorm.layer import EVAL, fold_bn_into_affine, select_normalizer, ssn_forward
 from ssnorm.simplex import RadiusSchedule, Stage, circumradius, inradius
 from ssnorm.training import (OptimizerConfig, ToyModelConfig, _ToyNet,
                              make_synthetic_dataset,
@@ -349,6 +349,19 @@ def test_selection_histogram_counts(default_run, seed123_run):
                              ("var", [lr_.pp for lr_ in last])):
             hot = [log.omega[ratio.index(1.0)] for ratio in ratios]
             assert hist[gate] == {name: hot.count(name) for name in log.omega}
+
+
+def test_frozen_logits_select_the_last_logged_ratios():
+    # A gate freezes before the update of the step whose ratio went one-hot,
+    # so no momentum step moves its logits to another vertex.  With this
+    # omega and seed, that step once moved layer 1's mean gate from GN to IN.
+    model, opt, data = _load_train_configs(str(DEFAULT_CONFIG), 8)
+    model = replace(model, omega=("IN", "BN", "LN", "GN"))
+    log = train(model, replace(opt, epochs=2), data)
+    for params, record in zip(log.net.ssn, log.rows[-1].layers):
+        assert select_normalizer(params, log.omega) == (
+            log.omega[int(np.argmax(record.p))], log.omega[int(np.argmax(record.pp))])
+    assert select_normalizer(log.net.ssn[1], log.omega) == ("GN", "IN")
 
 
 def test_selection_histogram_rejects_unconverged():
