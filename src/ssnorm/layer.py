@@ -8,7 +8,8 @@ over in an (N, G, C/G, H*W) view of the input, and the mixed moments are
 applied as a fused per-(n, c) scale and shift.  The exact backward pass
 collapses the same way to per-(n, c) coefficients.  The passes over a
 tensor larger than one block are shared among one thread per usable core,
-each taking whole samples.  Also includes
+each taking whole samples, and the elementwise per-(n, c) passes over
+long rows run with numpy's ufunc buffer cut to one row.  Also includes
 running-statistics bookkeeping for evaluation mode and BN folding into a
 preceding convolution.
 """
@@ -77,6 +78,11 @@ BLOCK_BYTES = 1 << 21
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
     else os.cpu_count() or 1
 
+# Shortest row of the (N, G, C/G, H*W) view whose elementwise per-(n, c)
+# passes run with numpy's ufunc buffer cut to one row (``_row_buffered``).
+# Shorter rows lose more to the extra inner loops than the cut saves.
+ROW_BUFFER_MIN = 128
+
 
 def _grouped_shape(shape, omega, gn_groups: int) -> tuple[int, int, int, int]:
     """The (N, G, C/G, H*W) view that ``REDUCE_AXES`` indexes."""
@@ -130,6 +136,30 @@ def _map_samples(fn, view) -> list:
                for lo, hi in zip(bounds, bounds[1:])]
     wait(futures)
     return [f.result() for f in futures]
+
+
+def _row_buffered(fn, row: int):
+    """``fn(lo, hi)`` run with numpy's ufunc buffer cut to at most one row
+    of ``row`` elements, rounded down to a multiple of 16 as numpy requires.
+    numpy's buffered loop copies an operand that is constant along a row,
+    such as a per-(n, c) array, into its buffer whenever the buffer spans
+    two rows, and skips that copy when it holds less.  The cut applies to
+    rows of at least ``ROW_BUFFER_MIN`` elements where it is below the
+    caller's buffer.  It is set inside the task, so in the thread that runs
+    it, and the size that thread had comes back in a ``finally``: on numpy
+    1.x the setting is per thread and outlives an ``errstate``.  The cut
+    changes how a loop is chunked, never what it computes."""
+    size = row - row % 16
+    if row < ROW_BUFFER_MIN or size >= np.getbufsize():
+        return fn
+
+    def task(lo, hi):
+        inherited = np.setbufsize(size)
+        try:
+            return fn(lo, hi)
+        finally:
+            np.setbufsize(inherited)
+    return task
 
 
 @dataclass
@@ -285,7 +315,7 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
                                       delta[lo:hi], out=centered[lo:hi])
                     if sq is not None:
                         np.einsum("ngkh,ngkh->ngk", out, out, out=sq[lo:hi, ..., 0])
-                _map_samples(recentre, view)
+                _map_samples(_row_buffered(recentre, view[3]), view)
                 shift = mean_k
                 var_k = None
                 if sq is not None:
@@ -318,7 +348,7 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     def scale(lo, hi):
         out = np.multiply(src[lo:hi], a[lo:hi], out=y[lo:hi])
         out += b[lo:hi]
-    _map_samples(scale, view)
+    _map_samples(_row_buffered(scale, view[3]), view)
     cache = SsnCache(x=x, omega=omega, view=view, p_res=p_res, pp_res=pp_res,
                      stats=stats, mu=mu, inv_std=inv_std, scale=a,
                      mode=params.mode, frozen_mean=params.gate.frozen_mean,
@@ -424,7 +454,7 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
             np.multiply(xb, coef_b, out=out)
             out += const_b
             out += np.multiply(gb, alpha_b, out=scratch[:len(out)])
-    _map_samples(sweep_2, view)
+    _map_samples(_row_buffered(sweep_2, view[3]), view)
     grad_z_mean = np.zeros(len(omega)) if cache.frozen_mean else \
         sparsestmax_vjp(cache.p_res, g_p)
     grad_z_var = np.zeros(len(omega)) if cache.frozen_var else \
@@ -509,18 +539,18 @@ def benchmark_forward(n: int, c: int, h: int, w: int, reps: int,
     combined = SsnParams.init(c, k)
     combined.mode = EVAL
 
-    def _median_ms(params, r):
-        out = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            ssn_forward(x, params, r, omega)
-            out.append((time.perf_counter() - t0) * 1e3)
-        return float(np.median(out))
-
+    paths = ((combined, 0.0), (sparse, circumradius(k)))
     # Warm-up excluded from timing.
-    ssn_forward(x, combined, 0.0, omega)
-    ssn_forward(x, sparse, circumradius(k), omega)
-    combined_ms = _median_ms(combined, 0.0)
-    sparse_ms = _median_ms(sparse, circumradius(k))
+    for params, r in paths:
+        ssn_forward(x, params, r, omega)
+    # One rep of each path per round, the order swapped every round, so a
+    # change in the host's speed reaches both medians alike.
+    times = ([], [])
+    for rep in range(reps):
+        for i in ((0, 1), (1, 0))[rep % 2]:
+            t0 = time.perf_counter()
+            ssn_forward(x, *paths[i], omega)
+            times[i].append((time.perf_counter() - t0) * 1e3)
+    combined_ms, sparse_ms = (float(np.median(t)) for t in times)
     return {"combined_ms": combined_ms, "sparse_ms": sparse_ms,
             "ratio": combined_ms / sparse_ms}

@@ -1,6 +1,7 @@
 """Tests for the gated normalization layer: forward against a scalar-loop
 oracle, exact backward against finite differences, running statistics
 and convolution folding."""
+import contextlib
 import dataclasses
 import multiprocessing
 import tracemalloc
@@ -477,6 +478,19 @@ def test_backward_rejects_non_finite_upstream(frozen):
         ssn_backward(cache, huge)
 
 
+def _layer_bits(x, params, r, omega, gn_groups, g=None):
+    """y, every cached statistic and, given g, all five gradients, as bytes."""
+    y, cache = ssn_forward(x, params, r, omega, gn_groups)
+    bits = [y.tobytes()] + [None if s is None else s.tobytes()
+                            for name in omega if name in cache.stats
+                            for s in cache.stats[name]]
+    if g is not None:
+        grads = ssn_backward(cache, g)
+        bits += [getattr(grads, f).tobytes()
+                 for f in ("x", "gamma", "beta", "z_mean", "z_var")]
+    return bits
+
+
 BLOCK_CASES = pytest.mark.parametrize("omega,gn_groups", [
     (("IN", "BN", "LN"), 1), (("IN", "BN", "LN", "GN"), 2)])
 
@@ -523,19 +537,14 @@ def test_forward_does_not_depend_on_block_size(monkeypatch, omega, gn_groups,
         params.gate.z_mean = 1.0 + 0.02 * rng.normal(size=k)
         params.gate.z_var = 1.0 + 0.02 * rng.normal(size=k)
         r = 0.1
-
-    def outputs():
-        y, cache = ssn_forward(x, params, r, omega, gn_groups)
-        return [y.tobytes()] + [None if s is None else s.tobytes()
-                                for name in omega if name in cache.stats
-                                for s in cache.stats[name]]
-    one_block = outputs()
+    one_block = _layer_bits(x, params, r, omega, gn_groups)
     assert len(one_block) == 1 + 2 * (1 if bn_only else k)
     for samples in (1, 2):
         monkeypatch.setattr(layer, "BLOCK_BYTES", samples * x[0].nbytes)
         for workers in (1, 2, 3):
             monkeypatch.setattr(layer, "WORKERS", workers)
-            assert outputs() == one_block, (samples, workers)
+            assert _layer_bits(x, params, r, omega, gn_groups) == one_block, \
+                (samples, workers)
 
 
 def test_toy_shapes_run_in_the_calling_thread(monkeypatch):
@@ -561,6 +570,118 @@ def test_toy_shapes_run_in_the_calling_thread(monkeypatch):
     _, cache = ssn_forward(x, _rand_params(rng, 8, 4), 0.0, omega, 2)
     ssn_backward(cache, rng.normal(size=x.shape))
     assert calls and set(calls) == {2}
+
+
+def _setbufsize_calls(monkeypatch):
+    """Record the sizes the layer passes to ``np.setbufsize``."""
+    calls = []
+    setbufsize = np.setbufsize
+    monkeypatch.setattr(np, "setbufsize", lambda size: calls.append(size) or
+                        setbufsize(size))
+    return calls
+
+
+@contextlib.contextmanager
+def _caller_bufsize(size):
+    # Restored by hand: on numpy 1.x an errstate does not restore it.
+    inherited = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(inherited)
+
+
+@pytest.mark.parametrize("mode", [TRAIN, EVAL])
+@pytest.mark.parametrize("one_hot", [False, True], ids=["mixed", "one-hot"])
+@pytest.mark.parametrize("hw", [(8, 8), (12, 12), (14, 14), (28, 28), (56, 56)])
+def test_row_buffer_cut_keeps_the_bits(monkeypatch, hw, one_hot, mode):
+    # Rows of 64, 144, 196 (cut to 192, not a whole row), 784 and 3136
+    # elements: the one-row buffer changes how the elementwise passes are
+    # chunked, never a bit of what they compute, on one thread or two.
+    rng = np.random.default_rng(28)
+    omega = ("IN", "BN", "LN", "GN")
+    x = rng.normal(size=(3, 4) + hw)
+    g = rng.normal(size=x.shape) if mode == TRAIN else None
+    params = _rand_params(rng, 4, 4, mode=mode)
+    params.bn_running_mean = rng.normal(size=4)
+    params.bn_running_var = rng.uniform(0.5, 2.0, size=4)
+    r = 0.1
+    if one_hot:
+        params.gate.z_mean = np.array([5.0, 0.0, 0.0, 0.0])
+        params.gate.z_var = params.gate.z_mean.copy()
+        r = circumradius(4)
+    monkeypatch.setattr(layer, "BLOCK_BYTES", x[0].nbytes)
+    calls = _setbufsize_calls(monkeypatch)
+    row = hw[0] * hw[1]
+    for workers in (1, 2):
+        monkeypatch.setattr(layer, "WORKERS", workers)
+        cut = _layer_bits(x, params, r, omega, 2, g)
+        assert (row - row % 16 in calls) == (row >= 128), (calls, workers)
+        with monkeypatch.context() as m:
+            m.setattr(layer, "ROW_BUFFER_MIN", 1 << 40)
+            calls.clear()
+            assert _layer_bits(x, params, r, omega, 2, g) == cut, workers
+            assert calls == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_caller_buffer_size_is_left_alone(monkeypatch, workers):
+    # The cut is set inside each pass and undone there, also when the call
+    # raises; a caller's own buffer size changes no bit of the result.
+    monkeypatch.setattr(layer, "WORKERS", workers)
+    rng = np.random.default_rng(29)
+    omega = ("IN", "BN", "LN", "GN")
+    x = rng.normal(size=(4, 8, 16, 16))
+    g = rng.normal(size=x.shape)
+    monkeypatch.setattr(layer, "BLOCK_BYTES", x[0].nbytes)
+    params = _rand_params(rng, 8, 4)
+    default = np.getbufsize()
+    expected = _layer_bits(x, params, 0.1, omega, 2, g)
+    assert np.getbufsize() == default
+    bad_x, bad_g = x.copy(), g.copy()
+    bad_x[2, 3, 4, 5] = bad_g[1, 6, 7, 8] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="activation tensor must be finite"):
+            ssn_forward(bad_x, params, 0.1, omega, 2)
+        assert np.getbufsize() == default
+        _, cache = ssn_forward(x, params, 0.1, omega, 2)
+        with pytest.raises(InvalidInputError, match="upstream tensor must be finite"):
+            ssn_backward(cache, bad_g)
+        assert np.getbufsize() == default
+    for size in (16, 1 << 16):
+        with _caller_bufsize(size), monkeypatch.context() as m:
+            calls = _setbufsize_calls(m)
+            assert _layer_bits(x, params, 0.1, omega, 2, g) == expected, size
+            assert np.getbufsize() == size
+            # A buffer already below one row is never raised to it.
+            assert (calls == []) == (size < 256), (size, calls)
+
+    def fail(lo, hi):
+        assert np.getbufsize() == 192
+        raise RuntimeError("pass failed")
+    with pytest.raises(RuntimeError, match="pass failed"):
+        layer._map_samples(layer._row_buffered(fail, 196), (4, 1, 8, 196))
+    assert np.getbufsize() == default
+
+
+def test_toy_shapes_never_cut_the_buffer(monkeypatch):
+    # Every toy tensor has 64-element rows, below ``ROW_BUFFER_MIN``, so the
+    # toy's passes run as they would without the cut.
+    calls = _setbufsize_calls(monkeypatch)
+    rng = np.random.default_rng(30)
+    omega = ("IN", "BN", "LN", "GN")
+    for n in (40, 200):
+        x = rng.normal(size=(n, 8, 8, 8))
+        _, cache = ssn_forward(x, _rand_params(rng, 8, 4), 0.0, omega, 2)
+        ssn_backward(cache, rng.normal(size=x.shape))
+        ssn_forward(x, _rand_params(rng, 8, 4, mode=EVAL), 0.0, omega, 2)
+    assert calls == []
+    # Rows of 256 elements are cut to one row.
+    x = rng.normal(size=(5, 8, 16, 16))
+    _, cache = ssn_forward(x, _rand_params(rng, 8, 4), 0.0, omega, 2)
+    ssn_backward(cache, rng.normal(size=x.shape))
+    assert 256 in calls and set(calls) <= {256, np.getbufsize()}
 
 
 def _forward_bytes(x):
@@ -764,8 +885,16 @@ def test_params_require_finite_positive_eps(eps):
                   gamma=np.ones(2), beta=np.zeros(2), eps=eps)
 
 
-def test_benchmark_forward_smoke():
+def test_benchmark_forward_smoke(monkeypatch):
+    # After one warm-up call of each path, every round times one rep of
+    # each, in the other order from the round before.
+    radii = []
+    forward = layer.ssn_forward
+    monkeypatch.setattr(layer, "ssn_forward", lambda x, params, r, omega:
+                        radii.append(r) or forward(x, params, r, omega))
     out = benchmark_forward(2, 4, 8, 8, reps=3)
+    c, s = 0.0, circumradius(3)
+    assert radii == [c, s] + [c, s] + [s, c] + [c, s]
     assert out["combined_ms"] > 0 and out["sparse_ms"] > 0
     assert out["ratio"] == pytest.approx(out["combined_ms"] / out["sparse_ms"])
     assert set(out) == {"combined_ms", "sparse_ms", "ratio"}
