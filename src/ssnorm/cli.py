@@ -393,7 +393,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except InvalidInputError as exc:
         return _usage_error(str(exc))
-    except (TrainingFailedError, NotConvergedError) as exc:
+    except TrainingFailedError as exc:
         print(str(exc), file=sys.stderr)
         return 1
 

@@ -166,8 +166,10 @@ def _row_buffered(fn, row: int):
 class GateParams:
     """Control logits for the mean and variance gates, plus freeze flags.
 
-    A frozen flag is set permanently once the corresponding importance
-    ratio has been observed exactly one-hot."""
+    The trainer owns the flags: it sets one permanently once the gate's
+    ratio has been observed exactly one-hot, and stops updating that
+    gate's logits.  In this module only ``select_normalizer`` reads them,
+    as "this selection is final"; the forward and backward passes do not."""
 
     z_mean: np.ndarray
     z_var: np.ndarray
@@ -234,7 +236,8 @@ class SsnCache:
     with keepdims over its own axes of that view; a variance computed from
     x is None where the variance gate's ratio is zero.
     ``mu`` and ``inv_std`` are the mixed moments per (n, c) and ``scale``
-    is the per-(n, c) scale the forward applied, ``gamma * inv_std``."""
+    is the per-(n, c) scale the forward applied, ``gamma * inv_std``.
+    ``p_res`` and ``pp_res`` are all the backward needs of the gates."""
 
     x: np.ndarray
     omega: tuple[str, ...]
@@ -246,8 +249,6 @@ class SsnCache:
     inv_std: np.ndarray
     scale: np.ndarray
     mode: str
-    frozen_mean: bool
-    frozen_var: bool
 
 
 def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
@@ -350,9 +351,7 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
         out += b[lo:hi]
     _map_samples(_row_buffered(scale, view[3]), view)
     cache = SsnCache(x=x, omega=omega, view=view, p_res=p_res, pp_res=pp_res,
-                     stats=stats, mu=mu, inv_std=inv_std, scale=a,
-                     mode=params.mode, frozen_mean=params.gate.frozen_mean,
-                     frozen_var=params.gate.frozen_var)
+                     stats=stats, mu=mu, inv_std=inv_std, scale=a, mode=params.mode)
     return y.reshape(x.shape), cache
 
 
@@ -378,9 +377,10 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
     of samples (``_map_samples``).  Per-row sums do not depend on the
     blocks or the workers, so neither do the gradients.  Finiteness of the
     upstream tensor and overflow of its sums are read off its per-(n, c)
-    sums, with no numpy warning when it is rejected.  Gate gradients flow through the
-    projection's vector-Jacobian product, so zero-ratio normalizers get
-    exactly-zero logit gradients; frozen gates get zeros unconditionally.
+    sums, with no numpy warning when it is rejected.  Gate gradients always
+    flow through the projection's vector-Jacobian product, which gives
+    zero-ratio normalizers exactly-zero logit gradients, and a one-hot gate
+    an all-zero one; a non-finite gate gradient is rejected there.
     """
     if cache.mode != TRAIN:
         raise InvalidStateError("backward requires a train-mode cache")
@@ -455,12 +455,9 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
             out += const_b
             out += np.multiply(gb, alpha_b, out=scratch[:len(out)])
     _map_samples(_row_buffered(sweep_2, view[3]), view)
-    grad_z_mean = np.zeros(len(omega)) if cache.frozen_mean else \
-        sparsestmax_vjp(cache.p_res, g_p)
-    grad_z_var = np.zeros(len(omega)) if cache.frozen_var else \
-        sparsestmax_vjp(cache.pp_res, g_pp)
-    return SsnGrads(x=grad_x.reshape(x.shape), gamma=grad_gamma,
-                    beta=grad_beta, z_mean=grad_z_mean, z_var=grad_z_var)
+    return SsnGrads(x=grad_x.reshape(x.shape), gamma=grad_gamma, beta=grad_beta,
+                    z_mean=sparsestmax_vjp(cache.p_res, g_p),
+                    z_var=sparsestmax_vjp(cache.pp_res, g_pp))
 
 
 def update_running_stats(params: SsnParams, batch_mean, batch_var) -> SsnParams:
@@ -534,7 +531,6 @@ def benchmark_forward(n: int, c: int, h: int, w: int, reps: int,
     # Select IN so the sparse path computes exactly one batch statistic.
     sparse.gate.z_mean = np.array([10.0, 0.0, 0.0])
     sparse.gate.z_var = sparse.gate.z_mean.copy()
-    sparse.gate.frozen_mean = sparse.gate.frozen_var = True
 
     combined = SsnParams.init(c, k)
     combined.mode = EVAL

@@ -52,6 +52,13 @@ def test_project_twelve_significant_digits(capsys):
     payload = json.loads(out)
     for v in payload["p"]:
         assert float(f"{v:.12g}") == v
+    code, out, _ = run(["project", "--fn", "softmax", "--z", "0.5,0.3,0.2"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["stage"] == "Softmax"
+    assert payload["support"] == [0, 1, 2]
+    for v in payload["p"]:
+        assert float(f"{v:.12g}") == v
 
 
 def test_project_negative_radius_names_flag(capsys):
@@ -126,6 +133,10 @@ def test_gradcheck_k4_passes(capsys):
 
 def test_gradcheck_zero_trials_usage_error(capsys):
     assert run(["gradcheck", "--trials", "0"], capsys)[0] == 2
+    code, out, err = run(["gradcheck", "--k", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--k: must be >= 2, got 1" in err
 
 
 # --------------------------------------------------------------- trajectory
@@ -152,6 +163,10 @@ def test_trajectory_single_step_two_rows(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 3  # header + initial + final
+    code, out, err = run(["trajectory", "--z", "0.4,0.6", "--steps", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--steps: must be >= 1, got 0" in err
 
 
 def test_trajectory_seed_reproducible(capsys):
@@ -189,6 +204,25 @@ def test_train_default_config_converges(capsys, tmp_path):
     with out_csv.open() as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 100
+    # Without --out the CSV goes to stderr; stdout holds the same summary.
+    code, out_2, err = run(["train", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert err == out_csv.read_bytes().decode()
+    assert out_2 == out and out.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_divergence_exits_1(capsys, tmp_path):
+    # At lr = 1e6 the step-15 backward computes a NaN variance-gate gradient
+    # for a one-hot layer, and the projection's VJP rejects it there.
+    cfg = _write_config(tmp_path, {"optimizer": {"lr": 1e6}})
+    out_csv = tmp_path / "log.csv"
+    code, out, err = run(["train", "--config", str(cfg), "--out", str(out_csv)],
+                         capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "step 15: activations are not finite\n"
+    assert not out_csv.exists()
 
 
 def test_train_unconverged_exits_1(capsys, tmp_path):
@@ -207,6 +241,14 @@ def test_train_missing_config_exits_2(capsys, tmp_path):
                        capsys)
     assert code == 2
     assert "--config" in err
+    path = tmp_path / "config.json"
+    for text, message in (('{"model": ', "--config: invalid JSON"),
+                          ("[1, 2]", "--config: " + str(path) + " must hold a JSON object")):
+        path.write_text(text)
+        code, out, err = run(["train", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 def test_train_seed_override_changes_bytes_not_convergence(capsys, tmp_path):
@@ -360,6 +402,10 @@ def test_bench_zero_dims_exits_2(capsys):
     assert run(["bench", "--dims", "0x4x8x8", "--reps", "1"], capsys)[0] == 2
     assert run(["bench", "--dims", "2x4x8", "--reps", "1"], capsys)[0] == 2
     assert run(["bench", "--dims", "2x4x8x8", "--reps", "0"], capsys)[0] == 2
+    code, out, err = run(["bench", "--dims", "2x4xAx8", "--reps", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--dims: could not parse '2x4xAx8'" in err
 
 
 # ------------------------------------------------------------------- verify

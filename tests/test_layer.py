@@ -264,6 +264,9 @@ def test_forward_validates_shapes():
     bad = SsnParams.init(4, 2)
     with pytest.raises(InvalidInputError):
         ssn_forward(np.zeros((1, 4, 2, 2)), bad, 0.1, ("IN", "BN", "LN"))
+    for empty in ((0, 4, 2, 2), (2, 4, 0, 2)):
+        with pytest.raises(InvalidInputError, match="must be non-empty"):
+            ssn_forward(np.zeros(empty), params, 0.1, ("IN", "BN", "LN"))
 
 
 # Per omega, the (mean, variance) selections: None is r = 0 with every
@@ -302,37 +305,6 @@ def test_forward_rejects_non_finite_input(omega, gates, mode):
         ssn_forward(np.where(x > 0, 1e308, -1e308), params, r, omega, 2)
 
 
-@pytest.mark.parametrize("mode", ["evl", "Train", "", None])
-def test_forward_rejects_unknown_mode(mode):
-    # Any mode other than "eval" once ran silently on batch BN statistics.
-    params = SsnParams.init(4, 3)
-    params.mode = mode
-    with pytest.raises(InvalidInputError, match="mode"):
-        ssn_forward(np.ones((2, 4, 3, 3)), params, 0.1, ("IN", "BN", "LN"))
-
-
-@pytest.mark.parametrize("name", ["bn_running_mean", "bn_running_var"])
-@pytest.mark.parametrize("shape", [(5,), (3,), (1, 4), ()])
-def test_forward_checks_running_stats_shape(name, shape):
-    # Fields are reassigned after construction, so the forward checks too.
-    params = SsnParams.init(4, 3)
-    setattr(params, name, np.ones(shape))
-    for mode in (TRAIN, EVAL):
-        params.mode = mode
-        with pytest.raises(InvalidInputError, match="running statistics"):
-            ssn_forward(np.ones((2, 4, 3, 3)), params, 0.1, ("IN", "BN", "LN"))
-
-
-@pytest.mark.parametrize("name", ["gamma", "beta", "bn_running_mean", "bn_running_var"])
-@pytest.mark.parametrize("shape", [(5,), (3,), (1, 4), ()])
-def test_params_check_vector_lengths(name, shape):
-    fields = dict(gate=GateParams(z_mean=np.zeros(3), z_var=np.zeros(3)),
-                  gamma=np.ones(4), beta=np.zeros(4))
-    fields[name] = np.ones(shape)
-    with pytest.raises(InvalidInputError, match=name):
-        SsnParams(**fields)
-
-
 # Every layer entry point, as (mode, call) on a 4-channel (BN, BN) layer
 # over IN, BN and LN; the constructor re-runs on the reassigned fields.
 ENTRY_POINTS = {
@@ -346,23 +318,41 @@ ENTRY_POINTS = {
                                                  ("IN", "BN", "LN"))),
 }
 
-# A field reassigned after construction: (owner, field, value); the error
-# must name the field.
+
+def _broken_params(mode, fields):
+    """The (BN, BN) layer in ``mode`` with ``fields`` reassigned after
+    construction; z_mean and z_var go to its gate."""
+    params = _bn_selected_params(4)
+    params.mode = mode
+    for field, value in fields.items():
+        setattr(params.gate if field.startswith("z_") else params, field, value)
+    return params
+
+
+def _rejected_at_every_entry_point(fields, match, skip=()):
+    for entry, (mode, call) in ENTRY_POINTS.items():
+        if entry not in skip:
+            with pytest.raises(InvalidInputError, match=match):
+                call(_broken_params(mode, fields))
+
+
+# A field reassigned after construction: (field, value); the error must
+# name the field.
 BROKEN_FIELDS = {
-    "short gamma": ("params", "gamma", np.ones(1)),
-    "short beta": ("params", "beta", np.zeros(1)),
-    "short running mean": ("params", "bn_running_mean", np.zeros(1)),
-    "short running var": ("params", "bn_running_var", np.ones(1)),
-    "negative running var": ("params", "bn_running_var", np.array([1.0, -1e-3, 1.0, 1.0])),
-    "NaN running mean": ("params", "bn_running_mean", np.array([0.0, np.nan, 0.0, 0.0])),
-    "NaN beta": ("params", "beta", np.array([0.0, np.nan, 0.0, 0.0])),
-    "inf gamma": ("params", "gamma", np.array([1.0, np.inf, 1.0, 1.0])),
-    "inf running var": ("params", "bn_running_var", np.array([1.0, np.inf, 1.0, 1.0])),
-    "eps 0": ("params", "eps", 0.0),
-    "eps NaN": ("params", "eps", float("nan")),
-    "mode evl": ("params", "mode", "evl"),
-    "long z_mean": ("gate", "z_mean", np.zeros(4)),
-    "short z_var": ("gate", "z_var", np.zeros(2)),
+    "short gamma": ("gamma", np.ones(1)),
+    "short beta": ("beta", np.zeros(1)),
+    "short running mean": ("bn_running_mean", np.zeros(1)),
+    "short running var": ("bn_running_var", np.ones(1)),
+    "negative running var": ("bn_running_var", np.array([1.0, -1e-3, 1.0, 1.0])),
+    "NaN running mean": ("bn_running_mean", np.array([0.0, np.nan, 0.0, 0.0])),
+    "NaN beta": ("beta", np.array([0.0, np.nan, 0.0, 0.0])),
+    "inf gamma": ("gamma", np.array([1.0, np.inf, 1.0, 1.0])),
+    "inf running var": ("bn_running_var", np.array([1.0, np.inf, 1.0, 1.0])),
+    "eps 0": ("eps", 0.0),
+    "eps NaN": ("eps", float("nan")),
+    "mode evl": ("mode", "evl"),
+    "long z_mean": ("z_mean", np.zeros(4)),
+    "short z_var": ("z_var", np.zeros(2)),
 }
 
 
@@ -370,12 +360,45 @@ BROKEN_FIELDS = {
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_every_entry_point_checks_params(entry, broken):
     mode, call = ENTRY_POINTS[entry]
-    owner, field, value = BROKEN_FIELDS[broken]
-    params = _bn_selected_params(4)
-    params.mode = mode
-    setattr(params.gate if owner == "gate" else params, field, value)
+    field, value = BROKEN_FIELDS[broken]
     with pytest.raises(InvalidInputError, match=field):
-        call(params)
+        call(_broken_params(mode, {field: value}))
+
+
+# Each test below breaks one kind of field, once per value, and checks that
+# every entry point rejects it.
+
+@pytest.mark.parametrize("mode", ["evl", "Train", "", None])
+def test_forward_rejects_unknown_mode(mode):
+    # Any mode other than "eval" once ran silently on batch BN statistics.
+    _rejected_at_every_entry_point({"mode": mode}, "mode")
+
+
+@pytest.mark.parametrize("name", ["bn_running_mean", "bn_running_var"])
+@pytest.mark.parametrize("shape", [(5,), (3,), (1, 4), ()])
+def test_forward_checks_running_stats_shape(name, shape):
+    # Fields are reassigned after construction, so every entry point checks.
+    _rejected_at_every_entry_point({name: np.ones(shape)}, f"running statistics: {name}")
+
+
+@pytest.mark.parametrize("name", ["gamma", "beta", "bn_running_mean", "bn_running_var"])
+@pytest.mark.parametrize("shape", [(5,), (3,), (1, 4), ()])
+def test_params_check_vector_lengths(name, shape):
+    _rejected_at_every_entry_point({name: np.ones(shape)}, name)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1e-5])
+def test_params_require_finite_positive_eps(eps):
+    _rejected_at_every_entry_point({"eps": eps}, "eps")
+
+
+def test_select_normalizer_checks_gate_length():
+    # Both gates are one normalizer too long for omega.  On its own that is
+    # a valid 4-normalizer layer, which the constructor accepts; every entry
+    # point that is given omega rejects it.
+    fields = {"z_mean": np.zeros(4), "z_var": np.zeros(4)}
+    dataclasses.replace(_broken_params(TRAIN, fields))
+    _rejected_at_every_entry_point(fields, "gate logits length", skip=("constructor",))
 
 
 # --------------------------------------------------------------- backward
@@ -441,25 +464,63 @@ def test_backward_zero_ratio_gets_zero_logit_gradient():
     assert grads.z_var[2] == 0.0
 
 
-def test_backward_frozen_gates_get_exact_zeros():
+@pytest.mark.parametrize("omega", [("IN", "BN", "LN"), ("IN", "BN", "LN", "GN")],
+                         ids="-".join)
+def test_backward_one_hot_gates_get_exact_zeros(omega):
+    # The trainer freezes a gate on its first one-hot ratio and relies on
+    # the projection alone to give that gate all-zero logit gradients: the
+    # layer sees no freeze flag.  Every pair of hot normalizers, unfrozen.
     rng = np.random.default_rng(10)
-    x = rng.normal(size=(2, 3, 3, 3))
-    params = SsnParams.init(3, 3)
-    params.gate.frozen_mean = True
-    params.gate.frozen_var = True
-    _, cache = ssn_forward(x, params, 0.1, ("IN", "BN", "LN"))
-    grads = ssn_backward(cache, rng.normal(size=x.shape))
-    assert np.all(grads.z_mean == 0.0)
-    assert np.all(grads.z_var == 0.0)
+    k = len(omega)
+    x = rng.normal(size=(2, 4, 3, 3))
+    for hot_mean in range(k):
+        for hot_var in range(k):
+            params = _rand_params(rng, 4, k)
+            params.gate.z_mean = np.where(np.arange(k) == hot_mean, 5.0, 0.0)
+            params.gate.z_var = np.where(np.arange(k) == hot_var, 5.0, 0.0)
+            assert not (params.gate.frozen_mean or params.gate.frozen_var)
+            _, cache = ssn_forward(x, params, circumradius(k), omega, 2)
+            assert cache.p_res.p.max() == cache.pp_res.p.max() == 1.0
+            grads = ssn_backward(cache, rng.normal(size=x.shape))
+            assert not grads.z_mean.any() and not grads.z_var.any(), (hot_mean, hot_var)
 
 
-@pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "live"])
-def test_backward_rejects_non_finite_upstream(frozen):
+def test_freeze_flags_change_no_gradient_bit():
+    # On live, non-degenerate gates, setting both freeze flags changes no
+    # bit of the output or of any of the five gradients.
+    rng = np.random.default_rng(23)
+    omega = ("IN", "BN", "LN")
+    r = 0.25
+    x = rng.normal(size=(2, 4, 3, 3))
+    g = rng.normal(size=x.shape)
+    params = _rand_params(rng, 4, 3)
+    params.gate.z_mean = np.array([0.9, 1.0, 1.2])
+    params.gate.z_var = np.array([1.1, 0.8, 1.0])
+    assert is_smooth_point(params.gate.z_mean, r) and is_smooth_point(params.gate.z_var, r)
+    _, cache = ssn_forward(x, params, r, omega)
+    assert min(np.count_nonzero(cache.p_res.p), np.count_nonzero(cache.pp_res.p)) > 1
+    grads = ssn_backward(cache, g)
+    assert grads.z_mean.any() and grads.z_var.any()
+    live = _layer_bits(x, params, r, omega, 1, g)
+    params.gate.frozen_mean = params.gate.frozen_var = True
+    assert _layer_bits(x, params, r, omega, 1, g) == live
+
+
+@pytest.mark.parametrize("one_hot", [True, False], ids=["one-hot", "live"])
+def test_backward_rejects_non_finite_upstream(one_hot):
     rng = np.random.default_rng(20)
     x = rng.normal(size=(3, 4, 3, 3))
     params = _rand_params(rng, 4, 3)
-    params.gate.frozen_mean = params.gate.frozen_var = frozen
-    _, cache = ssn_forward(x, params, 0.0, ("IN", "BN", "LN"))
+    if one_hot:
+        params.gate.z_mean = params.gate.z_var = np.array([0.0, 5.0, 0.0])
+        r = circumradius(3)
+    else:
+        params.gate.z_mean = 1.0 + 0.02 * rng.normal(size=3)
+        params.gate.z_var = 1.0 + 0.02 * rng.normal(size=3)
+        r = 0.1
+    _, cache = ssn_forward(x, params, r, ("IN", "BN", "LN"))
+    for res in (cache.p_res, cache.pp_res):
+        assert (res.p.max() == 1.0) == one_hot
     g = rng.normal(size=x.shape)
     for index, value in [((0, 0, 0, 0), np.nan), ((2, 3, 2, 2), np.inf),
                          ((1, 2, 0, 1), -np.inf)]:
@@ -472,10 +533,13 @@ def test_backward_rejects_non_finite_upstream(frozen):
     with pytest.raises(InvalidInputError, match="upstream tensor must be finite"):
         ssn_backward(cache, inf_pair)
     # A finite g whose sums overflow is too large, not non-finite, and is
-    # rejected as such with frozen and live gates alike.
+    # rejected as such with one-hot and live gates alike.
     huge = np.where(g > 0, 1e308, -1e308)
     with pytest.raises(InvalidInputError, match="upstream tensor is too large"):
         ssn_backward(cache, huge)
+    for shape in ((3, 3, 3, 3), (3, 4, 9, 1), (4, 3, 3, 3)):
+        with pytest.raises(InvalidInputError, match="upstream tensor shape"):
+            ssn_backward(cache, np.zeros(shape))
 
 
 def _layer_bits(x, params, r, omega, gn_groups, g=None):
@@ -801,13 +865,6 @@ def test_select_normalizer_requires_frozen():
     assert select_normalizer(params, ("IN", "BN", "LN")) == ("BN", "LN")
 
 
-def test_select_normalizer_checks_gate_length():
-    params = SsnParams.init(4, 4)
-    params.gate.frozen_mean = params.gate.frozen_var = True
-    with pytest.raises(InvalidInputError):
-        select_normalizer(params, ("IN", "BN", "LN"))
-
-
 # ----------------------------------------------------- folding / convolution
 
 def test_conv2d_matches_nested_loops():
@@ -876,14 +933,7 @@ def test_fold_requires_bn_selection():
                             ("IN", "BN", "LN"))
 
 
-# ---------------------------------------------------------- params / bench
-
-@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1e-5])
-def test_params_require_finite_positive_eps(eps):
-    with pytest.raises(InvalidInputError, match="eps"):
-        SsnParams(gate=GateParams(z_mean=np.zeros(3), z_var=np.zeros(3)),
-                  gamma=np.ones(2), beta=np.zeros(2), eps=eps)
-
+# ------------------------------------------------------------------ bench
 
 def test_benchmark_forward_smoke(monkeypatch):
     # After one warm-up call of each path, every round times one rep of

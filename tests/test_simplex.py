@@ -506,6 +506,26 @@ def test_vjp_zero_columns_for_zeroed_components():
         found += 1
 
 
+def test_vjp_is_exactly_zero_at_every_one_hot_output():
+    # A one-hot result's last level holds a single index, so the VJP is
+    # exactly zero whatever the upstream.  The trainer relies on this to
+    # leave a one-hot gate's logits alone: the layer reads no freeze flag.
+    rng = np.random.default_rng(34)
+    for k in range(2, 7):
+        r_circum = circumradius(k)
+        found = {"uniform r": 0, "r_circum": 0}
+        while min(found.values()) < 300:
+            z = rng.normal(size=k) * rng.uniform(0.1, 5.0)
+            for kind, r in (("uniform r", rng.uniform(0.0, r_circum)),
+                            ("r_circum", r_circum)):
+                res = sparsestmax(z, r)
+                if res.p.max() != 1.0:
+                    continue
+                g = rng.normal(size=k) * 10.0 ** rng.uniform(-3.0, 3.0)
+                assert not sparsestmax_vjp(res, g).any(), (k, kind, z, r)
+                found[kind] += 1
+
+
 def test_vjp_null_direction_on_circle():
     # While the radial push is active at the top level, the gradient has no
     # component along the push direction sparsemax(z) - u.

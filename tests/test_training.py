@@ -71,6 +71,9 @@ def test_config_validation():
         ToyModelConfig(layer_widths=[4], ssn_layer_count=2)
     with pytest.raises(InvalidInputError):
         ToyModelConfig(layer_widths=[], ssn_layer_count=0)
+    for field in ("height", "batch_size"):
+        with pytest.raises(InvalidInputError, match="all dimensions must be positive"):
+            ToyModelConfig(**{field: 0})
     with pytest.raises(InvalidInputError):
         OptimizerConfig(lr=0.0)
     with pytest.raises(InvalidInputError):
