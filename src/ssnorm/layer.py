@@ -6,12 +6,11 @@ from the radius-constrained simplex projection.  One statistics core
 serves every normalizer: ``REDUCE_AXES`` names the axes each one reduces
 over in an (N, G, C/G, H*W) view of the input, and the mixed moments are
 applied as a fused per-(n, c) scale and shift.  The exact backward pass
-collapses the same way to per-(n, c) coefficients.  The passes over a
-tensor larger than one block are shared among one thread per usable core,
-each taking whole samples, and the elementwise per-(n, c) passes over
-long rows run with numpy's ufunc buffer cut to one row.  Also includes
-running-statistics bookkeeping for evaluation mode and BN folding into a
-preceding convolution.
+collapses the same way to per-(n, c) coefficients.  One runner shares
+every full-tensor pass among one thread per usable core, with numpy's ufunc
+buffer cut to one long row, and one rule checks x and the upstream gradient
+for finiteness.  Also includes running-statistics bookkeeping for
+evaluation mode and BN folding into a preceding convolution.
 """
 from __future__ import annotations
 
@@ -78,9 +77,8 @@ BLOCK_BYTES = 1 << 21
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
     else os.cpu_count() or 1
 
-# Shortest row of the (N, G, C/G, H*W) view whose elementwise per-(n, c)
-# passes run with numpy's ufunc buffer cut to one row (``_row_buffered``).
-# Shorter rows lose more to the extra inner loops than the cut saves.
+# Shortest row of the grouped view whose passes cut numpy's ufunc buffer to
+# one row (``_map_samples``); shorter rows lose more than the cut saves.
 ROW_BUFFER_MIN = 128
 
 
@@ -118,48 +116,56 @@ def _executor(workers: int, pid: int):
 
 def _map_samples(fn, view) -> list:
     """Results of ``fn(lo, hi)`` over ranges of whole samples that cover the
-    N axis of a float64 tensor in the grouped ``view``, in sample order.  A
-    tensor that fits in one ``BLOCK_BYTES`` block is one range, run in the
-    calling thread; a larger one is cut into one range per worker (at most
-    ``WORKERS``), each run in the pool under its own copy of the caller's
-    context, so that numpy's ``errstate`` holds there too.  ``fn`` writes
-    only samples lo:hi of its outputs and sums only within a sample, so its
+    N axis of a float64 tensor in the grouped ``view``, in sample order.
+    Every full-tensor pass of the layer runs here: ``row_sums``,
+    ``recentre``, ``all_finite``, ``scale``, ``sweep_1`` and ``sweep_2``.
+    A tensor that fits in one ``BLOCK_BYTES`` block is one range, run in the
+    calling thread; a larger one gets one range per worker (at most
+    ``WORKERS``), each run in the pool under a copy of the caller's context,
+    so that numpy's ``errstate`` holds there too.  Rows of at least
+    ``ROW_BUFFER_MIN`` elements run with numpy's ufunc buffer cut to one row
+    (a multiple of 16, as numpy requires) where the caller's is larger, so
+    numpy's buffered loop stops copying a per-(n, c) operand into it.  Each
+    task sets the cut in its own thread and restores that thread's size in
+    a ``finally`` (on numpy 1.x it outlives an ``errstate``).  ``fn``
+    writes only samples lo:hi of its outputs and sums only within a sample,
+    and the cut changes how a loop is chunked, not what it computes, so the
     outputs are the same bits for any cut."""
-    n = view[0]
+    n, row = view[0], view[3]
+    size = row - row % 16
+    task = fn
+    if row >= ROW_BUFFER_MIN and size < np.getbufsize():
+        def task(lo, hi):
+            inherited = np.setbufsize(size)
+            try:
+                return fn(lo, hi)
+            finally:
+                np.setbufsize(inherited)
     chunks = min(WORKERS, n) if 8 * math.prod(view) > BLOCK_BYTES else 1
     if chunks == 1:
-        return [fn(0, n)]
+        return [task(0, n)]
     from concurrent.futures import wait
     bounds = [n * i // chunks for i in range(chunks + 1)]
     pool = _executor(WORKERS, os.getpid())
-    futures = [pool.submit(contextvars.copy_context().run, fn, lo, hi)
+    futures = [pool.submit(contextvars.copy_context().run, task, lo, hi)
                for lo, hi in zip(bounds, bounds[1:])]
     wait(futures)
     return [f.result() for f in futures]
 
 
-def _row_buffered(fn, row: int):
-    """``fn(lo, hi)`` run with numpy's ufunc buffer cut to at most one row
-    of ``row`` elements, rounded down to a multiple of 16 as numpy requires.
-    numpy's buffered loop copies an operand that is constant along a row,
-    such as a per-(n, c) array, into its buffer whenever the buffer spans
-    two rows, and skips that copy when it holds less.  The cut applies to
-    rows of at least ``ROW_BUFFER_MIN`` elements where it is below the
-    caller's buffer.  It is set inside the task, so in the thread that runs
-    it, and the size that thread had comes back in a ``finally``: on numpy
-    1.x the setting is per thread and outlives an ``errstate``.  The cut
-    changes how a loop is chunked, never what it computes."""
-    size = row - row % 16
-    if row < ROW_BUFFER_MIN or size >= np.getbufsize():
-        return fn
+def _check_finite(what: str, tv, sums) -> bool:
+    """Raise unless ``tv`` (in the grouped view) is finite.  A NaN or inf
+    element makes the total of its per-(n, c) row ``sums`` non-finite, so the
+    full pass over ``tv`` runs only when that total is not finite or ``sums``
+    is None.  False means ``tv`` is finite but its sums overflow."""
+    if sums is not None and math.isfinite(sums.sum()):
+        return True
 
-    def task(lo, hi):
-        inherited = np.setbufsize(size)
-        try:
-            return fn(lo, hi)
-        finally:
-            np.setbufsize(inherited)
-    return task
+    def all_finite(lo, hi):
+        return bool(np.isfinite(tv[lo:hi]).all())
+    if not all(_map_samples(all_finite, tv.shape)):
+        raise InvalidInputError(f"{what} tensor must be finite")
+    return False
 
 
 @dataclass
@@ -265,10 +271,9 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     ``x``), and the same pass sums its squares per row where a variance is
     due.  The mixed moments are applied as one per-(n, c) scale and shift,
     ``y = x * a + b``, in place on that copy.  Finiteness of ``x`` is read
-    off the mixed moments; the full check of ``x`` runs only when they are
-    not finite or when no statistic came from ``x``.  A rejected ``x``
-    raises with no numpy warning.  Each full-tensor pass is shared among
-    the workers (``_map_samples``), with the same bits for any count.
+    off its row sums (``_check_finite``), and a rejected ``x`` raises with
+    no numpy warning.  Each full-tensor pass is shared among the workers
+    (``_map_samples``), with the same bits for any count.
     """
     x = _validate_tensor4(x)
     omega = validate_omega(omega)
@@ -296,8 +301,10 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
             else:
                 if rows is None:
                     rows = np.empty(per_nc)
-                    _map_samples(lambda lo, hi: np.add.reduce(
-                        xv[lo:hi], axis=3, keepdims=True, out=rows[lo:hi]), view)
+
+                    def row_sums(lo, hi):
+                        np.add.reduce(xv[lo:hi], axis=3, keepdims=True, out=rows[lo:hi])
+                    _map_samples(row_sums, view)
                 axes = REDUCE_AXES[name]
                 mean_k = np.add.reduce(rows, axis=axes, keepdims=True)
                 m = xv.size // mean_k.size
@@ -316,7 +323,7 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
                                       delta[lo:hi], out=centered[lo:hi])
                     if sq is not None:
                         np.einsum("ngkh,ngkh->ngk", out, out, out=sq[lo:hi, ..., 0])
-                _map_samples(_row_buffered(recentre, view[3]), view)
+                _map_samples(recentre, view)
                 shift = mean_k
                 var_k = None
                 if sq is not None:
@@ -327,15 +334,7 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
             if pp[i] != 0.0:
                 var += pp[i] * var_k
 
-        # Each normalizer's groups partition x, so a NaN or inf element makes
-        # its group's mean non-finite and its variance NaN (the centered copy
-        # holds NaN there); a ratio > 0 carries that into mu or var.  The full
-        # pass over x runs when no statistic came from x, or to tell a
-        # non-finite x from a finite one whose sums overflow.
-        if centered is None or not (np.isfinite(mu).all() and np.isfinite(var).all()):
-            if not all(_map_samples(
-                    lambda lo, hi: bool(np.isfinite(xv[lo:hi]).all()), view)):
-                raise InvalidInputError("activation tensor must be finite")
+        _check_finite("activation", xv, rows)
 
     # y = x * a + b with a = gamma / sqrt(var + eps) and b = beta - mu * a,
     # applied in place to the centered copy when there is one:
@@ -349,7 +348,7 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     def scale(lo, hi):
         out = np.multiply(src[lo:hi], a[lo:hi], out=y[lo:hi])
         out += b[lo:hi]
-    _map_samples(_row_buffered(scale, view[3]), view)
+    _map_samples(scale, view)
     cache = SsnCache(x=x, omega=omega, view=view, p_res=p_res, pp_res=pp_res,
                      stats=stats, mu=mu, inv_std=inv_std, scale=a, mode=params.mode)
     return y.reshape(x.shape), cache
@@ -375,12 +374,12 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
     a block read by one pass is still in cache for the next and the only
     full-size array written is ``grad_x``; each worker takes its own range
     of samples (``_map_samples``).  Per-row sums do not depend on the
-    blocks or the workers, so neither do the gradients.  Finiteness of the
-    upstream tensor and overflow of its sums are read off its per-(n, c)
-    sums, with no numpy warning when it is rejected.  Gate gradients always
-    flow through the projection's vector-Jacobian product, which gives
-    zero-ratio normalizers exactly-zero logit gradients, and a one-hot gate
-    an all-zero one; a non-finite gate gradient is rejected there.
+    blocks or the workers, so neither do the gradients.  The upstream
+    tensor is checked by the forward's finiteness rule (``_check_finite``),
+    with no numpy warning when it is rejected.  Gate gradients always flow
+    through the projection's vector-Jacobian product, which gives zero-ratio
+    normalizers exactly-zero logit gradients, and a one-hot gate an all-zero
+    one; a non-finite gate gradient is rejected there.
     """
     if cache.mode != TRAIN:
         raise InvalidStateError("backward requires a train-mode cache")
@@ -404,13 +403,9 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
             np.einsum("ngkh,ngkh->ngk", gb, xb, out=sum_gxb)
     with np.errstate(over="ignore", invalid="ignore"):
         _map_samples(sweep_1, view)
-        # x is finite (the forward checked it), so a NaN or inf in g makes
-        # its row's sums, and so their total, non-finite.  The full check
-        # tells that from a finite g whose sums, or their total, overflow;
-        # that g is too large to give finite gradients and is rejected as such.
-        if not math.isfinite(sums.sum()):
-            if not np.isfinite(g).all():
-                raise InvalidInputError("upstream tensor must be finite")
+        # x is finite (the forward checked it), so a finite g whose sums of
+        # g and g * x overflow is too large to give finite gradients.
+        if not _check_finite("upstream", gv, sums):
             raise InvalidInputError("upstream tensor is too large: its sums overflow")
     sum_g, sum_gx = sums[0, ..., None], sums[1, ..., None]
     sum_gxhat = s * (sum_gx - mu * sum_g)
@@ -454,7 +449,7 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
             np.multiply(xb, coef_b, out=out)
             out += const_b
             out += np.multiply(gb, alpha_b, out=scratch[:len(out)])
-    _map_samples(_row_buffered(sweep_2, view[3]), view)
+    _map_samples(sweep_2, view)
     return SsnGrads(x=grad_x.reshape(x.shape), gamma=grad_gamma, beta=grad_beta,
                     z_mean=sparsestmax_vjp(cache.p_res, g_p),
                     z_var=sparsestmax_vjp(cache.pp_res, g_pp))
@@ -505,6 +500,9 @@ def fold_bn_into_affine(conv_weight, conv_bias, params: SsnParams, omega):
     b = np.zeros(c) if conv_bias is None else np.asarray(conv_bias, dtype=np.float64)
     if b.shape != (c,):
         raise InvalidInputError(f"conv bias must have shape ({c},), got {b.shape}")
+    for name, value in (("weight", w), ("bias", b)):
+        if not np.isfinite(value).all():
+            raise InvalidInputError(f"conv {name} must be finite")
     scale = params.gamma / np.sqrt(params.bn_running_var + params.eps)
     w_folded = w * scale[:, None, None, None]
     b_folded = (b - params.bn_running_mean) * scale + params.beta

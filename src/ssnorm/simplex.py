@@ -84,8 +84,10 @@ class RadiusSchedule:
             knots = tuple((s, r) for s, r in self.knots)
         except (TypeError, ValueError):
             knots = ()
-        if len(knots) < 2 or not all(isinstance(s, numbers.Integral) and
-                                     isinstance(r, numbers.Real) for s, r in knots):
+        # A bool is an Integral and a Real, but never a step or a radius.
+        if len(knots) < 2 or not all(
+                isinstance(s, numbers.Integral) and isinstance(r, numbers.Real)
+                and bool not in (type(s), type(r)) for s, r in knots):
             raise InvalidInputError("schedule needs two or more [step, r] knots")
         steps, radii = zip(*knots)
         if steps[0] != 0 or any(b <= a for a, b in zip(steps, steps[1:])):

@@ -279,9 +279,8 @@ def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
             r = sched.radius(step, k)
             try:
                 loss, grads, layers = net.loss_and_grads(xb, yb, r)
-            except InvalidInputError:
-                # Non-finite activations mean the parameters blew up.
-                raise TrainingFailedError(step, "activations are not finite")
+            except InvalidInputError as exc:  # the parameters blew up
+                raise TrainingFailedError(step, str(exc)) from exc
             if not math.isfinite(loss):
                 raise TrainingFailedError(step, "loss is not finite")
 

@@ -221,7 +221,7 @@ def test_train_divergence_exits_1(capsys, tmp_path):
                          capsys)
     assert code == 1
     assert out == ""
-    assert err == "step 15: activations are not finite\n"
+    assert err == "step 15: upstream vector must be finite\n"
     assert not out_csv.exists()
 
 
@@ -293,6 +293,8 @@ def test_train_config_schedule_matches_default_ramp(capsys, tmp_path):
                  "optimizer.schedule", id="schedule-decreasing-r"),
     pytest.param("optimizer", "schedule", [[0, 0], [10, "x"]],
                  "optimizer.schedule", id="schedule-non-numeric-r"),
+    pytest.param("optimizer", "schedule", [[False, 0], [True, True]],
+                 "optimizer.schedule", id="schedule-boolean-knot"),
     pytest.param("extra", None, {}, "extra", id="unknown-section"),
 ])
 def test_bad_config_names_key_and_exits_2(capsys, tmp_path, subcommand,

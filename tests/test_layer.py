@@ -269,6 +269,25 @@ def test_forward_validates_shapes():
             ssn_forward(np.zeros(empty), params, 0.1, ("IN", "BN", "LN"))
 
 
+def _pass_names(monkeypatch, bufsizes=None):
+    """Record the name of each full-tensor pass the layer runs and, given a
+    list, the ufunc buffer size each of its tasks runs under."""
+    names = []
+    run = layer._map_samples
+
+    def recording(fn, view):
+        names.append(fn.__name__)
+        if bufsizes is None:
+            return run(fn, view)
+
+        def task(lo, hi):
+            bufsizes.append(np.getbufsize())
+            return fn(lo, hi)
+        return run(task, view)
+    monkeypatch.setattr(layer, "_map_samples", recording)
+    return names
+
+
 # Per omega, the (mean, variance) selections: None is r = 0 with every
 # normalizer active, then each one-hot and two disjoint pairs.
 FINITENESS_CASES = [
@@ -279,9 +298,9 @@ FINITENESS_CASES = [
 
 @pytest.mark.parametrize("mode", [TRAIN, EVAL])
 @pytest.mark.parametrize("omega,gates", FINITENESS_CASES)
-def test_forward_rejects_non_finite_input(omega, gates, mode):
-    # Finiteness is read off the mixed moments wherever a statistic comes
-    # from x; one-hot BN in eval mode has none and checks x directly.
+def test_forward_rejects_non_finite_input(monkeypatch, omega, gates, mode):
+    # Finiteness is read off the total of x's row sums wherever a statistic
+    # comes from x; one-hot BN in eval mode takes none and checks x directly.
     k = len(omega)
     params = _rand_params(np.random.default_rng(17), 4, k, mode=mode)
     r = 0.0
@@ -303,6 +322,19 @@ def test_forward_rejects_non_finite_input(omega, gates, mode):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         ssn_forward(np.where(x > 0, 1e308, -1e308), params, r, omega, 2)
+    # Variances that overflow while the row sums stay finite take no full
+    # pass; row sums that overflow take it, and the finite x passes it.
+    no_rows = mode == EVAL and gates == ("BN", "BN")
+    names = _pass_names(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _, cache = ssn_forward(np.where(x > 0, 1e200, -1e200), params, r, omega, 2)
+        assert ("all_finite" in names) == no_rows, names
+        assert all(np.isinf(var).any() for name, (_, var) in cache.stats.items()
+                   if var is not None and (name, mode) != ("BN", EVAL))
+        names.clear()
+        ssn_forward(np.full(x.shape, 1e308), params, r, omega, 2)
+        assert "all_finite" in names
 
 
 # Every layer entry point, as (mode, call) on a 4-channel (BN, BN) layer
@@ -725,8 +757,53 @@ def test_caller_buffer_size_is_left_alone(monkeypatch, workers):
         assert np.getbufsize() == 192
         raise RuntimeError("pass failed")
     with pytest.raises(RuntimeError, match="pass failed"):
-        layer._map_samples(layer._row_buffered(fail, 196), (4, 1, 8, 196))
+        layer._map_samples(fail, (4, 1, 8, 196))
     assert np.getbufsize() == default
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_pass_is_named_and_cut(monkeypatch, workers):
+    # Every full-tensor pass goes through ``_map_samples`` as a named
+    # function, so a wrapper of it can tell the passes apart, and on rows of
+    # 3136 elements each task runs under the one-row buffer cut, in the
+    # calling thread or in the pool.
+    monkeypatch.setattr(layer, "WORKERS", workers)
+    rng = np.random.default_rng(31)
+    omega = ("IN", "BN", "LN", "GN")
+    x = rng.normal(size=(3, 4, 56, 56))
+    monkeypatch.setattr(layer, "BLOCK_BYTES", x[0].nbytes)
+    params = _rand_params(rng, 4, 4)
+    params.gate.z_mean = 1.0 + 0.02 * rng.normal(size=4)
+    params.gate.z_var = 1.0 + 0.02 * rng.normal(size=4)
+    bn_eval = _rand_params(rng, 4, 4, mode=EVAL)
+    bn_eval.gate.z_mean = bn_eval.gate.z_var = np.array([0.0, 5.0, 0.0, 0.0])
+    bad_x, bad_g = x.copy(), rng.normal(size=x.shape)
+    bad_x[1, 2, 3, 4] = bad_g[2, 1, 0, 5] = np.nan
+    bufsizes = []
+    names = _pass_names(monkeypatch, bufsizes)
+    seen = []
+    _, cache = ssn_forward(x, params, 0.1, omega, 2)
+    ssn_backward(cache, rng.normal(size=x.shape))
+    seen.append(names[:])
+    names.clear()
+    ssn_forward(x, bn_eval, circumradius(4), omega, 2)
+    seen.append(names[:])
+    names.clear()
+    with pytest.raises(InvalidInputError, match="activation tensor must be finite"):
+        ssn_forward(bad_x, params, 0.1, omega, 2)
+    seen.append(names[:])
+    names.clear()
+    with pytest.raises(InvalidInputError, match="upstream tensor must be finite"):
+        ssn_backward(cache, bad_g)
+    seen.append(names[:])
+    statistics = ["row_sums"] + ["recentre"] * 4
+    assert seen == [statistics + ["scale", "sweep_1", "sweep_2"],
+                    ["all_finite", "scale"],
+                    statistics + ["all_finite"],
+                    ["sweep_1", "all_finite"]]
+    assert {name for run in seen for name in run} == {
+        "row_sums", "recentre", "all_finite", "scale", "sweep_1", "sweep_2"}
+    assert bufsizes == [3136] * (workers * sum(map(len, seen)))
 
 
 def test_toy_shapes_never_cut_the_buffer(monkeypatch):
@@ -920,6 +997,17 @@ def test_fold_checks_conv_against_layer(c, weight_shape, bias_shape):
     bias = None if bias_shape is None else np.zeros(bias_shape)
     with pytest.raises(InvalidInputError, match="conv"):
         fold_bn_into_affine(np.ones(weight_shape), bias, _bn_selected_params(c),
+                            ("IN", "BN", "LN"))
+
+
+@pytest.mark.parametrize("name", ["weight", "bias"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_fold_rejects_non_finite_conv(name, value):
+    # Unchecked, the fold would return a NaN or inf weight or bias silently.
+    conv = {"weight": np.ones((4, 3, 1, 1)), "bias": np.zeros(4)}
+    conv[name].flat[2] = value
+    with pytest.raises(InvalidInputError, match=f"conv {name} must be finite"):
+        fold_bn_into_affine(conv["weight"], conv["bias"], _bn_selected_params(4),
                             ("IN", "BN", "LN"))
 
 

@@ -166,6 +166,12 @@ def test_schedule_rejects_out_of_range_step():
     [(0, 0.0), (10, "0.5")],
     [(0, 0.0), (10, 0.5, 1.0)],
     {"total_steps": 100},
+    # A bool is an int to Python, but neither a step nor a radius.
+    [(False, 0), (True, True)],
+    [(False, 0.0), (10, 0.5)],
+    [(0, 0.0), (True, 0.5)],
+    [(0, False), (10, 0.5)],
+    [(0, 0.0), (10, True)],
     None,
 ])
 def test_schedule_rejects_malformed_knots(knots):

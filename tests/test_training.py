@@ -243,6 +243,10 @@ def test_divergence_raises_with_step_index():
         train(MODEL, hot, data)
     assert isinstance(err.value.step, int)
     assert err.value.step >= 0
+    # The error names the layer's own cause: here the projection's VJP
+    # meets a NaN gate gradient.
+    assert isinstance(err.value.__cause__, InvalidInputError)
+    assert str(err.value) == "step 3: upstream vector must be finite"
 
 
 @pytest.mark.parametrize("case", ["5 channels", "3-D x", "NaN in x",
