@@ -7,7 +7,8 @@ sweep (final accuracy as the step where the radius reaches the inscribed
 radius moves), bench (eval-mode forward throughput), verify (run the
 invariant suite).
 
-Exit codes: 0 success, 1 verification/training failure, 2 usage error.
+Exit codes: 0 success, 1 verification/training failure, 2 usage error (a
+message naming the flag, or argparse's own); --out is written after the run.
 Stdout carries JSON/CSV results only; diagnostics go to stderr.
 """
 from __future__ import annotations
@@ -40,9 +41,16 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
-def _usage_error(message: str) -> int:
-    print(message, file=sys.stderr)
-    return 2
+def _write_out(path, text: str, stream) -> None:
+    """Write ``text`` to the ``--out`` file, or to ``stream`` without one."""
+    if path is None:
+        stream.write(text)
+        return
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"--out: cannot write {path}: {exc.strerror or exc}")
 
 
 def _parse_z(text: str) -> np.ndarray:
@@ -75,27 +83,22 @@ def cmd_project(args) -> int:
     if args.k is not None and args.k != z.size:
         raise InvalidInputError(f"--k: got {args.k} but --z has {z.size} components")
     if args.fn == "softmax":
-        p, stage, support = softmax(z), "Softmax", np.arange(z.size)
+        p, stage = softmax(z), "Softmax"
     elif args.fn == "sparsemax":
-        p = sparsemax(z)
-        stage, support = Stage.SPARSEMAX.value, np.flatnonzero(p > 0.0)
+        p, stage = sparsemax(z), Stage.SPARSEMAX.value
     else:
         if args.r is None:
             raise InvalidInputError("--r: required for sparsestmax")
         if not (math.isfinite(args.r) and args.r >= 0):
             raise InvalidInputError(f"--r: must be a finite number >= 0, got {args.r}")
         res = sparsestmax(z, args.r)
-        p, stage, support = res.p, res.stage.value, np.flatnonzero(res.p > 0.0)
+        p, stage = res.p, res.stage.value
     _emit({"p": [_sig12(v) for v in p], "stage": stage,
-           "support": [int(i) for i in support]})
+           "support": np.flatnonzero(p).tolist()})
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    if args.trials < 1:
-        raise InvalidInputError(f"--trials: must be >= 1, got {args.trials}")
-    if args.k < 2:
-        raise InvalidInputError(f"--k: must be >= 2, got {args.k}")
     max_rel = vjp_gradcheck(np.random.default_rng(args.seed), args.k, args.trials,
                             0.95 * circumradius(args.k))
     passed = max_rel < GRADCHECK_TOL
@@ -107,8 +110,6 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_trajectory(args) -> int:
     z = _parse_z(args.z)
-    if args.steps < 1:
-        raise InvalidInputError(f"--steps: must be >= 1, got {args.steps}")
     k = z.size
     sched = RadiusSchedule(((0, 0.0), (args.steps, 1.0)))
     rng = np.random.default_rng(args.seed)
@@ -126,25 +127,15 @@ def cmd_trajectory(args) -> int:
             break
         upstream = -np.eye(k)[target] + 0.05 * rng.normal(size=k)
         z = z - lr * sparsestmax_vjp(res, upstream)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args.out, "\n".join(lines) + "\n", sys.stdout)
     return 0
-
-
-def _defaults(cls) -> dict:
-    return {f.name: f.default if f.default is not dataclasses.MISSING
-            else f.default_factory() for f in dataclasses.fields(cls)}
 
 
 # Each config section maps its keys to their defaults; a value read from
 # the file must have its default's type.
 _CONFIG_SECTIONS = {
-    "model": _defaults(ToyModelConfig),
-    "optimizer": _defaults(OptimizerConfig),
+    "model": dataclasses.asdict(ToyModelConfig()),
+    "optimizer": dataclasses.asdict(OptimizerConfig()),
     "data": {"n_samples": 200, "separation": 2.0, "noise": 1.0},
 }
 
@@ -172,11 +163,11 @@ def _config_value(section: str, key: str, value):
 
 def _load_train_configs(path: str, seed_override):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise InvalidInputError(f"--config: file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise InvalidInputError(f"--config: cannot read {path}: {exc.strerror or exc}")
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise InvalidInputError(f"--config: invalid JSON in {path}: {exc}")
     if not isinstance(raw, dict):
         raise InvalidInputError(f"--config: {path} must hold a JSON object")
@@ -194,24 +185,22 @@ def _load_train_configs(path: str, seed_override):
     try:
         model = ToyModelConfig(**model_raw)
         opt = OptimizerConfig(**sections.get("optimizer", {}))
+        data_raw = {**_CONFIG_SECTIONS["data"], **sections.get("data", {})}
+        data = make_synthetic_dataset(
+            seed=model.seed, n_samples=data_raw["n_samples"],
+            dims=(model.channels, model.height, model.width),
+            n_classes=model.n_classes,
+            separation=float(data_raw["separation"]),
+            noise=float(data_raw["noise"]))
     except InvalidInputError as exc:
         raise InvalidInputError(f"--config: {exc}")
-    data_raw = {**_CONFIG_SECTIONS["data"], **sections.get("data", {})}
-    data = make_synthetic_dataset(
-        seed=model.seed, n_samples=data_raw["n_samples"],
-        dims=(model.channels, model.height, model.width),
-        n_classes=model.n_classes,
-        separation=float(data_raw["separation"]),
-        noise=float(data_raw["noise"]))
     return model, opt, data
 
 
 def cmd_train(args) -> int:
     model, opt, data = _load_train_configs(args.config, args.seed)
     log = train(model, opt, data)
-    csv_text = log.to_csv(args.out)
-    if not args.out:
-        print(csv_text, file=sys.stderr, end="")
+    _write_out(args.out, log.to_csv(), sys.stderr)
     last = log.rows[-1]
     summary = {"steps": len(log.rows), "final_r": _sig12(last.r),
                "final_loss": _sig12(last.loss),
@@ -226,8 +215,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.epochs < 1:
-        raise InvalidInputError(f"--epochs: must be >= 1, got {args.epochs}")
     if not all(0.0 < f < 1.0 for f in args.fractions):
         raise InvalidInputError("--fractions: each must lie in (0, 1)")
     model, opt, data = _load_train_configs(args.config, None)
@@ -253,8 +240,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_bench(args) -> int:
     n, c, h, w = _parse_dims(args.dims)
-    if args.reps < 1:
-        raise InvalidInputError(f"--reps: must be >= 1, got {args.reps}")
     result = benchmark_forward(n, c, h, w, args.reps, seed=args.seed)
     _emit({"combined_ms": _sig12(result["combined_ms"]),
            "sparse_ms": _sig12(result["sparse_ms"]),
@@ -383,19 +368,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The least value of each integer flag, checked wherever a subcommand has it.
+_FLAG_MINIMUMS = {"seed": 0, "trials": 1, "k": 2, "steps": 1, "epochs": 1, "reps": 1}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    seed = getattr(args, "seed", None)
-    if seed is not None and seed < 0:
-        return _usage_error(f"--seed: must be >= 0, got {seed}")
+    args = build_parser().parse_args(argv)
     try:
+        for flag, least in _FLAG_MINIMUMS.items():
+            value = getattr(args, flag, None)
+            if value is not None and value < least:
+                raise InvalidInputError(f"--{flag}: must be >= {least}, got {value}")
         return args.func(args)
-    except InvalidInputError as exc:
-        return _usage_error(str(exc))
-    except TrainingFailedError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    except (InvalidInputError, TrainingFailedError) as exc:
+        print(exc, file=sys.stderr)
+        return 2 if isinstance(exc, InvalidInputError) else 1
 
 
 if __name__ == "__main__":

@@ -48,8 +48,8 @@ def as_logits(z) -> np.ndarray:
 
 
 def _radius(r) -> float:
-    """Validate a projection radius (a finite real number >= 0)."""
-    if not (isinstance(r, numbers.Real) and math.isfinite(r) and r >= 0):
+    """Validate a projection radius (a finite real number >= 0, not a bool)."""
+    if type(r) is bool or not (isinstance(r, numbers.Real) and math.isfinite(r) and r >= 0):
         raise InvalidInputError(f"radius r must be a finite real number >= 0, got {r!r}")
     return float(r)
 
@@ -101,7 +101,7 @@ class RadiusSchedule:
         """Radius at ``step``, clamped to the circumradius for ``k``
         normalizers.  A step on an interior knot is read from the segment
         ending there; past the last knot the radius holds its last value."""
-        if not isinstance(step, numbers.Integral) or step < 0:
+        if not isinstance(step, numbers.Integral) or isinstance(step, bool) or step < 0:
             raise InvalidInputError(f"step must be an integer >= 0, got {step!r}")
         r_circum = circumradius(k)
         step = min(step, self.knots[-1][0])
@@ -111,7 +111,8 @@ class RadiusSchedule:
 
 
 def softmax(z) -> np.ndarray:
-    """Shift-invariant softmax; strictly positive output."""
+    """Shift-invariant softmax.  An entry is 0 where ``exp`` underflows: a
+    logit more than about 745 below the largest."""
     z = as_logits(z)
     e = np.exp(z - z.max())
     return e / e.sum()

@@ -9,9 +9,8 @@ to produce per-step trajectory logs.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,6 +19,16 @@ from .errors import InvalidInputError, TrainingFailedError
 from .layer import (GateParams, SsnParams, select_normalizer, ssn_backward, ssn_forward,
                     validate_omega)
 from .simplex import RadiusSchedule, circumradius, inradius
+
+
+def _check_counts(cfg, *names) -> None:
+    """Raise unless each named field (each item of a list field) is an
+    integer: a bool is an int to Python, but never a count."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not all(isinstance(v, numbers.Integral) and type(v) is not bool
+                   for v in (value if isinstance(value, (list, tuple)) else [value])):
+            raise InvalidInputError(f"{name} must be integral, got {value!r}")
 
 
 @dataclass
@@ -37,6 +46,8 @@ class ToyModelConfig:
 
     def __post_init__(self):
         validate_omega(self.omega)
+        _check_counts(self, "layer_widths", "ssn_layer_count", "batch_size", "channels",
+                      "height", "width", "seed", "n_classes", "gn_groups")
         if self.ssn_layer_count < 1:
             raise InvalidInputError("need at least one gated layer")
         if self.ssn_layer_count != len(self.layer_widths):
@@ -64,6 +75,7 @@ class OptimizerConfig:
     schedule: RadiusSchedule | None = None
 
     def __post_init__(self):
+        _check_counts(self, "epochs")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise InvalidInputError(f"lr must be finite and > 0, got {self.lr}")
         for name in ("weight_decay", "z_lr_ratio"):
@@ -106,27 +118,23 @@ class TrajectoryLog:
     # The trained net; its BN running statistics come from the final forward.
     net: _ToyNet
 
-    def to_csv(self, path=None) -> str:
+    def to_csv(self) -> str:
+        """The per-step log as CSV text, lines ending in CRLF; the caller
+        writes it."""
         header = ["step", "r", "loss"]
         for i in range(1, self.layer_count + 1):
             header += [f"L{i}_p_{n}" for n in self.omega]
             header += [f"L{i}_pp_{n}" for n in self.omega]
             header += [f"L{i}_frozen_mean", f"L{i}_frozen_var", f"L{i}_stage"]
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(header)
+        lines = [",".join(header)]
         for row in self.rows:
-            vals = [row.step, f"{row.r:.17g}", f"{row.loss:.17g}"]
+            vals = [str(row.step), f"{row.r:.17g}", f"{row.loss:.17g}"]
             for lr_ in row.layers:
                 vals += [f"{v:.17g}" for v in lr_.p]
                 vals += [f"{v:.17g}" for v in lr_.pp]
-                vals += [int(lr_.frozen_mean), int(lr_.frozen_var), lr_.stage]
-            writer.writerow(vals)
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w", newline="") as fh:
-                fh.write(text)
-        return text
+                vals += [str(int(lr_.frozen_mean)), str(int(lr_.frozen_var)), lr_.stage]
+            lines.append(",".join(vals))
+        return "\r\n".join(lines) + "\r\n"
 
 
 def make_synthetic_dataset(seed: int, n_samples: int, dims: tuple[int, int, int],
@@ -137,9 +145,10 @@ def make_synthetic_dataset(seed: int, n_samples: int, dims: tuple[int, int, int]
     Labels cycle through the classes so every class is populated; identical
     seeds give identical bytes."""
     if n_classes < 2:
-        raise InvalidInputError("need at least two classes")
+        raise InvalidInputError(f"n_classes must be >= 2, got {n_classes}")
     if n_samples < n_classes:
-        raise InvalidInputError("need at least one sample per class")
+        raise InvalidInputError(f"n_samples must be >= n_classes ({n_classes}) for one "
+                                f"sample per class, got {n_samples}")
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(n_classes, *dims)) * separation
     labels = np.arange(n_samples) % n_classes

@@ -61,6 +61,13 @@ def test_project_twelve_significant_digits(capsys):
         assert float(f"{v:.12g}") == v
 
 
+def test_project_support_lists_nonzero_entries(capsys):
+    # exp(-800) underflows to 0, so softmax's support is not every index.
+    code, out, _ = run(["project", "--fn", "softmax", "--z", "800,0"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"p": [1.0, 0.0], "stage": "Softmax", "support": [0]}
+
+
 def test_project_negative_radius_names_flag(capsys):
     code, out, err = run(["project", "--fn", "sparsestmax",
                           "--z", "0.5,0.5", "--r", "-1"], capsys)
@@ -251,6 +258,27 @@ def test_train_missing_config_exits_2(capsys, tmp_path):
         assert message in err
 
 
+@pytest.mark.parametrize("args,message", [
+    pytest.param(["train", "--config", "{tmp}"], "--config: cannot read {tmp}: ",
+                 id="config-directory"),
+    pytest.param(["train", "--config", "{tmp}/latin1.json"],
+                 "--config: invalid JSON in {tmp}/latin1.json: ", id="config-not-utf8"),
+    # The run ends before the write: one epoch keeps it short.
+    pytest.param(["train", "--config", "{tmp}/config.json", "--out", "{tmp}"],
+                 "--out: cannot write {tmp}: ", id="out-directory"),
+    pytest.param(["trajectory", "--z", "1,1,1", "--out", "{tmp}/missing/x.csv"],
+                 "--out: cannot write {tmp}/missing/x.csv: ", id="out-missing-directory"),
+])
+def test_unusable_path_exits_2(capsys, tmp_path, args, message):
+    _write_config(tmp_path, {"optimizer": {"epochs": 1}})
+    (tmp_path / "latin1.json").write_bytes('{"data": {"noise": 1.0}} é'.encode("latin-1"))
+    code, out, err = run([a.format(tmp=tmp_path) for a in args], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message.format(tmp=tmp_path))
+    assert err.count("\n") == 1  # the message alone, no traceback
+
+
 def test_train_seed_override_changes_bytes_not_convergence(capsys, tmp_path):
     cfg = _write_config(tmp_path)
     a_csv, b_csv = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -296,6 +324,10 @@ def test_train_config_schedule_matches_default_ramp(capsys, tmp_path):
     pytest.param("optimizer", "schedule", [[False, 0], [True, True]],
                  "optimizer.schedule", id="schedule-boolean-knot"),
     pytest.param("extra", None, {}, "extra", id="unknown-section"),
+    pytest.param("data", "n_samples", 2, "--config: n_samples must be >= n_classes (4)",
+                 id="fewer-samples-than-classes"),
+    pytest.param("model", "n_classes", 1, "--config: n_classes must be >= 2, got 1",
+                 id="one-class"),
 ])
 def test_bad_config_names_key_and_exits_2(capsys, tmp_path, subcommand,
                                           section, key, value, named):

@@ -147,7 +147,7 @@ def test_schedule_rejects_out_of_range_step():
     # Only a negative or non-integral step is out of range: past the last
     # knot the radius holds.
     s = RadiusSchedule(((0, 0.0), (10, 1.0)))
-    for step in (-1, None, float("nan"), 2.5, "3"):
+    for step in (-1, None, float("nan"), 2.5, "3", True, False):
         with pytest.raises(InvalidInputError, match="step"):
             s.radius(step, 3)
     assert s.radius(11, 3) == s.radius(10, 3)
@@ -276,9 +276,13 @@ def test_invalid_inputs_rejected():
         sparsestmax([1.0, 2.0, 3.0], "0.3")
     with pytest.raises(InvalidInputError):
         sparsestmax([1.0, 2.0, 3.0], None)
+    # A bool is a Real to Python, but never a radius.
+    for r in (True, False):
+        with pytest.raises(InvalidInputError, match="radius r"):
+            sparsestmax([1.0, 0.5, 0.2], r)
     # is_smooth_point checks r as sparsestmax does, rather than reading a
     # bad radius as "not smooth".
-    for r in ("0.3", None, np.nan, -0.1):
+    for r in ("0.3", None, np.nan, -0.1, True, False):
         with pytest.raises(InvalidInputError, match="radius r"):
             is_smooth_point([0.1, 0.2, 0.3], r)
 

@@ -86,6 +86,11 @@ def test_config_validation():
     ({"omega": ("IN", "BN", "LN", "GN"), "gn_groups": 0}, "gn_groups"),
     ({"omega": ("IN", "BN", "LN", "GN"), "gn_groups": 3}, "gn_groups"),
     ({"seed": -1}, "seed"),
+    # Counts must be integers: these raised a bare TypeError in training.
+    ({"batch_size": 2.5}, "batch_size"),
+    ({"seed": 1.5}, "seed"),
+    ({"layer_widths": [8, 8, 8, 8.0]}, "layer_widths"),
+    ({"n_classes": True}, "n_classes"),
 ])
 def test_model_config_rejects_configs_that_fail_in_training(fields, named):
     with pytest.raises(InvalidInputError, match=named):
@@ -108,6 +113,14 @@ def test_model_config_checks_gn_groups_only_with_gn():
 def test_optimizer_config_rejects_non_finite_fields(field, value):
     with pytest.raises(InvalidInputError, match=field):
         OptimizerConfig(**{field: value})
+
+
+@pytest.mark.parametrize("epochs", [1.5, 2.0, True, "3"])
+def test_optimizer_config_rejects_non_integer_epochs(epochs):
+    # 1.5 failed in training on the default schedule, and True trained one
+    # epoch.
+    with pytest.raises(InvalidInputError, match="epochs must be integral"):
+        OptimizerConfig(epochs=epochs)
 
 
 # ----------------------------------------------------------------- training
