@@ -8,15 +8,18 @@ radius moves), bench (eval-mode forward throughput), verify (run the
 invariant suite).
 
 Exit codes: 0 success, 1 verification/training failure, 2 usage error (a
-message naming the flag, or argparse's own); --out is written after the run.
+message naming the flag, or argparse's own); --out is written after the run,
+and train rejects an --out it could never write before the run.
 Stdout carries JSON/CSV results only; diagnostics go to stderr.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -51,6 +54,21 @@ def _write_out(path, text: str, stream) -> None:
             fh.write(text)
     except OSError as exc:
         raise InvalidInputError(f"--out: cannot write {path}: {exc.strerror or exc}")
+
+
+def _check_out(path) -> None:
+    """Raise ``_write_out``'s error for an ``--out`` PATH that is a directory
+    or whose parent directory does not exist, before a run that would end by
+    writing it; create no file."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not path or not os.path.isdir(os.path.dirname(path) or "."):
+        code = errno.ENOENT
+    else:
+        return
+    raise InvalidInputError(f"--out: cannot write {path}: {os.strerror(code)}")
 
 
 def _parse_z(text: str) -> np.ndarray:
@@ -199,6 +217,7 @@ def _load_train_configs(path: str, seed_override):
 
 def cmd_train(args) -> int:
     model, opt, data = _load_train_configs(args.config, args.seed)
+    _check_out(args.out)
     log = train(model, opt, data)
     _write_out(args.out, log.to_csv(), sys.stderr)
     last = log.rows[-1]

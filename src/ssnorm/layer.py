@@ -6,17 +6,19 @@ from the radius-constrained simplex projection.  One statistics core
 serves every normalizer: ``REDUCE_AXES`` names the axes each one reduces
 over in an (N, G, C/G, H*W) view of the input, and the mixed moments are
 applied as a fused per-(n, c) scale and shift.  The exact backward pass
-collapses the same way to per-(n, c) coefficients.  One runner shares
-every full-tensor pass among one thread per usable core, with numpy's ufunc
-buffer cut to one long row, and one rule checks x and the upstream gradient
-for finiteness.  Also includes running-statistics bookkeeping for
-evaluation mode and BN folding into a preceding convolution.
+collapses the same way to per-(n, c) coefficients.  One runner cuts every
+full-tensor pass into blocks of whole samples and shares them among one
+thread per usable core, with numpy's ufunc buffer cut to one long row, and
+one rule checks x and the upstream gradient for finiteness.  Also includes
+running-statistics bookkeeping for evaluation mode and BN folding into a
+preceding convolution.
 """
 from __future__ import annotations
 
 import contextvars
 import functools
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -67,9 +69,9 @@ def validate_omega(omega) -> tuple[str, ...]:
 REDUCE_AXES = {"IN": (3,), "BN": (0, 3), "LN": (1, 2, 3), "GN": (2, 3)}
 
 # Bytes of one block of whole samples, about the per-core L2 of the reference
-# host.  A tensor that fits in one block is processed in the calling thread.
-# The backward sweeps x and g block by block, so a block read by one pass is
-# still in cache for the next.
+# host.  Every full-tensor pass walks the samples block by block
+# (``_map_samples``), and a tensor that fits in one block is processed in the
+# calling thread.
 BLOCK_BYTES = 1 << 21
 
 # Threads that share a larger tensor's full-tensor passes, one per core this
@@ -86,21 +88,11 @@ def _grouped_shape(shape, omega, gn_groups: int) -> tuple[int, int, int, int]:
     """The (N, G, C/G, H*W) view that ``REDUCE_AXES`` indexes."""
     n, c, h, w = shape
     groups = gn_groups if "GN" in omega else 1
+    if not isinstance(groups, numbers.Integral) or type(groups) is bool:
+        raise InvalidInputError(f"gn_groups must be integral, got {groups!r}")
     if groups < 1 or c % groups != 0:
         raise InvalidInputError(f"channels ({c}) not divisible by groups ({groups})")
     return n, groups, c // groups, h * w
-
-
-def _sample_blocks(view, *arrays) -> list[tuple[np.ndarray, ...]]:
-    """Cut the N axis of ``arrays`` (full tensors in the grouped ``view`` or
-    per-(n, c) arrays, all with the same samples) into blocks of whole float64
-    samples, as many as fit in ``BLOCK_BYTES`` and at least one, and give
-    each block's views of them.  A single block is the arrays themselves."""
-    n = len(arrays[0])
-    step = max(1, BLOCK_BYTES // (8 * math.prod(view[1:])))
-    if step >= n:
-        return [arrays]
-    return [tuple(a[i:i + step] for a in arrays) for i in range(0, n, step)]
 
 
 @functools.cache
@@ -115,42 +107,48 @@ def _executor(workers: int, pid: int):
 
 
 def _map_samples(fn, view) -> list:
-    """Results of ``fn(lo, hi)`` over ranges of whole samples that cover the
+    """Results of ``fn(lo, hi)`` over blocks of whole samples that cover the
     N axis of a float64 tensor in the grouped ``view``, in sample order.
     Every full-tensor pass of the layer runs here: ``row_sums``,
     ``recentre``, ``all_finite``, ``scale``, ``sweep_1`` and ``sweep_2``.
-    A tensor that fits in one ``BLOCK_BYTES`` block is one range, run in the
-    calling thread; a larger one gets one range per worker (at most
-    ``WORKERS``), each run in the pool under a copy of the caller's context,
-    so that numpy's ``errstate`` holds there too.  Rows of at least
+    A block holds as many samples as fit in ``BLOCK_BYTES``, and at least
+    one.  A one-block tensor is run in the calling thread; a larger one gets
+    one range per worker (at most ``WORKERS``), each run in the pool under a
+    copy of the caller's context, so that numpy's ``errstate`` holds there
+    too.  Each worker walks its range block by block, so a block stays in
+    cache from one numpy operation of ``fn`` to the next.  Rows of at least
     ``ROW_BUFFER_MIN`` elements run with numpy's ufunc buffer cut to one row
     (a multiple of 16, as numpy requires) where the caller's is larger, so
     numpy's buffered loop stops copying a per-(n, c) operand into it.  Each
-    task sets the cut in its own thread and restores that thread's size in
-    a ``finally`` (on numpy 1.x it outlives an ``errstate``).  ``fn``
+    worker sets the cut in its own thread and restores that thread's size
+    in a ``finally`` (on numpy 1.x it outlives an ``errstate``).  ``fn``
     writes only samples lo:hi of its outputs and sums only within a sample,
     and the cut changes how a loop is chunked, not what it computes, so the
-    outputs are the same bits for any cut."""
+    outputs are the same bits for any blocks, workers or cut."""
     n, row = view[0], view[3]
+    step = max(1, BLOCK_BYTES // (8 * math.prod(view[1:])))
     size = row - row % 16
-    task = fn
-    if row >= ROW_BUFFER_MIN and size < np.getbufsize():
-        def task(lo, hi):
-            inherited = np.setbufsize(size)
-            try:
-                return fn(lo, hi)
-            finally:
+    cut = row >= ROW_BUFFER_MIN and size < np.getbufsize()
+    if n <= step and not cut:
+        return [fn(0, n)]
+
+    def task(lo, hi):
+        inherited = np.setbufsize(size) if cut else None
+        try:
+            return [fn(i, min(i + step, hi)) for i in range(lo, hi, step)]
+        finally:
+            if cut:
                 np.setbufsize(inherited)
-    chunks = min(WORKERS, n) if 8 * math.prod(view) > BLOCK_BYTES else 1
+    chunks = min(WORKERS, n) if n > step else 1
     if chunks == 1:
-        return [task(0, n)]
+        return task(0, n)
     from concurrent.futures import wait
     bounds = [n * i // chunks for i in range(chunks + 1)]
     pool = _executor(WORKERS, os.getpid())
     futures = [pool.submit(contextvars.copy_context().run, task, lo, hi)
                for lo, hi in zip(bounds, bounds[1:])]
     wait(futures)
-    return [f.result() for f in futures]
+    return [result for f in futures for result in f.result()]
 
 
 def _check_finite(what: str, tv, sums) -> bool:
@@ -272,8 +270,9 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     due.  The mixed moments are applied as one per-(n, c) scale and shift,
     ``y = x * a + b``, in place on that copy.  Finiteness of ``x`` is read
     off its row sums (``_check_finite``), and a rejected ``x`` raises with
-    no numpy warning.  Each full-tensor pass is shared among the workers
-    (``_map_samples``), with the same bits for any count.
+    no numpy warning.  Each full-tensor pass walks blocks of whole samples
+    shared among the workers (``_map_samples``), with the same bits for any
+    block size or worker count.
     """
     x = _validate_tensor4(x)
     omega = validate_omega(omega)
@@ -370,11 +369,10 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
     Every normalizer's mean and variance terms reduce to per-(n, c)
     coefficients, so ``grad_x = x * coef + const + g * alpha`` takes the
     same two sweeps over x and g whatever the number of normalizers.
-    Each sweep goes through blocks of whole samples (``BLOCK_BYTES``), so
-    a block read by one pass is still in cache for the next and the only
-    full-size array written is ``grad_x``; each worker takes its own range
-    of samples (``_map_samples``).  Per-row sums do not depend on the
-    blocks or the workers, so neither do the gradients.  The upstream
+    Like every full-tensor pass, each sweep walks blocks of whole samples
+    (``_map_samples``), so the only full-size array written is ``grad_x``.
+    Per-row sums do not depend on the blocks or the workers, so neither do
+    the gradients.  The upstream
     tensor is checked by the forward's finiteness rule (``_check_finite``),
     with no numpy warning when it is rejected.  Gate gradients always flow
     through the projection's vector-Jacobian product, which gives zero-ratio
@@ -397,10 +395,8 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
     sums = np.empty((2,) + view[:3])
 
     def sweep_1(lo, hi):
-        for gb, xb, sum_gb, sum_gxb in _sample_blocks(
-                view, gv[lo:hi], xv[lo:hi], sums[0, lo:hi], sums[1, lo:hi]):
-            np.add.reduce(gb, axis=3, out=sum_gb)
-            np.einsum("ngkh,ngkh->ngk", gb, xb, out=sum_gxb)
+        np.add.reduce(gv[lo:hi], axis=3, out=sums[0, lo:hi])
+        np.einsum("ngkh,ngkh->ngk", gv[lo:hi], xv[lo:hi], out=sums[1, lo:hi])
     with np.errstate(over="ignore", invalid="ignore"):
         _map_samples(sweep_1, view)
         # x is finite (the forward checked it), so a finite g whose sums of
@@ -437,18 +433,13 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
             coef += t
             const -= t * mean_k
 
-    # Sweep 2: grad_x block by block, g * alpha through one block-sized
-    # scratch buffer per worker.
+    # Sweep 2: grad_x, with g * alpha a temporary of one block.
     grad_x = np.empty(view)
 
     def sweep_2(lo, hi):
-        blocks = _sample_blocks(view, grad_x[lo:hi], xv[lo:hi], gv[lo:hi],
-                                coef[lo:hi], const[lo:hi], a[lo:hi])
-        scratch = np.empty_like(blocks[0][0])
-        for out, xb, gb, coef_b, const_b, alpha_b in blocks:
-            np.multiply(xb, coef_b, out=out)
-            out += const_b
-            out += np.multiply(gb, alpha_b, out=scratch[:len(out)])
+        out = np.multiply(xv[lo:hi], coef[lo:hi], out=grad_x[lo:hi])
+        out += const[lo:hi]
+        out += gv[lo:hi] * a[lo:hi]
     _map_samples(sweep_2, view)
     return SsnGrads(x=grad_x.reshape(x.shape), gamma=grad_gamma, beta=grad_beta,
                     z_mean=sparsestmax_vjp(cache.p_res, g_p),

@@ -31,6 +31,14 @@ def _check_counts(cfg, *names) -> None:
             raise InvalidInputError(f"{name} must be integral, got {value!r}")
 
 
+def _check_reals(cfg, *names) -> None:
+    """Raise unless each named field is a real number and not a bool."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not isinstance(value, numbers.Real) or type(value) is bool:
+            raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass
 class ToyModelConfig:
     layer_widths: list[int] = field(default_factory=lambda: [8, 8, 8, 8])
@@ -76,6 +84,10 @@ class OptimizerConfig:
 
     def __post_init__(self):
         _check_counts(self, "epochs")
+        _check_reals(self, "lr", "momentum", "weight_decay", "z_lr_ratio", "z_init")
+        if self.schedule is not None and not isinstance(self.schedule, RadiusSchedule):
+            raise InvalidInputError(
+                f"schedule must be None or a RadiusSchedule, got {self.schedule!r}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise InvalidInputError(f"lr must be finite and > 0, got {self.lr}")
         for name in ("weight_decay", "z_lr_ratio"):

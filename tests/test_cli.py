@@ -263,7 +263,6 @@ def test_train_missing_config_exits_2(capsys, tmp_path):
                  id="config-directory"),
     pytest.param(["train", "--config", "{tmp}/latin1.json"],
                  "--config: invalid JSON in {tmp}/latin1.json: ", id="config-not-utf8"),
-    # The run ends before the write: one epoch keeps it short.
     pytest.param(["train", "--config", "{tmp}/config.json", "--out", "{tmp}"],
                  "--out: cannot write {tmp}: ", id="out-directory"),
     pytest.param(["trajectory", "--z", "1,1,1", "--out", "{tmp}/missing/x.csv"],
@@ -277,6 +276,25 @@ def test_unusable_path_exits_2(capsys, tmp_path, args, message):
     assert out == ""
     assert err.startswith(message.format(tmp=tmp_path))
     assert err.count("\n") == 1  # the message alone, no traceback
+
+
+@pytest.mark.parametrize("out,reason", [
+    ("{tmp}", "Is a directory"),
+    ("{tmp}/missing/x.csv", "No such file or directory"),
+    ("", "No such file or directory"),
+])
+def test_train_rejects_out_before_the_run(capsys, tmp_path, monkeypatch, out, reason):
+    # An --out that no write could succeed on fails before training, which
+    # would otherwise run to the end and lose its log.
+    def no_run(*args):
+        raise AssertionError("train ran")
+    monkeypatch.setattr("ssnorm.cli.train", no_run)
+    out = out.format(tmp=tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    code, stdout, err = run(["train", "--config", str(DEFAULT_CONFIG), "--out", out], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"--out: cannot write {out}: {reason}\n"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_train_seed_override_changes_bytes_not_convergence(capsys, tmp_path):

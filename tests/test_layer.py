@@ -89,6 +89,13 @@ def test_stats_gn_rejects_indivisible_groups():
     x = np.zeros((1, 6, 2, 2))
     with pytest.raises(InvalidInputError):
         ssn_forward(x, SsnParams.init(6, 4), 0.0, ("IN", "BN", "LN", "GN"), 4)
+    # A group count that is not an integer is rejected by name where GN
+    # reads it, and ignored without GN.
+    for groups in (2.0, True, "2"):
+        with pytest.raises(InvalidInputError, match="gn_groups must be integral"):
+            ssn_forward(x, SsnParams.init(6, 4), 0.0, ("IN", "BN", "LN", "GN"), groups)
+        ssn_forward(x, SsnParams.init(6, 3), 0.0, ("IN", "BN", "LN"), groups)
+    ssn_forward(x, SsnParams.init(6, 4), 0.0, ("IN", "BN", "LN", "GN"), np.int64(2))
 
 
 def test_validate_omega():
@@ -269,21 +276,25 @@ def test_forward_validates_shapes():
             ssn_forward(np.zeros(empty), params, 0.1, ("IN", "BN", "LN"))
 
 
-def _pass_names(monkeypatch, bufsizes=None):
+def _pass_names(monkeypatch, calls=None):
     """Record the name of each full-tensor pass the layer runs and, given a
-    list, the ufunc buffer size each of its tasks runs under."""
+    list, append to it one (name, blocks) entry per pass, where ``blocks``
+    gets the (lo, hi) of each call of the pass and the ufunc buffer size
+    the call runs under."""
     names = []
     run = layer._map_samples
 
     def recording(fn, view):
         names.append(fn.__name__)
-        if bufsizes is None:
+        if calls is None:
             return run(fn, view)
+        blocks = []
+        calls.append((fn.__name__, blocks))
 
-        def task(lo, hi):
-            bufsizes.append(np.getbufsize())
+        def block(lo, hi):
+            blocks.append((lo, hi, np.getbufsize()))
             return fn(lo, hi)
-        return run(task, view)
+        return run(block, view)
     monkeypatch.setattr(layer, "_map_samples", recording)
     return names
 
@@ -600,13 +611,17 @@ def test_backward_does_not_depend_on_block_size(monkeypatch, omega, gn_groups):
     g = rng.normal(size=x.shape)
     one_block = ssn_backward(cache, g)
     sample_bytes = x[0].nbytes
+    calls = []
+    _pass_names(monkeypatch, calls)
     for samples, sizes in [(1, [1] * 5), (2, [2, 2, 1])]:
         monkeypatch.setattr(layer, "BLOCK_BYTES", samples * sample_bytes)
-        blocks = layer._sample_blocks(cache.view, x)
-        assert [len(xb) for (xb,) in blocks] == sizes
         for workers in (1, 2, 3):
             monkeypatch.setattr(layer, "WORKERS", workers)
+            calls.clear()
             grads = ssn_backward(cache, g)
+            if workers == 1:
+                assert [hi - lo for name, blocks in calls if name == "sweep_1"
+                        for lo, hi, _ in blocks] == sizes
             for field in ("x", "gamma", "beta", "z_mean", "z_var"):
                 assert getattr(grads, field).tobytes() == \
                     getattr(one_block, field).tobytes(), (samples, workers, field)
@@ -641,6 +656,41 @@ def test_forward_does_not_depend_on_block_size(monkeypatch, omega, gn_groups,
             monkeypatch.setattr(layer, "WORKERS", workers)
             assert _layer_bits(x, params, r, omega, gn_groups) == one_block, \
                 (samples, workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_every_pass_walks_the_same_blocks(monkeypatch, workers):
+    # One rule cuts every pass, forward and backward alike: each call of a
+    # pass is one block of at most the block step's samples, and the calls
+    # tile the N axis in the same ranges for every pass.
+    monkeypatch.setattr(layer, "WORKERS", workers)
+    rng = np.random.default_rng(32)
+    omega = ("IN", "BN", "LN", "GN")
+    x = rng.normal(size=(5, 4, 3, 3))
+    params = _rand_params(rng, 4, 4)
+    params.gate.z_mean = 1.0 + 0.02 * rng.normal(size=4)
+    params.gate.z_var = 1.0 + 0.02 * rng.normal(size=4)
+    g = rng.normal(size=x.shape)
+    calls = []
+    _pass_names(monkeypatch, calls)
+    for step in (1, 2):
+        monkeypatch.setattr(layer, "BLOCK_BYTES", step * x[0].nbytes)
+        calls.clear()
+        _, cache = ssn_forward(x, params, 0.1, omega, 2)
+        ssn_backward(cache, g)
+        assert [name for name, _ in calls] == ["row_sums"] + ["recentre"] * 4 + [
+            "scale", "sweep_1", "sweep_2"]
+        tilings = set()
+        for name, blocks in calls:
+            ranges = [(lo, hi) for lo, hi, _ in blocks]
+            if workers == 1:
+                assert ranges == sorted(ranges), name
+            ranges.sort()
+            assert all(0 < hi - lo <= step for lo, hi in ranges), (name, ranges)
+            assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+            assert ranges[-1][1] == len(x), (name, ranges)
+            tilings.add(tuple(ranges))
+        assert len(tilings) == 1, (step, tilings)
 
 
 def test_toy_shapes_run_in_the_calling_thread(monkeypatch):
@@ -765,8 +815,8 @@ def test_caller_buffer_size_is_left_alone(monkeypatch, workers):
 def test_every_pass_is_named_and_cut(monkeypatch, workers):
     # Every full-tensor pass goes through ``_map_samples`` as a named
     # function, so a wrapper of it can tell the passes apart, and on rows of
-    # 3136 elements each task runs under the one-row buffer cut, in the
-    # calling thread or in the pool.
+    # 3136 elements each call of a pass, one per one-sample block, runs under
+    # the one-row buffer cut, in the calling thread or in the pool.
     monkeypatch.setattr(layer, "WORKERS", workers)
     rng = np.random.default_rng(31)
     omega = ("IN", "BN", "LN", "GN")
@@ -779,8 +829,8 @@ def test_every_pass_is_named_and_cut(monkeypatch, workers):
     bn_eval.gate.z_mean = bn_eval.gate.z_var = np.array([0.0, 5.0, 0.0, 0.0])
     bad_x, bad_g = x.copy(), rng.normal(size=x.shape)
     bad_x[1, 2, 3, 4] = bad_g[2, 1, 0, 5] = np.nan
-    bufsizes = []
-    names = _pass_names(monkeypatch, bufsizes)
+    calls = []
+    names = _pass_names(monkeypatch, calls)
     seen = []
     _, cache = ssn_forward(x, params, 0.1, omega, 2)
     ssn_backward(cache, rng.normal(size=x.shape))
@@ -803,7 +853,8 @@ def test_every_pass_is_named_and_cut(monkeypatch, workers):
                     ["sweep_1", "all_finite"]]
     assert {name for run in seen for name in run} == {
         "row_sums", "recentre", "all_finite", "scale", "sweep_1", "sweep_2"}
-    assert bufsizes == [3136] * (workers * sum(map(len, seen)))
+    bufsizes = [size for _, blocks in calls for _, _, size in blocks]
+    assert bufsizes == [3136] * (3 * sum(map(len, seen)))
 
 
 def test_toy_shapes_never_cut_the_buffer(monkeypatch):
@@ -882,20 +933,24 @@ def test_backward_writes_no_full_size_temporary(monkeypatch):
     x = rng.normal(size=(8, 16, 32, 32))
     g = rng.normal(size=x.shape)
     monkeypatch.setattr(layer, "BLOCK_BYTES", 2 * x[0].nbytes)
+    calls = []
+    _pass_names(monkeypatch, calls)
     for workers in (1, 2):
         monkeypatch.setattr(layer, "WORKERS", workers)
         # The forward makes the pool, if any, before the traced window.
         _, cache = ssn_forward(x, SsnParams.init(16, 4), 0.1, ("IN", "BN", "LN", "GN"), 4)
-        assert len(layer._sample_blocks(cache.view, x)) == 4
+        calls.clear()
         tracemalloc.start()
         try:
             grads = ssn_backward(cache, g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # grad_x itself; per worker, one block of scratch and numpy's buffer
-        # for a broadcast ufunc (np.getbufsize() elements); room for 64
-        # per-(n, c) arrays.  A full-size temporary would add another x.nbytes.
+        assert sum(len(blocks) for name, blocks in calls if name == "sweep_2") == 4
+        # grad_x itself; per worker, one block-sized g * alpha temporary and
+        # numpy's buffer for a broadcast ufunc (np.getbufsize() elements);
+        # room for 64 per-(n, c) arrays.  A full-size temporary would add
+        # another x.nbytes.
         per_worker = layer.BLOCK_BYTES + 8 * np.getbufsize()
         bound = x.nbytes + workers * per_worker + 64 * 8 * x.shape[0] * x.shape[1]
         assert bound < 2 * x.nbytes

@@ -123,6 +123,24 @@ def test_optimizer_config_rejects_non_integer_epochs(epochs):
         OptimizerConfig(epochs=epochs)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lr", "0.1"), ("z_lr_ratio", "1"), ("z_init", None), ("momentum", None),
+    ("lr", True), ("weight_decay", True),
+    ("schedule", [[0, 0], [10, 1]]),
+])
+def test_optimizer_config_rejects_fields_that_are_not_numbers(field, value):
+    # Strings and None raised a bare TypeError, a bool was taken as 1.0 and a
+    # schedule given as a list failed only in training.
+    with pytest.raises(InvalidInputError, match=f"{field} must be"):
+        OptimizerConfig(**{field: value})
+
+
+def test_optimizer_config_takes_numpy_numbers():
+    cfg = OptimizerConfig(lr=np.float64(0.05), momentum=np.float32(0.5), z_init=2,
+                          schedule=RadiusSchedule(((0, 0.0), (10, 1.0))))
+    assert cfg.z_init == 2
+
+
 # ----------------------------------------------------------------- training
 
 def test_training_converges_all_gates_one_hot(default_run):
