@@ -24,7 +24,8 @@ import sys
 
 import numpy as np
 
-from .errors import (InvalidInputError, NotConvergedError, TrainingFailedError)
+from .errors import (InvalidInputError, NotConvergedError, TrainingFailedError,
+                     check_integer, check_real)
 from .layer import WORKERS, benchmark_forward
 from .simplex import (RadiusSchedule, Stage, circumradius, softmax, sparsemax,
                       sparsestmax, sparsestmax_vjp, vjp_gradcheck)
@@ -150,7 +151,7 @@ def cmd_trajectory(args) -> int:
 
 
 # Each config section maps its keys to their defaults; a value read from
-# the file must have its default's type.
+# the file must have its default's type, a number by its ``errors`` rule.
 _CONFIG_SECTIONS = {
     "model": dataclasses.asdict(ToyModelConfig()),
     "optimizer": dataclasses.asdict(OptimizerConfig()),
@@ -168,15 +169,16 @@ def _config_value(section: str, key: str, value):
             return RadiusSchedule(value)
         except InvalidInputError as exc:
             raise InvalidInputError(f"{where}: {exc}")
-    if isinstance(default, (list, tuple)):  # layer_widths, omega
-        ok = isinstance(value, list) and all(type(v) is type(default[0]) for v in value)
-        value = type(default)(value) if ok else value
-    else:
-        ok = type(value) is int or (type(default) is float and type(value) is float
-                                    and math.isfinite(value))
-    if not ok:
+    listed = isinstance(default, (list, tuple))  # layer_widths, omega
+    sample = default[0] if listed else default
+    if listed and not isinstance(value, list) or \
+            isinstance(sample, str) and not all(type(v) is str for v in value):
         raise InvalidInputError(f"{where} has the wrong type: {value!r}")
-    return value
+    if not isinstance(sample, str):
+        check = check_real if isinstance(sample, float) else check_integer
+        for item in value if listed else [value]:
+            check(where, item)
+    return type(default)(value) if listed else value
 
 
 def _load_train_configs(path: str, seed_override):

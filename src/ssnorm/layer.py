@@ -18,14 +18,14 @@ from __future__ import annotations
 import contextvars
 import functools
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidStateError, NotConvergedError
+from .errors import (InvalidInputError, InvalidStateError, NotConvergedError, check_integer,
+                     check_real)
 from .simplex import ProjectionResult, circumradius, sparsestmax, sparsestmax_vjp
 
 NORMALIZER_ORDER = ("IN", "BN", "LN", "GN")
@@ -87,10 +87,8 @@ ROW_BUFFER_MIN = 128
 def _grouped_shape(shape, omega, gn_groups: int) -> tuple[int, int, int, int]:
     """The (N, G, C/G, H*W) view that ``REDUCE_AXES`` indexes."""
     n, c, h, w = shape
-    groups = gn_groups if "GN" in omega else 1
-    if not isinstance(groups, numbers.Integral) or type(groups) is bool:
-        raise InvalidInputError(f"gn_groups must be integral, got {groups!r}")
-    if groups < 1 or c % groups != 0:
+    groups = check_integer("gn_groups", gn_groups, 1) if "GN" in omega else 1
+    if c % groups != 0:
         raise InvalidInputError(f"channels ({c}) not divisible by groups ({groups})")
     return n, groups, c // groups, h * w
 
@@ -201,6 +199,9 @@ class SsnParams:
 
     @classmethod
     def init(cls, channels: int, k: int, z_init: float = 1.0):
+        check_integer("channels", channels, 1)
+        check_integer("k", k, 2)
+        check_real("z_init", z_init)
         gate = GateParams(z_mean=np.full(k, z_init), z_var=np.full(k, z_init))
         return cls(gate=gate, gamma=np.ones(channels), beta=np.zeros(channels))
 
@@ -210,8 +211,7 @@ def _check_params(params: SsnParams, k: int, c: int) -> None:
     Callers reassign fields after construction, so each entry point runs it."""
     if params.mode not in (TRAIN, EVAL):
         raise InvalidInputError(f"mode must be {TRAIN!r} or {EVAL!r}, got {params.mode!r}")
-    if not (math.isfinite(params.eps) and params.eps > 0):
-        raise InvalidInputError(f"eps must be finite and > 0, got {params.eps!r}")
+    check_real("eps", params.eps, 0, strict=True)
     gate = params.gate
     shapes = (getattr(gate.z_mean, "shape", None), getattr(gate.z_var, "shape", None))
     if shapes != ((k,), (k,)):
@@ -506,10 +506,9 @@ def benchmark_forward(n: int, c: int, h: int, w: int, reps: int,
     mixture vs one-hot.
 
     Returns combined/sparse medians in milliseconds and their ratio."""
-    if min(n, c, h, w) < 1:
-        raise InvalidInputError("benchmark dims must be positive")
-    if reps < 1:
-        raise InvalidInputError("reps must be >= 1")
+    for name, value in (("n", n), ("c", c), ("h", h), ("w", w), ("reps", reps)):
+        check_integer(name, value, 1)
+    check_integer("seed", seed, 0)
     omega = ("IN", "BN", "LN")
     k = len(omega)
     rng = np.random.default_rng(seed)

@@ -10,13 +10,12 @@ vector-Jacobian products are provided for both.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidStateError
+from .errors import InvalidInputError, InvalidStateError, check_integer, check_real
 
 # Below this distance from the center, the radial direction is undefined
 # and a deterministic fallback direction is used.
@@ -47,26 +46,17 @@ def as_logits(z) -> np.ndarray:
     return np.array(_logits(z))
 
 
-def _radius(r) -> float:
-    """Validate a projection radius (a finite real number >= 0, not a bool)."""
-    if type(r) is bool or not (isinstance(r, numbers.Real) and math.isfinite(r) and r >= 0):
-        raise InvalidInputError(f"radius r must be a finite real number >= 0, got {r!r}")
-    return float(r)
-
-
 def circumradius(k: int) -> float:
     """Distance from the center of the probability simplex in R^k to each
     vertex: the radius at which only one-hot outputs stay feasible."""
-    if k < 2:
-        raise InvalidInputError("simplex dimension k must be >= 2")
+    check_integer("simplex dimension k", k, 2)
     return math.sqrt((k - 1) / k)
 
 
 def inradius(k: int) -> float:
     """Distance from the center of the probability simplex in R^k to each
     facet."""
-    if k < 2:
-        raise InvalidInputError("simplex dimension k must be >= 2")
+    check_integer("simplex dimension k", k, 2)
     return math.sqrt(1.0 / (k * (k - 1)))
 
 
@@ -84,25 +74,23 @@ class RadiusSchedule:
             knots = tuple((s, r) for s, r in self.knots)
         except (TypeError, ValueError):
             knots = ()
-        # A bool is an Integral and a Real, but never a step or a radius.
-        if len(knots) < 2 or not all(
-                isinstance(s, numbers.Integral) and isinstance(r, numbers.Real)
-                and bool not in (type(s), type(r)) for s, r in knots):
+        if len(knots) < 2:
             raise InvalidInputError("schedule needs two or more [step, r] knots")
+        for s, r in knots:
+            check_integer("schedule step", s)
+            check_real("schedule radius", r, 0)
         steps, radii = zip(*knots)
         if steps[0] != 0 or any(b <= a for a, b in zip(steps, steps[1:])):
             raise InvalidInputError("schedule steps must increase from 0")
-        if not all(math.isfinite(r) and r >= 0 for r in radii) or \
-                any(b < a for a, b in zip(radii, radii[1:])):
-            raise InvalidInputError("schedule radii must be finite, >= 0 and non-decreasing")
+        if any(b < a for a, b in zip(radii, radii[1:])):
+            raise InvalidInputError("schedule radii must be non-decreasing")
         object.__setattr__(self, "knots", tuple((int(s), float(r)) for s, r in knots))
 
     def radius(self, step: int, k: int) -> float:
         """Radius at ``step``, clamped to the circumradius for ``k``
         normalizers.  A step on an interior knot is read from the segment
         ending there; past the last knot the radius holds its last value."""
-        if not isinstance(step, numbers.Integral) or isinstance(step, bool) or step < 0:
-            raise InvalidInputError(f"step must be an integer >= 0, got {step!r}")
+        check_integer("step", step, 0)
         r_circum = circumradius(k)
         step = min(step, self.knots[-1][0])
         for (s0, r0), (s1, r1) in zip(self.knots, self.knots[1:]):
@@ -207,7 +195,7 @@ def sparsestmax(z, r: float) -> ProjectionResult:
     z = _logits(z)
     k = len(z)
     r_circum = circumradius(k)
-    r = min(_radius(r), r_circum)
+    r = min(float(check_real("radius r", r, 0)), r_circum)
 
     u = [1.0 / k] * k
     p0 = _sparsemax(z)
@@ -333,7 +321,7 @@ def is_smooth_point(z, r: float) -> bool:
     """
     dr, dz = 1e-3, 1e-4
     z = as_logits(z)
-    r = _radius(r)
+    check_real("radius r", r, 0)
     if r - dr < 0 or r + dr > circumradius(z.size):
         return False
     res = sparsestmax(z, r)
@@ -362,12 +350,9 @@ def vjp_gradcheck(rng, k: int, trials: int, r_hi: float) -> float:
     draws z ~ N(0, I), r ~ U(0.05, r_hi), skips non-smooth points and draws
     the upstream g ~ N(0, I).  The 1e-3 floor sits at the finite-difference
     noise scale, so zero gradients (pinned faces) add no spurious error."""
-    if k < 2:
-        raise InvalidInputError("simplex dimension k must be >= 2")
-    if trials < 1:
-        raise InvalidInputError(f"trials must be >= 1, got {trials}")
-    if not (math.isfinite(r_hi) and r_hi > 0.05):
-        raise InvalidInputError(f"r_hi must be finite and > 0.05, got {r_hi!r}")
+    check_integer("simplex dimension k", k, 2)
+    check_integer("trials", trials, 1)
+    check_real("r_hi", r_hi, 0.05, strict=True)
     eps = 1e-6
     worst = 0.0
     done = 0

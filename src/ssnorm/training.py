@@ -10,33 +10,14 @@ to produce per-step trajectory logs.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, TrainingFailedError
+from .errors import InvalidInputError, TrainingFailedError, check_integer, check_real
 from .layer import (GateParams, SsnParams, select_normalizer, ssn_backward, ssn_forward,
                     validate_omega)
 from .simplex import RadiusSchedule, circumradius, inradius
-
-
-def _check_counts(cfg, *names) -> None:
-    """Raise unless each named field (each item of a list field) is an
-    integer: a bool is an int to Python, but never a count."""
-    for name in names:
-        value = getattr(cfg, name)
-        if not all(isinstance(v, numbers.Integral) and type(v) is not bool
-                   for v in (value if isinstance(value, (list, tuple)) else [value])):
-            raise InvalidInputError(f"{name} must be integral, got {value!r}")
-
-
-def _check_reals(cfg, *names) -> None:
-    """Raise unless each named field is a real number and not a bool."""
-    for name in names:
-        value = getattr(cfg, name)
-        if not isinstance(value, numbers.Real) or type(value) is bool:
-            raise InvalidInputError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass
@@ -54,21 +35,22 @@ class ToyModelConfig:
 
     def __post_init__(self):
         validate_omega(self.omega)
-        _check_counts(self, "layer_widths", "ssn_layer_count", "batch_size", "channels",
-                      "height", "width", "seed", "n_classes", "gn_groups")
-        if self.ssn_layer_count < 1:
-            raise InvalidInputError("need at least one gated layer")
+        if not isinstance(self.layer_widths, (list, tuple)):
+            raise InvalidInputError(f"layer_widths must be a list, got {self.layer_widths!r}")
+        for width in self.layer_widths:
+            check_integer("layer_widths", width, 1)
+        check_integer("ssn_layer_count", self.ssn_layer_count, 1)
         if self.ssn_layer_count != len(self.layer_widths):
             raise InvalidInputError("ssn_layer_count must match len(layer_widths)")
-        if min(self.layer_widths) < 1 or min(self.batch_size, self.channels,
-                                             self.height, self.width) < 1:
-            raise InvalidInputError("all dimensions must be positive")
-        if "GN" in self.omega and (self.gn_groups < 1 or any(
-                w % self.gn_groups for w in self.layer_widths)):
-            raise InvalidInputError(f"gn_groups must be >= 1 and divide every "
-                                    f"layer width, got {self.gn_groups}")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
+        for name in ("batch_size", "channels", "height", "width"):
+            check_integer(name, getattr(self, name), 1)
+        check_integer("seed", self.seed, 0)
+        check_integer("n_classes", self.n_classes)
+        gn = "GN" in self.omega
+        check_integer("gn_groups", self.gn_groups, 1 if gn else None)
+        if gn and any(w % self.gn_groups for w in self.layer_widths):
+            raise InvalidInputError(
+                f"gn_groups must divide every layer width, got {self.gn_groups}")
 
 
 @dataclass
@@ -83,23 +65,17 @@ class OptimizerConfig:
     schedule: RadiusSchedule | None = None
 
     def __post_init__(self):
-        _check_counts(self, "epochs")
-        _check_reals(self, "lr", "momentum", "weight_decay", "z_lr_ratio", "z_init")
+        check_integer("epochs", self.epochs, 1)
+        check_real("lr", self.lr, 0, strict=True)
+        check_real("weight_decay", self.weight_decay, 0)
+        check_real("z_lr_ratio", self.z_lr_ratio, 0)
+        check_real("z_init", self.z_init)
+        check_real("momentum", self.momentum, 0)
+        if self.momentum >= 1.0:
+            raise InvalidInputError(f"momentum must be < 1, got {self.momentum!r}")
         if self.schedule is not None and not isinstance(self.schedule, RadiusSchedule):
             raise InvalidInputError(
                 f"schedule must be None or a RadiusSchedule, got {self.schedule!r}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise InvalidInputError(f"lr must be finite and > 0, got {self.lr}")
-        for name in ("weight_decay", "z_lr_ratio"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise InvalidInputError(f"{name} must be finite and >= 0, got {value}")
-        if not math.isfinite(self.z_init):
-            raise InvalidInputError(f"z_init must be finite, got {self.z_init}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise InvalidInputError("momentum must be in [0, 1)")
-        if self.epochs < 1:
-            raise InvalidInputError("epochs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -156,11 +132,15 @@ def make_synthetic_dataset(seed: int, n_samples: int, dims: tuple[int, int, int]
 
     Labels cycle through the classes so every class is populated; identical
     seeds give identical bytes."""
-    if n_classes < 2:
-        raise InvalidInputError(f"n_classes must be >= 2, got {n_classes}")
-    if n_samples < n_classes:
+    check_integer("seed", seed, 0)
+    check_integer("n_classes", n_classes, 2)
+    if check_integer("n_samples", n_samples) < n_classes:
         raise InvalidInputError(f"n_samples must be >= n_classes ({n_classes}) for one "
                                 f"sample per class, got {n_samples}")
+    for dim in dims:
+        check_integer("dims", dim, 1)
+    check_real("separation", separation)
+    check_real("noise", noise)
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(n_classes, *dims)) * separation
     labels = np.arange(n_samples) % n_classes
@@ -374,6 +354,7 @@ def schedule_insensitivity_experiment(model: ToyModelConfig, opt: OptimizerConfi
     for s in ri_steps:
         # Reach the inscribed radius at step s and the circumradius at the
         # final step.
-        knots = ((0, 0.0), (int(s), inradius(k)), (total_steps - 1, circumradius(k)))
+        check_integer("ri_steps", s, 1)
+        knots = ((0, 0.0), (s, inradius(k)), (total_steps - 1, circumradius(k)))
         logs.append(train(model, replace(opt, schedule=RadiusSchedule(knots)), data))
     return logs

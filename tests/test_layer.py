@@ -393,6 +393,10 @@ BROKEN_FIELDS = {
     "inf running var": ("bn_running_var", np.array([1.0, np.inf, 1.0, 1.0])),
     "eps 0": ("eps", 0.0),
     "eps NaN": ("eps", float("nan")),
+    # A string or None raised a bare TypeError, and True was taken as 1.0.
+    "eps string": ("eps", "1e-5"),
+    "eps None": ("eps", None),
+    "eps True": ("eps", True),
     "mode evl": ("mode", "evl"),
     "long z_mean": ("z_mean", np.zeros(4)),
     "short z_var": ("z_var", np.zeros(2)),
@@ -406,6 +410,17 @@ def test_every_entry_point_checks_params(entry, broken):
     field, value = BROKEN_FIELDS[broken]
     with pytest.raises(InvalidInputError, match=field):
         call(_broken_params(mode, {field: value}))
+
+
+@pytest.mark.parametrize("args,named", [
+    ((4.0, 3), "channels"), ((0, 3), "channels"), ((4, 3.0), "k"), ((4, True), "k"),
+    ((4, 3, "a"), "z_init"), ((4, 3, float("nan")), "z_init"),
+])
+def test_init_rejects_arguments_that_are_not_numbers(args, named):
+    # 4.0 raised numpy's TypeError, and z_init "a" built string logits that
+    # only the forward rejected.
+    with pytest.raises(InvalidInputError, match=f"{named} must be"):
+        SsnParams.init(*args)
 
 
 # Each test below breaks one kind of field, once per value, and checks that
@@ -1095,3 +1110,9 @@ def test_benchmark_forward_smoke(monkeypatch):
         benchmark_forward(0, 4, 8, 8, reps=3)
     with pytest.raises(InvalidInputError):
         benchmark_forward(2, 4, 8, 8, reps=0)
+    # Each argument is an integer: seed -1, reps 1.5 and c 4.0 raised
+    # numpy's or Python's own errors.
+    for args, named in (((2, 4, 8, 8, 3, -1), "seed"), ((2, 4, 8, 8, 1.5), "reps"),
+                        ((2, 4.0, 8, 8, 3), "c")):
+        with pytest.raises(InvalidInputError, match=f"{named} must be"):
+            benchmark_forward(*args)

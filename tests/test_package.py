@@ -26,3 +26,22 @@ def test_sources_parse_at_the_declared_python_floor():
     for path in sources:
         ast.parse(path.read_text(), filename=str(path),
                   feature_version=(3, int(floor.group(1))))
+
+
+def test_only_errors_checks_numbers():
+    # check_integer and check_real in errors.py are the one rule for what
+    # counts as an integer or a real number, so no other module reads the
+    # numbers ABCs.
+    root = pathlib.Path(__file__).resolve().parent.parent / "src" / "ssnorm"
+    importers = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "numbers" in names:
+                importers.append(path.name)
+    assert importers == ["errors.py"]

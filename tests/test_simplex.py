@@ -1,5 +1,6 @@
 """Unit and property tests for the simplex projection family."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,8 +122,10 @@ def test_geometry_radii():
     assert circumradius(3) == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-15)
     assert circumradius(4) == pytest.approx(math.sqrt(0.75), abs=1e-15)
     for radius in (circumradius, inradius):
-        with pytest.raises(InvalidInputError):
-            radius(1)
+        # 2.5 gave circumradius 0.7746: a dimension must be an integer.
+        for k in (1, 2.5, 3.0, "3"):
+            with pytest.raises(InvalidInputError, match="simplex dimension k"):
+                radius(k)
 
 
 def test_schedule_linear_then_clamped():
@@ -176,6 +179,19 @@ def test_schedule_rejects_out_of_range_step():
 ])
 def test_schedule_rejects_malformed_knots(knots):
     with pytest.raises(InvalidInputError):
+        RadiusSchedule(knots)
+
+
+@pytest.mark.parametrize("knots,message", [
+    (((0, 0), (True, 1.0)), "schedule step must be integral, got True"),
+    (((0, 0), (2.5, 1.0)), "schedule step must be integral, got 2.5"),
+    (((0, 0), (10, True)), "schedule radius must be a finite real number, got True"),
+    (((0, 0), (10, "x")), "schedule radius must be a finite real number, got 'x'"),
+])
+def test_schedule_names_the_bad_knot(knots, message):
+    # Each schedule has two knots; the error names the step or radius that
+    # is not a number, not the knot count.
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
         RadiusSchedule(knots)
 
 
@@ -467,6 +483,11 @@ GRADCHECK_REJECTS = {
     "-1": (-1, 1, 0.5, "k"),
     "trials 0": (3, 0, 0.5, "trials"),
     "trials -5": (3, -5, 0.5, "trials"),
+    # Numbers of the wrong kind: 1.5 trials ran, as did r_hi True.
+    "3.0": (3.0, 1, 0.5, "k"),
+    "trials 1.5": (3, 1.5, 0.5, "trials"),
+    "r_hi True": (3, 1, True, "r_hi"),
+    "r_hi '0.5'": (3, 1, "0.5", "r_hi"),
     "r_hi 0": (3, 1, 0.0, "r_hi"),
     "r_hi 0.05": (3, 1, 0.05, "r_hi"),
     "r_hi NaN": (3, 1, float("nan"), "r_hi"),

@@ -62,6 +62,14 @@ def test_dataset_validation():
         make_synthetic_dataset(0, 10, (1, 2, 2), 1)
     with pytest.raises(InvalidInputError):
         make_synthetic_dataset(0, 2, (1, 2, 2), 4)
+    # These raised numpy's or Python's own errors, or returned NaN or empty
+    # data.
+    good = {"seed": 0, "n_samples": 10, "dims": (1, 2, 2), "n_classes": 2}
+    for field, value in (("seed", -1), ("seed", 1.5), ("n_samples", 10.0),
+                         ("n_classes", 2.5), ("dims", (1, 0, 2)),
+                         ("separation", float("nan")), ("noise", float("inf"))):
+        with pytest.raises(InvalidInputError, match=f"{field} must be"):
+            make_synthetic_dataset(**{**good, field: value})
 
 
 # ------------------------------------------------------------------ configs
@@ -72,7 +80,7 @@ def test_config_validation():
     with pytest.raises(InvalidInputError):
         ToyModelConfig(layer_widths=[], ssn_layer_count=0)
     for field in ("height", "batch_size"):
-        with pytest.raises(InvalidInputError, match="all dimensions must be positive"):
+        with pytest.raises(InvalidInputError, match=f"{field} must be >= 1"):
             ToyModelConfig(**{field: 0})
     with pytest.raises(InvalidInputError):
         OptimizerConfig(lr=0.0)
@@ -91,6 +99,8 @@ def test_config_validation():
     ({"seed": 1.5}, "seed"),
     ({"layer_widths": [8, 8, 8, 8.0]}, "layer_widths"),
     ({"n_classes": True}, "n_classes"),
+    # An int for the list raised "object of type 'int' has no len()".
+    ({"layer_widths": 8, "ssn_layer_count": 1}, "layer_widths"),
 ])
 def test_model_config_rejects_configs_that_fail_in_training(fields, named):
     with pytest.raises(InvalidInputError, match=named):
@@ -430,6 +440,10 @@ def test_insensitivity_schedule_shape():
         schedule_insensitivity_experiment(MODEL, OPT, data, [0])
     with pytest.raises(InvalidInputError):
         schedule_insensitivity_experiment(MODEL, OPT, data, [100])
+    # A step that is not an integer is named, not truncated by int().
+    for step in (0.5, 10.0, True):
+        with pytest.raises(InvalidInputError, match="ri_steps must be integral"):
+            schedule_insensitivity_experiment(MODEL, OPT, data, [step])
 
 
 def test_single_element_experiment_matches_direct_train():
