@@ -9,7 +9,9 @@ applied as a fused per-(n, c) scale and shift.  The exact backward pass
 collapses the same way to per-(n, c) coefficients.  One runner cuts every
 full-tensor pass into blocks of whole samples and shares them among one
 thread per usable core, with numpy's ufunc buffer cut to one long row, and
-one rule checks x and the upstream gradient for finiteness.  Also includes
+one rule checks x and the upstream gradient for finiteness.  One allocator
+gives every full-size output its memory and, above 32 MiB, reuses that of
+outputs no caller still holds.  Also includes
 running-statistics bookkeeping for evaluation mode and BN folding into a
 preceding convolution.
 """
@@ -19,6 +21,8 @@ import contextvars
 import functools
 import math
 import os
+import sys
+import threading
 import time
 from dataclasses import dataclass
 
@@ -83,6 +87,11 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
 # one row (``_map_samples``); shorter rows lose more than the cut saves.
 ROW_BUFFER_MIN = 128
 
+# Bytes above which a full-size output reuses the memory of one that no
+# caller still holds (``_full``).  Above 32 MiB, glibc's largest mmap
+# threshold on 64-bit, every block is a fresh mapping, unmapped when freed,
+# whose pages the kernel zeroes as the output is first written.
+RECYCLE_BYTES = 32 << 20
 
 def _grouped_shape(shape, omega, gn_groups: int) -> tuple[int, int, int, int]:
     """The (N, G, C/G, H*W) view that ``REDUCE_AXES`` indexes."""
@@ -102,6 +111,14 @@ def _executor(workers: int, pid: int):
     fit in one block never needs."""
     from concurrent.futures import ThreadPoolExecutor
     return ThreadPoolExecutor(workers, thread_name_prefix="ssnorm")
+
+
+@functools.cache
+def _kept(pid: int) -> tuple[threading.Lock, dict]:
+    """The lock and the bases ``_full`` keeps (elements -> at most two
+    bases) of process ``pid``.  A forked child gets its own, so it never
+    waits for a lock its parent held at the fork."""
+    return threading.Lock(), {}
 
 
 def _map_samples(fn, view) -> list:
@@ -164,6 +181,33 @@ def _check_finite(what: str, tv, sums) -> bool:
     return False
 
 
+def _full(view) -> np.ndarray:
+    """A float64 array of shape ``view`` for a full-size output (y or
+    grad_x), its contents undefined.  At most ``RECYCLE_BYTES`` it is
+    ``np.empty``.  A larger one is a view of a kept base of its size that
+    nothing else references, else of a new base, which is kept while fewer
+    than two of its size are: in a chain of same-shape layers each output
+    is alive while the next is computed.  Every numpy view, however
+    derived, holds its memory's owner in ``.base``, so a base is idle when
+    only the list, the loop variable and ``getrefcount``'s argument hold
+    it: a count of 3 on CPython 3.10-3.13.  An output and its memory thus
+    stay the caller's for as long as anything references them.  Bases are
+    taken under one lock, so two threads never get the same one."""
+    size = math.prod(view)
+    if 8 * size <= RECYCLE_BYTES:
+        return np.empty(view)
+    lock, kept = _kept(os.getpid())
+    with lock:
+        bases = kept.setdefault(size, [])
+        for base in bases:
+            if sys.getrefcount(base) == 3:
+                return base.reshape(view)
+        base = np.empty(size)
+        if len(bases) < 2:
+            bases.append(base)
+        return base.reshape(view)
+
+
 @dataclass
 class GateParams:
     """Control logits for the mean and variance gates, plus freeze flags.
@@ -217,6 +261,14 @@ def _check_params(params: SsnParams, k: int, c: int) -> None:
     if shapes != ((k,), (k,)):
         raise InvalidInputError(f"gate logits length must match |omega| = {k}, got "
                                 f"z_mean {shapes[0]} and z_var {shapes[1]}")
+    for name in ("z_mean", "z_var"):
+        z = np.asarray(getattr(gate, name))
+        # Not a bool, a complex or a string, which numpy casts or fails on.
+        if z.dtype.kind not in "iuf":
+            raise InvalidInputError(f"gate logits {name} must be real numbers, "
+                                    f"got dtype {z.dtype}")
+        if not all(map(math.isfinite, z.tolist())):
+            raise InvalidInputError(f"gate logits {name} must be finite")
     for name in ("gamma", "beta", "bn_running_mean", "bn_running_var"):
         value = getattr(params, name)
         shape = getattr(value, "shape", None)
@@ -313,7 +365,7 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
                 # The same pass sums squares per row where a variance is due.
                 src = xv if centered is None else centered
                 if centered is None:
-                    centered = np.empty(view)
+                    centered = _full(view)
                 delta = mean_k - shift
                 sq = np.empty(per_nc) if pp[i] != 0.0 else None
 
@@ -342,7 +394,7 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     a = params.gamma.reshape(per_nc[1:]) * inv_std
     b = params.beta.reshape(per_nc[1:]) - (mu - shift) * a
     src = xv if centered is None else centered
-    y = np.empty(view) if centered is None else centered
+    y = _full(view) if centered is None else centered
 
     def scale(lo, hi):
         out = np.multiply(src[lo:hi], a[lo:hi], out=y[lo:hi])
@@ -434,7 +486,7 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
             const -= t * mean_k
 
     # Sweep 2: grad_x, with g * alpha a temporary of one block.
-    grad_x = np.empty(view)
+    grad_x = _full(view)
 
     def sweep_2(lo, hi):
         out = np.multiply(xv[lo:hi], coef[lo:hi], out=grad_x[lo:hi])

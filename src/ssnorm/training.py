@@ -200,9 +200,11 @@ class _ToyNet:
             # The 1x1 convolution as one (O, C) @ (C, H*W) product per sample.
             pre = (mix_w @ _flat(h)).reshape(h.shape[0], -1, *h.shape[2:])
             y, cache = ssn_forward(pre, params, r, self.omega, self.cfg.gn_groups)
-            act = np.maximum(y, 0.0)
+            # The ReLU in place: its output is positive exactly where y was,
+            # so it serves the backward as the mask too.
+            np.maximum(y, 0.0, out=y)
             caches.append((h, cache, y))
-            h = act
+            h = y
         pooled = h.mean(axis=(2, 3))
         logits = pooled @ self.head_w + self.head_b
         return logits, (caches, h, pooled)
@@ -222,7 +224,7 @@ class _ToyNet:
 
         g_pooled = g_logits @ self.head_w.T
         h, w = feat.shape[2:]
-        g_h = np.broadcast_to(g_pooled[:, :, None, None] / (h * w), feat.shape).copy()
+        g_h = np.broadcast_to(g_pooled[:, :, None, None] / (h * w), feat.shape)
         grads = [pooled.T @ g_logits, g_logits.sum(axis=0)]
         layers = []
         # The backward runs from the last layer down, so each layer's

@@ -3,7 +3,12 @@ oracle, exact backward against finite differences, running statistics
 and convolution folding."""
 import contextlib
 import dataclasses
+import functools
 import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -400,6 +405,13 @@ BROKEN_FIELDS = {
     "mode evl": ("mode", "evl"),
     "long z_mean": ("z_mean", np.zeros(4)),
     "short z_var": ("z_var", np.zeros(2)),
+    # A string raised numpy's bare ValueError from the projection, a complex
+    # lost its imaginary part with a ComplexWarning, a bool was taken as
+    # 1.0 or 0.0, and NaN was rejected without naming the field.
+    "string z_mean": ("z_mean", np.array(["a", "b", "c"])),
+    "complex z_var": ("z_var", np.array([0.0, 5.0 + 1j, 0.0])),
+    "bool z_mean": ("z_mean", np.array([False, True, False])),
+    "NaN z_var": ("z_var", np.array([0.0, np.nan, 0.0])),
 }
 
 
@@ -613,6 +625,19 @@ def _layer_bits(x, params, r, omega, gn_groups, g=None):
     return bits
 
 
+def _recycle_all(monkeypatch) -> dict:
+    """Make every full-size output recycle, from no kept base; returns the
+    store of kept bases."""
+    monkeypatch.setattr(layer, "RECYCLE_BYTES", 0)
+    return _no_kept_base(monkeypatch)
+
+
+def _no_kept_base(monkeypatch) -> dict:
+    """Give this test a store of kept bases of its own; returns it."""
+    monkeypatch.setattr(layer, "_kept", functools.cache(layer._kept.__wrapped__))
+    return layer._kept(os.getpid())[1]
+
+
 BLOCK_CASES = pytest.mark.parametrize("omega,gn_groups", [
     (("IN", "BN", "LN"), 1), (("IN", "BN", "LN", "GN"), 2)])
 
@@ -628,18 +653,22 @@ def test_backward_does_not_depend_on_block_size(monkeypatch, omega, gn_groups):
     sample_bytes = x[0].nbytes
     calls = []
     _pass_names(monkeypatch, calls)
-    for samples, sizes in [(1, [1] * 5), (2, [2, 2, 1])]:
-        monkeypatch.setattr(layer, "BLOCK_BYTES", samples * sample_bytes)
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(layer, "WORKERS", workers)
-            calls.clear()
-            grads = ssn_backward(cache, g)
-            if workers == 1:
-                assert [hi - lo for name, blocks in calls if name == "sweep_1"
-                        for lo, hi, _ in blocks] == sizes
-            for field in ("x", "gamma", "beta", "z_mean", "z_var"):
-                assert getattr(grads, field).tobytes() == \
-                    getattr(one_block, field).tobytes(), (samples, workers, field)
+    for recycle in (False, True):
+        if recycle:
+            _recycle_all(monkeypatch)
+        for samples, sizes in [(1, [1] * 5), (2, [2, 2, 1])]:
+            monkeypatch.setattr(layer, "BLOCK_BYTES", samples * sample_bytes)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(layer, "WORKERS", workers)
+                calls.clear()
+                grads = ssn_backward(cache, g)
+                if workers == 1:
+                    assert [hi - lo for name, blocks in calls if name == "sweep_1"
+                            for lo, hi, _ in blocks] == sizes
+                for field in ("x", "gamma", "beta", "z_mean", "z_var"):
+                    assert getattr(grads, field).tobytes() == \
+                        getattr(one_block, field).tobytes(), \
+                        (recycle, samples, workers, field)
 
 
 @pytest.mark.parametrize("mode", [TRAIN, EVAL])
@@ -665,12 +694,15 @@ def test_forward_does_not_depend_on_block_size(monkeypatch, omega, gn_groups,
         r = 0.1
     one_block = _layer_bits(x, params, r, omega, gn_groups)
     assert len(one_block) == 1 + 2 * (1 if bn_only else k)
-    for samples in (1, 2):
-        monkeypatch.setattr(layer, "BLOCK_BYTES", samples * x[0].nbytes)
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(layer, "WORKERS", workers)
-            assert _layer_bits(x, params, r, omega, gn_groups) == one_block, \
-                (samples, workers)
+    for recycle in (False, True):
+        if recycle:
+            _recycle_all(monkeypatch)
+        for samples in (1, 2):
+            monkeypatch.setattr(layer, "BLOCK_BYTES", samples * x[0].nbytes)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(layer, "WORKERS", workers)
+                assert _layer_bits(x, params, r, omega, gn_groups) == one_block, \
+                    (recycle, samples, workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -971,6 +1003,162 @@ def test_backward_writes_no_full_size_temporary(monkeypatch):
         assert bound < 2 * x.nbytes
         assert grads.x.shape == x.shape
         assert peak < bound, workers
+
+
+# ------------------------------------------------- recycled output memory
+
+def _address(a) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def _recycling_layer(seed):
+    """x, a live three-normalizer layer, and a (BN, BN) eval layer whose y
+    is written straight from x (no centered copy)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(3, 4, 5, 5))
+    bn_eval = _bn_selected_params(4)
+    bn_eval.mode = EVAL
+    return rng, x, _rand_params(rng, 4, 3), bn_eval
+
+
+# Ways a caller keeps an output's memory alive: the output itself, or a view
+# derived from it after the output itself is dropped.
+HOLDERS = {
+    "itself": lambda out: out,
+    "row": lambda out: out[0],
+    "strided": lambda out: out.reshape(-1)[::3],
+    "memoryview": memoryview,
+}
+
+
+@pytest.mark.parametrize("output", ["y", "grad_x"])
+@pytest.mark.parametrize("holder", HOLDERS)
+def test_held_outputs_never_change(monkeypatch, holder, output):
+    # Later forwards and backwards of the same size take the memory of the
+    # outputs their caller dropped, never of one it still holds.  Each
+    # later call would first find the held output's base, the first kept.
+    # The idle test reads a base's reference count; an interpreter that
+    # counts differently fails here or in the reuse test below.
+    kept = _recycle_all(monkeypatch)
+    omega = ("IN", "BN", "LN")
+    rng, x, params, bn_eval = _recycling_layer(40)
+    y, cache = ssn_forward(x, params, 0.1, omega)
+    if output == "grad_x":
+        del y
+        y = ssn_backward(cache, rng.normal(size=x.shape)).x
+    held, address = HOLDERS[holder](y), _address(y)
+    expected = np.array(held).tobytes()
+    del y, cache
+    [bases] = kept.values()
+    assert _address(bases[0]) == address
+    later = []
+    for _ in range(3):
+        x2 = rng.normal(size=x.shape)
+        y2, cache2 = ssn_forward(x2, params, 0.1, omega)
+        grad_x = ssn_backward(cache2, rng.normal(size=x.shape)).x
+        y3, _ = ssn_forward(x2, bn_eval, circumradius(3), omega)
+        later += [_address(y2), _address(grad_x), _address(y3)]
+        del y2, cache2, grad_x, y3
+    assert address not in later
+    assert _address(bases[1]) in later
+    assert np.array(held).tobytes() == expected
+
+
+def test_dropped_output_memory_is_reused(monkeypatch):
+    _recycle_all(monkeypatch)
+    omega = ("IN", "BN", "LN")
+    rng, x, params, bn_eval = _recycling_layer(41)
+    y, cache = ssn_forward(x, params, 0.1, omega)
+    first = _address(y)
+    grad_x = ssn_backward(cache, rng.normal(size=x.shape)).x
+    second = _address(grad_x)
+    assert second != first  # y was still held
+    del y
+    y, _ = ssn_forward(x, params, 0.1, omega)
+    assert _address(y) == first
+    del grad_x
+    y_eval, _ = ssn_forward(x, bn_eval, circumradius(3), omega)
+    assert _address(y_eval) == second
+    del y
+    assert _address(ssn_backward(cache, rng.normal(size=x.shape)).x) == first
+
+
+def test_at_most_two_bases_per_size(monkeypatch):
+    # Outputs at or below RECYCLE_BYTES are not kept.
+    kept = _no_kept_base(monkeypatch)
+    omega = ("IN", "BN", "LN")
+    rng, x, params, _ = _recycling_layer(42)
+    assert x.nbytes <= layer.RECYCLE_BYTES == 32 << 20
+    ssn_forward(x, params, 0.1, omega)
+    assert kept == {}
+    # Above it, at most two bases of each size, even with every output held.
+    kept = _recycle_all(monkeypatch)
+    held = [ssn_forward(x, params, 0.1, omega)[0] for _ in range(4)]
+    wide = rng.normal(size=(3, 4, 5, 6))
+    held += [ssn_forward(wide, params, 0.1, omega)[0] for _ in range(3)]
+    assert sorted((size, len(bases)) for size, bases in kept.items()) == \
+        [(x.size, 2), (wide.size, 2)]
+    assert len(set(map(_address, held))) == len(held)
+
+
+def test_threads_get_single_thread_bits(monkeypatch):
+    # More threads than cores share the kept bases and the worker pool, with
+    # thread switches as frequent as the interpreter allows.  Each gets the
+    # bits it gets alone, on outputs it holds while the others compute.
+    kept = _recycle_all(monkeypatch)
+    monkeypatch.setattr(layer, "WORKERS", 2)
+    omega = ("IN", "BN", "LN", "GN")
+    rng = np.random.default_rng(43)
+    xs = [rng.normal(size=(4, 8, 8, 8)) for _ in range(4)]
+    monkeypatch.setattr(layer, "BLOCK_BYTES", xs[0][0].nbytes)
+    params = _rand_params(rng, 8, 4)
+    g = rng.normal(size=xs[0].shape)
+
+    def bits(x):
+        y, cache = ssn_forward(x, params, 0.1, omega, 2)
+        grad_x = ssn_backward(cache, g).x
+        time.sleep(0)
+        return y.tobytes(), grad_x.tobytes()
+    expected = [bits(x) for x in xs]
+    barrier = threading.Barrier(len(xs))
+    results = [None] * len(xs)
+
+    def run(i):
+        barrier.wait()
+        results[i] = [bits(xs[i]) for _ in range(10)]
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(xs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[bits_i] * 10 for bits_i in expected]
+    assert [len(bases) for bases in kept.values()] == [2]
+
+
+def _kept_sizes_and_bits(x):
+    return sorted(layer._kept(os.getpid())[1]), _forward_bytes(x)
+
+
+def test_forked_child_starts_with_no_kept_base(monkeypatch):
+    # A child forked while its parent holds the store's lock neither waits
+    # for that lock nor takes the parent's bases.
+    kept = _recycle_all(monkeypatch)
+    x = np.random.default_rng(44).normal(size=(5, 8, 8, 8))
+    expected = _forward_bytes(x)
+    assert kept
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        with layer._kept(os.getpid())[0]:
+            pool = multiprocessing.get_context("fork").Pool(1)
+        with pool:
+            result = pool.apply_async(_kept_sizes_and_bits, (x,)).get(timeout=30)
+    assert result == ([], expected)
 
 
 def test_backward_requires_train_mode():

@@ -45,3 +45,20 @@ def test_only_errors_checks_numbers():
             if "numbers" in names:
                 importers.append(path.name)
     assert importers == ["errors.py"]
+
+
+def test_only_full_allocates_full_size_outputs():
+    # _full in layer.py is the one rule for a full-size output's memory, so
+    # no other function of the layer allocates an array of x's shape or of
+    # its grouped view.
+    path = pathlib.Path(__file__).resolve().parent.parent / "src" / "ssnorm" / "layer.py"
+    allocators = []
+    for func in ast.parse(path.read_text(), filename=str(path)).body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and node.args and \
+                    ast.unparse(node.func) in ("np.empty", "np.zeros", "np.ones", "np.full") \
+                    and ast.unparse(node.args[0]) in ("view", "x.shape"):
+                allocators.append(func.name)
+    assert allocators == ["_full"]
