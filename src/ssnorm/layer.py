@@ -114,11 +114,11 @@ def _executor(workers: int, pid: int):
 
 
 @functools.cache
-def _kept(pid: int) -> tuple[threading.Lock, dict]:
-    """The lock and the bases ``_full`` keeps (elements -> at most two
-    bases) of process ``pid``.  A forked child gets its own, so it never
-    waits for a lock its parent held at the fork."""
-    return threading.Lock(), {}
+def _kept(pid: int) -> tuple[threading.Lock, list]:
+    """The lock and the bases ``_full`` keeps (at most two, of any sizes)
+    of process ``pid``.  A forked child gets its own, so it never waits for
+    a lock its parent held at the fork."""
+    return threading.Lock(), []
 
 
 def _map_samples(fn, view) -> list:
@@ -181,27 +181,60 @@ def _check_finite(what: str, tv, sums) -> bool:
     return False
 
 
+def _counts(bases) -> list[int]:
+    """The reference count of each of ``bases`` as this loop reads it."""
+    counts = []
+    for base in bases:
+        counts.append(sys.getrefcount(base))
+    return counts
+
+
+def _idle_count() -> int | None:
+    """The count ``_counts`` reads for a base that only its list holds,
+    measured on a probe of the same shape.  None where the interpreter is
+    not CPython, or where its count does not rise by one for each further
+    holder (a reference, then a view) and fall back when they are gone:
+    there no count tells an idle base from a held one."""
+    if sys.implementation.name != "cpython":
+        return None
+    probe = [np.empty(1)]
+    [idle] = _counts(probe)
+    held = probe[0]
+    [once] = _counts(probe)
+    view = held[::2]
+    [twice] = _counts(probe)
+    del held, view
+    [after] = _counts(probe)
+    return idle if (once, twice, after) == (idle + 1, idle + 2, idle) else None
+
+
+# What ``_counts`` reads for a base no output references; None turns
+# recycling off.
+IDLE_COUNT = _idle_count()
+
+
 def _full(view) -> np.ndarray:
     """A float64 array of shape ``view`` for a full-size output (y or
-    grad_x), its contents undefined.  At most ``RECYCLE_BYTES`` it is
-    ``np.empty``.  A larger one is a view of a kept base of its size that
-    nothing else references, else of a new base, which is kept while fewer
-    than two of its size are: in a chain of same-shape layers each output
-    is alive while the next is computed.  Every numpy view, however
-    derived, holds its memory's owner in ``.base``, so a base is idle when
-    only the list, the loop variable and ``getrefcount``'s argument hold
-    it: a count of 3 on CPython 3.10-3.13.  An output and its memory thus
-    stay the caller's for as long as anything references them.  Bases are
-    taken under one lock, so two threads never get the same one."""
+    grad_x), its contents undefined.  At most ``RECYCLE_BYTES``, or where
+    ``IDLE_COUNT`` is None, it is ``np.empty``.  A larger one is a view of
+    a kept base of its size that nothing else references; else idle bases
+    of other sizes are dropped and it is a view of a new base, kept while
+    fewer than two are: in a chain of same-shape layers each output is
+    alive while the next is computed.  Every numpy view, however derived,
+    holds its memory's owner in ``.base``, so a base is idle when its count
+    is ``IDLE_COUNT``.  An output and its memory thus stay the caller's for
+    as long as anything references them.  Bases are taken under one lock,
+    so two threads never get the same one."""
     size = math.prod(view)
-    if 8 * size <= RECYCLE_BYTES:
+    if 8 * size <= RECYCLE_BYTES or IDLE_COUNT is None:
         return np.empty(view)
-    lock, kept = _kept(os.getpid())
+    lock, bases = _kept(os.getpid())
     with lock:
-        bases = kept.setdefault(size, [])
-        for base in bases:
-            if sys.getrefcount(base) == 3:
-                return base.reshape(view)
+        idle = [count == IDLE_COUNT for count in _counts(bases)]
+        for i, free in enumerate(idle):
+            if free and bases[i].size == size:
+                return bases[i].reshape(view)
+        bases[:] = [base for base, free in zip(bases, idle) if not free]
         base = np.empty(size)
         if len(bases) < 2:
             bases.append(base)

@@ -11,6 +11,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -625,15 +626,15 @@ def _layer_bits(x, params, r, omega, gn_groups, g=None):
     return bits
 
 
-def _recycle_all(monkeypatch) -> dict:
+def _recycle_all(monkeypatch) -> list:
     """Make every full-size output recycle, from no kept base; returns the
-    store of kept bases."""
+    list of kept bases."""
     monkeypatch.setattr(layer, "RECYCLE_BYTES", 0)
     return _no_kept_base(monkeypatch)
 
 
-def _no_kept_base(monkeypatch) -> dict:
-    """Give this test a store of kept bases of its own; returns it."""
+def _no_kept_base(monkeypatch) -> list:
+    """Give this test a list of kept bases of its own; returns it."""
     monkeypatch.setattr(layer, "_kept", functools.cache(layer._kept.__wrapped__))
     return layer._kept(os.getpid())[1]
 
@@ -1039,7 +1040,7 @@ def test_held_outputs_never_change(monkeypatch, holder, output):
     # later call would first find the held output's base, the first kept.
     # The idle test reads a base's reference count; an interpreter that
     # counts differently fails here or in the reuse test below.
-    kept = _recycle_all(monkeypatch)
+    bases = _recycle_all(monkeypatch)
     omega = ("IN", "BN", "LN")
     rng, x, params, bn_eval = _recycling_layer(40)
     y, cache = ssn_forward(x, params, 0.1, omega)
@@ -1049,7 +1050,6 @@ def test_held_outputs_never_change(monkeypatch, holder, output):
     held, address = HOLDERS[holder](y), _address(y)
     expected = np.array(held).tobytes()
     del y, cache
-    [bases] = kept.values()
     assert _address(bases[0]) == address
     later = []
     for _ in range(3):
@@ -1083,22 +1083,67 @@ def test_dropped_output_memory_is_reused(monkeypatch):
     assert _address(ssn_backward(cache, rng.normal(size=x.shape)).x) == first
 
 
-def test_at_most_two_bases_per_size(monkeypatch):
+def test_at_most_two_bases_in_total(monkeypatch):
     # Outputs at or below RECYCLE_BYTES are not kept.
     kept = _no_kept_base(monkeypatch)
     omega = ("IN", "BN", "LN")
     rng, x, params, _ = _recycling_layer(42)
     assert x.nbytes <= layer.RECYCLE_BYTES == 32 << 20
     ssn_forward(x, params, 0.1, omega)
-    assert kept == {}
-    # Above it, at most two bases of each size, even with every output held.
+    assert kept == []
+    # Above it, at most two bases of any sizes, even with every output held.
     kept = _recycle_all(monkeypatch)
     held = [ssn_forward(x, params, 0.1, omega)[0] for _ in range(4)]
     wide = rng.normal(size=(3, 4, 5, 6))
     held += [ssn_forward(wide, params, 0.1, omega)[0] for _ in range(3)]
-    assert sorted((size, len(bases)) for size, bases in kept.items()) == \
-        [(x.size, 2), (wide.size, 2)]
+    assert [base.size for base in kept] == [x.size, x.size]
     assert len(set(map(_address, held))) == len(held)
+    # Once the shape changes, the idle bases of the old size are released.
+    old = [weakref.ref(base) for base in kept]
+    del held
+    y_wide, _ = ssn_forward(wide, params, 0.1, omega)
+    assert [base.size for base in kept] == [wide.size]
+    assert [ref() for ref in old] == [None, None]
+    y_wide2, _ = ssn_forward(wide, params, 0.1, omega)
+    assert [base.size for base in kept] == [wide.size, wide.size]
+    # A held base of the old size stays kept, and held.
+    del y_wide
+    y_x, _ = ssn_forward(x, params, 0.1, omega)
+    assert [base.size for base in kept] == [wide.size, x.size]
+    assert _address(kept[0]) == _address(y_wide2)
+
+
+def test_idle_count_is_the_one_the_loop_sees():
+    # Only CPython's counts tell an idle base from a held one.
+    if sys.implementation.name != "cpython":
+        assert layer.IDLE_COUNT is None
+        return
+    probe = np.empty(1)
+    assert layer._counts([np.empty(1)]) == [layer.IDLE_COUNT]
+    assert layer._counts([probe]) == [layer.IDLE_COUNT + 1]
+    view = probe[0:]
+    assert layer._counts([probe, np.empty(1)]) == \
+        [layer.IDLE_COUNT + 2, layer.IDLE_COUNT]
+    del view
+    assert layer._idle_count() == layer.IDLE_COUNT
+
+
+def test_counts_that_ignore_a_holder_turn_recycling_off(monkeypatch):
+    # An interpreter whose counts do not rise with each holder cannot tell
+    # an idle base from a held one: every output gets memory of its own.
+    monkeypatch.setattr(layer, "_counts", lambda bases: [2] * len(bases))
+    assert layer._idle_count() is None
+    kept = _recycle_all(monkeypatch)
+    monkeypatch.setattr(layer, "IDLE_COUNT", None)
+    omega = ("IN", "BN", "LN")
+    _, x, params, _ = _recycling_layer(45)
+    y, _ = ssn_forward(x, params, 0.1, omega)
+    expected = y.tobytes()
+    address = _address(y)
+    y = y[0]
+    later = [_address(ssn_forward(x, params, 0.1, omega)[0]) for _ in range(3)]
+    assert kept == [] and address not in later
+    assert np.asarray(y).tobytes() == expected[:y.nbytes]
 
 
 def test_threads_get_single_thread_bits(monkeypatch):
@@ -1138,11 +1183,11 @@ def test_threads_get_single_thread_bits(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [[bits_i] * 10 for bits_i in expected]
-    assert [len(bases) for bases in kept.values()] == [2]
+    assert len(kept) == 2
 
 
 def _kept_sizes_and_bits(x):
-    return sorted(layer._kept(os.getpid())[1]), _forward_bytes(x)
+    return [base.size for base in layer._kept(os.getpid())[1]], _forward_bytes(x)
 
 
 def test_forked_child_starts_with_no_kept_base(monkeypatch):
