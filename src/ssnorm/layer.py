@@ -5,8 +5,11 @@ independent gates — one for means, one for variances — whose ratios come
 from the radius-constrained simplex projection.  One statistics core
 serves every normalizer: ``REDUCE_AXES`` names the axes each one reduces
 over in an (N, G, C/G, H*W) view of the input, and the mixed moments are
-applied as a fused per-(n, c) scale and shift.  The exact backward pass
-collapses the same way to per-(n, c) coefficients.  One runner cuts every
+applied as a fused per-(n, c) scale and shift.  The forward cuts a pass
+over the input only where a statistic needs the whole batch (train-mode
+BN), so an eval forward is one sweep per block of samples.  The exact
+backward pass collapses the same way to per-(n, c) coefficients.  One
+runner cuts every
 full-tensor pass into blocks of whole samples and shares them among one
 thread per usable core, with numpy's ufunc buffer cut to one long row, and
 one rule checks x and the upstream gradient for finiteness.  One allocator
@@ -41,9 +44,25 @@ EVAL = "eval"
 BN_MOMENTUM = 0.1
 
 
+# numpy's own float64 dtype, which every native float64 array shares.
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _real_array(what: str, value) -> np.ndarray:
+    """``value`` as a float64 array.  A bool, complex, string or object
+    array, which numpy would cast (a complex losing its imaginary part) or
+    fail on, raises instead, naming ``what`` and its dtype."""
+    a = np.asarray(value)
+    if a.dtype is _FLOAT64:
+        return a
+    if a.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{what} must be real numbers, got dtype {a.dtype}")
+    return a.astype(np.float64)
+
+
 def _validate_tensor4(x) -> np.ndarray:
-    """Shape and size checks only; ``ssn_forward`` checks finiteness."""
-    x = np.asarray(x, dtype=np.float64)
+    """Dtype, shape and size checks only; ``ssn_forward`` checks finiteness."""
+    x = _real_array("activation tensor", x)
     if x.ndim != 4:
         raise InvalidInputError("activation tensor must have shape (N, C, H, W)")
     if x.size == 0:
@@ -124,21 +143,24 @@ def _kept(pid: int) -> tuple[threading.Lock, list]:
 def _map_samples(fn, view) -> list:
     """Results of ``fn(lo, hi)`` over blocks of whole samples that cover the
     N axis of a float64 tensor in the grouped ``view``, in sample order.
-    Every full-tensor pass of the layer runs here: ``row_sums``,
-    ``recentre``, ``all_finite``, ``scale``, ``sweep_1`` and ``sweep_2``.
-    A block holds as many samples as fit in ``BLOCK_BYTES``, and at least
-    one.  A one-block tensor is run in the calling thread; a larger one gets
-    one range per worker (at most ``WORKERS``), each run in the pool under a
-    copy of the caller's context, so that numpy's ``errstate`` holds there
-    too.  Each worker walks its range block by block, so a block stays in
-    cache from one numpy operation of ``fn`` to the next.  Rows of at least
+    Every full-tensor pass of the layer runs here: the forward's
+    ``statistics`` and ``normalize`` and the backward's ``sweep_1`` and
+    ``sweep_2``.  A block holds as many samples as fit in
+    ``BLOCK_BYTES``, and at least one.  A one-block tensor is run in the
+    calling thread; a larger one gets one range per worker (at most
+    ``WORKERS``), each run in the pool under a copy of the caller's
+    context, so that numpy's ``errstate`` holds there too.  Each worker
+    walks its range block by block, so a block stays in cache from one
+    numpy operation of ``fn`` to the next.  Rows of at least
     ``ROW_BUFFER_MIN`` elements run with numpy's ufunc buffer cut to one row
     (a multiple of 16, as numpy requires) where the caller's is larger, so
     numpy's buffered loop stops copying a per-(n, c) operand into it.  Each
     worker sets the cut in its own thread and restores that thread's size
-    in a ``finally`` (on numpy 1.x it outlives an ``errstate``).  ``fn``
-    writes only samples lo:hi of its outputs and sums only within a sample,
-    and the cut changes how a loop is chunked, not what it computes, so the
+    in a ``finally`` (on numpy 1.x it outlives an ``errstate``).  A block
+    that raises ends its worker's range, and the error of the first range
+    that raised is raised here once every worker is done.  ``fn`` writes
+    only samples lo:hi of its outputs and sums only within a sample, and
+    the cut changes how a loop is chunked, not what it computes, so the
     outputs are the same bits for any blocks, workers or cut."""
     n, row = view[0], view[3]
     step = max(1, BLOCK_BYTES // (8 * math.prod(view[1:])))
@@ -166,17 +188,25 @@ def _map_samples(fn, view) -> list:
     return [result for f in futures for result in f.result()]
 
 
-def _check_finite(what: str, tv, sums) -> bool:
-    """Raise unless ``tv`` (in the grouped view) is finite.  A NaN or inf
-    element makes the total of its per-(n, c) row ``sums`` non-finite, so the
-    full pass over ``tv`` runs only when that total is not finite or ``sums``
-    is None.  False means ``tv`` is finite but its sums overflow."""
-    if sums is not None and math.isfinite(sums.sum()):
-        return True
+@np.errstate(over="ignore", invalid="ignore")
+def _quietly(fn, *args):
+    """``fn(*args)`` with numpy's overflow and invalid-value warnings off,
+    as the layer's statistics run.  On numpy 2 a decorated function is
+    safe to enter from many threads at once and costs about half of a
+    fresh ``np.errstate`` block, which at the toy's per-call scale is worth
+    the indirection."""
+    return fn(*args)
 
-    def all_finite(lo, hi):
-        return bool(np.isfinite(tv[lo:hi]).all())
-    if not all(_map_samples(all_finite, tv.shape)):
+
+def _check_finite(what: str, tv, sums) -> bool:
+    """Raise unless ``tv``, one block of a tensor in the grouped view, is
+    finite.  A NaN or inf element makes the total of its per-(n, c) row
+    ``sums`` non-finite, so ``tv`` itself is read, while still in cache,
+    only when that total is not finite.  False means ``tv`` is finite but
+    its sums overflow."""
+    if math.isfinite(sums.sum()):
+        return True
+    if not np.isfinite(tv).all():
         raise InvalidInputError(f"{what} tensor must be finite")
     return False
 
@@ -283,6 +313,11 @@ class SsnParams:
         return cls(gate=gate, gamma=np.ones(channels), beta=np.zeros(channels))
 
 
+def _field(name: str) -> str:
+    """A vector field of ``SsnParams`` as its errors name it."""
+    return f"running statistics: {name}" if name.startswith("bn") else name
+
+
 def _check_params(params: SsnParams, k: int, c: int) -> None:
     """Every rule of a valid ``SsnParams`` with k normalizers and c channels.
     Callers reassign fields after construction, so each entry point runs it."""
@@ -295,26 +330,26 @@ def _check_params(params: SsnParams, k: int, c: int) -> None:
         raise InvalidInputError(f"gate logits length must match |omega| = {k}, got "
                                 f"z_mean {shapes[0]} and z_var {shapes[1]}")
     for name in ("z_mean", "z_var"):
-        z = np.asarray(getattr(gate, name))
-        # Not a bool, a complex or a string, which numpy casts or fails on.
-        if z.dtype.kind not in "iuf":
-            raise InvalidInputError(f"gate logits {name} must be real numbers, "
-                                    f"got dtype {z.dtype}")
+        z = _real_array(f"gate logits {name}", getattr(gate, name))
         if not all(map(math.isfinite, z.tolist())):
             raise InvalidInputError(f"gate logits {name} must be finite")
     for name in ("gamma", "beta", "bn_running_mean", "bn_running_var"):
         value = getattr(params, name)
         shape = getattr(value, "shape", None)
-        pre = "running statistics: " if name.startswith("bn") else ""
         if shape != (c,):
             like = "" if name == "gamma" else " like gamma"
-            raise InvalidInputError(f"{pre}{name} must have shape ({c},){like}, got {shape}")
+            raise InvalidInputError(f"{_field(name)} must have shape ({c},){like}, got {shape}")
+        if value.dtype.kind not in "iuf":
+            raise InvalidInputError(f"{_field(name)} must be real numbers, "
+                                    f"got dtype {value.dtype}")
         # Faster than np.isfinite on the short vectors a layer carries.
-        if not all(map(math.isfinite, value.tolist())):
-            raise InvalidInputError(f"{pre}{name} must be finite")
-    if c and params.bn_running_var.min() < 0:
+        values = value.tolist()
+        if not all(map(math.isfinite, values)):
+            raise InvalidInputError(f"{_field(name)} must be finite")
+    # ``values`` holds the running variances, all finite.
+    if c and min(values) < 0:
         raise InvalidInputError("running variances must be >= 0, got bn_running_var "
-                                f"with min {params.bn_running_var.min():g}")
+                                f"with min {min(values):g}")
 
 
 @dataclass
@@ -347,17 +382,28 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     normalizers with nonzero ratio in either gate have their statistics
     computed, so a one-hot layer touches a single normalizer.  In both
     modes a variance is computed only where the variance gate's ratio is
-    nonzero.  In eval mode the BN path reads the running statistics.  One
-    pass writes the per-(n, c) row sums of ``x``, and each mean taken from
-    ``x`` is a sum of those.  One centered copy of ``x`` serves every
-    variance: each mean re-centres it in place (the first writes it from
-    ``x``), and the same pass sums its squares per row where a variance is
-    due.  The mixed moments are applied as one per-(n, c) scale and shift,
-    ``y = x * a + b``, in place on that copy.  Finiteness of ``x`` is read
-    off its row sums (``_check_finite``), and a rejected ``x`` raises with
-    no numpy warning.  Each full-tensor pass walks blocks of whole samples
-    shared among the workers (``_map_samples``), with the same bits for any
-    block size or worker count.
+    nonzero.  In eval mode the BN path reads the running statistics.
+
+    Two block functions do the work for a block of whole samples while it
+    is in cache.  ``statistics`` writes the block's per-(n, c) row sums of
+    ``x``, and each mean taken from ``x`` is a sum of those.  One centered
+    copy of ``x`` serves every variance: each mean re-centres it in place
+    (the first writes it from ``x``), summing its squares per row where a
+    variance is due.  ``normalize`` runs ``statistics`` on its block, which
+    then also mixes the moments, and applies them as one per-(n, c) scale
+    and shift, ``y = x * a + b``, in place on that copy.  A pass over the
+    tensor (``_map_samples``) ends only where a statistic needs every sample:
+    train-mode BN's mean needs every row sum and its variance every row's
+    squares.  So a forward is one pass of ``normalize`` in eval mode or
+    with BN's ratio zero in both gates, and one or two passes of
+    ``statistics`` come first with BN's mean alone or with its variance.
+    Each block checks its part of ``x`` by its row sums
+    (``_check_finite``) before anything else, and a block whose ``x`` is
+    rejected raises with no numpy warning.  The statistics ignore overflow
+    and invalid values; the scale runs under the caller's error state, so
+    where one pass covers several blocks, another block of a rejected
+    ``x`` whose own finite values overflow may warn before the error.
+    The bits are the same for any block size or worker count.
     """
     x = _validate_tensor4(x)
     omega = validate_omega(omega)
@@ -366,73 +412,150 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     per_nc = view[:3] + (1,)
     p_res = sparsestmax(params.gate.z_mean, r)
     pp_res = sparsestmax(params.gate.z_var, r)
-    p, pp = p_res.p, pp_res.p
+    # As Python floats, which index and multiply faster than numpy scalars.
+    p, pp = p_res.p.tolist(), pp_res.p.tolist()
+
+    # ``live`` holds (index, name, axes, count, mean, variance, previous
+    # mean) of each live normalizer, in omega order; name None marks one
+    # read from the running statistics, and the previous mean is the one
+    # its re-centring starts from, or None for the first.  Each block writes
+    # its samples of a per-sample statistic.  BN's are batch statistics,
+    # with a length-1 N axis that every block reads whole, and train-mode
+    # BN's are taken between passes.
+    live, stats = [], {}
+    shift = None  # the last mean taken from x
+    batch = None  # the position in ``live`` of train-mode BN
+    for i, name in enumerate(omega):
+        if p[i] == 0.0 and pp[i] == 0.0:
+            continue
+        if name == "BN" and params.mode == EVAL:
+            mean_k = params.bn_running_mean.reshape(per_nc[1:])
+            var_k = params.bn_running_var.reshape(per_nc[1:])
+            live.append((i, None, None, 0, mean_k[None], var_k[None], None))
+        else:
+            axes = REDUCE_AXES[name]
+            if name == "BN":
+                batch = len(live)
+                shape = (1,) + per_nc[1:]
+            else:
+                # Every per-sample normalizer reduces over trailing axes.
+                shape = per_nc[:axes[0]] + (1,) * (4 - axes[0])
+            mean_k = np.empty(shape)
+            var_k = np.empty(shape) if pp[i] != 0.0 else None
+            live.append((i, name, axes, x.size // mean_k.size, mean_k, var_k, shift))
+            shift = mean_k
+        stats[name] = (mean_k, var_k)
 
     xv = x.reshape(view)
-    rows = None  # per-(n, c) row sums of x
-    centered = None  # x minus ``shift``, the last mean computed from x
-    shift = 0.0
-    stats = {}
+    rows = np.empty(per_nc)  # per-(n, c) row sums of x
+    sq = np.empty(per_nc)  # per-(n, c) sums of squares of the centered copy
     mu = np.zeros(per_nc)
     var = np.zeros(per_nc)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, name in enumerate(omega):
-            if p[i] == 0.0 and pp[i] == 0.0:
-                continue
-            if name == "BN" and params.mode == EVAL:
-                mean_k = params.bn_running_mean.reshape(per_nc[1:])
-                var_k = params.bn_running_var.reshape(per_nc[1:])
-            else:
-                if rows is None:
-                    rows = np.empty(per_nc)
+    inv_std = np.empty(per_nc)
+    a = np.empty(per_nc)
+    y = _full(view)
+    gamma = params.gamma.reshape(per_nc[1:])
+    beta = params.beta.reshape(per_nc[1:])
 
-                    def row_sums(lo, hi):
-                        np.add.reduce(xv[lo:hi], axis=3, keepdims=True, out=rows[lo:hi])
-                    _map_samples(row_sums, view)
-                axes = REDUCE_AXES[name]
-                mean_k = np.add.reduce(rows, axis=axes, keepdims=True)
-                m = xv.size // mean_k.size
-                mean_k /= m
+    # A pass takes the statistics of ``live[first:last]``.  The first one
+    # also takes the row sums, and the last one (``closing``) mixes every
+    # live normalizer's moments and scales.  ``statistics`` reads these four
+    # as they are when a pass runs.
+    first, last, opening, closing = 0, len(live), True, True
+
+    def statistics(lo, hi):
+        """Samples lo:hi of the pass's statistics and, in the last pass, of
+        the mixed moments, which it returns.  It runs with numpy's overflow
+        and invalid-value warnings off."""
+        xb, yb = xv[lo:hi], y[lo:hi]
+        if opening:
+            rb = np.add.reduce(xb, axis=3, keepdims=True, out=rows[lo:hi])
+            _check_finite("activation", xb, rb)
+        else:
+            rb = rows[lo:hi]
+        if closing:
+            mu_b, var_b = mu[lo:hi], var[lo:hi]
+        for j in range(0 if closing else first, last):
+            i, name, axes, m, mean_k, var_k, prev = live[j]
+            if j < first or name is None:
+                # Taken in an earlier pass, or read from running statistics;
+                # only the last pass, which mixes, reaches either.
+                mean_b = mean_k if len(mean_k) == 1 else mean_k[lo:hi]
+                v_b = var_k if var_k is None or len(var_k) == 1 else var_k[lo:hi]
+            else:
+                # BN's batch mean was taken before its pass; a sum over the
+                # row axis alone is the row sum itself.
+                if name == "BN":
+                    mean_b = mean_k
+                elif len(axes) == 1:
+                    mean_b = np.divide(rb, m, out=mean_k[lo:hi])
+                else:
+                    mean_b = np.add.reduce(rb, axis=axes, keepdims=True, out=mean_k[lo:hi])
+                    mean_b /= m
                 # The first mean writes the centered copy; each later one
                 # re-centres it in place, from the previous mean to its own.
-                # The same pass sums squares per row where a variance is due.
-                src = xv if centered is None else centered
-                if centered is None:
-                    centered = _full(view)
-                delta = mean_k - shift
-                sq = np.empty(per_nc) if pp[i] != 0.0 else None
+                if prev is None:
+                    out = np.subtract(xb, mean_b, out=yb)
+                else:
+                    out = np.subtract(yb, mean_b - (prev if len(prev) == 1 else
+                                                    prev[lo:hi]), out=yb)
+                # BN's batch variance is taken once its pass ends.
+                v_b = var_k
+                if var_k is not None:
+                    sb = sq[lo:hi]
+                    np.einsum("ngkh,ngkh->ngk", out, out, out=sb[..., 0])
+                    if len(axes) == 1:
+                        v_b = np.divide(sb, m, out=var_k[lo:hi])
+                    elif name != "BN":
+                        v_b = np.add.reduce(sb, axis=axes, keepdims=True, out=var_k[lo:hi])
+                        v_b /= m
+            if closing:
+                if p[i] != 0.0:
+                    mu_b += p[i] * mean_b
+                if pp[i] != 0.0:
+                    var_b += pp[i] * v_b
+        if closing:
+            return mu_b, var_b
 
-                def recentre(lo, hi):
-                    out = np.subtract(src[lo:hi], delta if len(delta) == 1 else
-                                      delta[lo:hi], out=centered[lo:hi])
-                    if sq is not None:
-                        np.einsum("ngkh,ngkh->ngk", out, out, out=sq[lo:hi, ..., 0])
-                _map_samples(recentre, view)
-                shift = mean_k
-                var_k = None
-                if sq is not None:
-                    var_k = np.add.reduce(sq, axis=axes, keepdims=True) / m
-            stats[name] = (mean_k, var_k)
-            if p[i] != 0.0:
-                mu += p[i] * mean_k
-            if pp[i] != 0.0:
-                var += pp[i] * var_k
+    def normalize(lo, hi):
+        mu_b, var_b = _quietly(statistics, lo, hi)
+        # y = x * a + b with a = gamma / sqrt(var + eps) and b = beta - mu * a,
+        # applied in place to the centered copy when there is one:
+        # y = (x - shift) * a + (b + shift * a).
+        s_b = np.add(var_b, params.eps, out=inv_std[lo:hi])
+        np.sqrt(s_b, out=s_b)
+        np.divide(1.0, s_b, out=s_b)
+        a_b = np.multiply(gamma, s_b, out=a[lo:hi])
+        yb = y[lo:hi]
+        if shift is None:
+            out = np.multiply(xv[lo:hi], a_b, out=yb)
+            out += beta - mu_b * a_b
+        else:
+            out = np.multiply(yb, a_b, out=yb)
+            out += beta - (mu_b - (shift if len(shift) == 1 else shift[lo:hi])) * a_b
 
-        _check_finite("activation", xv, rows)
+    def batch_passes(j):
+        """The passes of ``statistics`` up to train-mode BN, ``live[j]``: one
+        ends before it re-centres, and one after, where its variance is
+        due.  Its batch moments are taken between them."""
+        nonlocal first, last, opening, closing
+        _, _, axes, m, mean_k, var_k, _ = live[j]
+        last, closing = j, False
+        _map_samples(statistics, view)
+        np.add.reduce(rows, axis=axes, keepdims=True, out=mean_k)
+        mean_k /= m
+        first, opening = j, False
+        if var_k is not None:
+            last = j + 1
+            _map_samples(statistics, view)
+            np.add.reduce(sq, axis=axes, keepdims=True, out=var_k)
+            var_k /= m
+            first = j + 1
+        last, closing = len(live), True
 
-    # y = x * a + b with a = gamma / sqrt(var + eps) and b = beta - mu * a,
-    # applied in place to the centered copy when there is one:
-    # y = (x - shift) * a + (b + shift * a).
-    inv_std = 1.0 / np.sqrt(var + params.eps)
-    a = params.gamma.reshape(per_nc[1:]) * inv_std
-    b = params.beta.reshape(per_nc[1:]) - (mu - shift) * a
-    src = xv if centered is None else centered
-    y = _full(view) if centered is None else centered
-
-    def scale(lo, hi):
-        out = np.multiply(src[lo:hi], a[lo:hi], out=y[lo:hi])
-        out += b[lo:hi]
-    _map_samples(scale, view)
+    if batch is not None:
+        _quietly(batch_passes, batch)
+    _map_samples(normalize, view)
     cache = SsnCache(x=x, omega=omega, view=view, p_res=p_res, pp_res=pp_res,
                      stats=stats, mu=mu, inv_std=inv_std, scale=a, mode=params.mode)
     return y.reshape(x.shape), cache
@@ -457,16 +580,16 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
     Like every full-tensor pass, each sweep walks blocks of whole samples
     (``_map_samples``), so the only full-size array written is ``grad_x``.
     Per-row sums do not depend on the blocks or the workers, so neither do
-    the gradients.  The upstream
-    tensor is checked by the forward's finiteness rule (``_check_finite``),
-    with no numpy warning when it is rejected.  Gate gradients always flow
+    the gradients.  The upstream tensor is checked by the forward's
+    finiteness rule (``_check_finite``), block by block in sweep 1, with
+    no numpy warning when it is rejected.  Gate gradients always flow
     through the projection's vector-Jacobian product, which gives zero-ratio
     normalizers exactly-zero logit gradients, and a one-hot gate an all-zero
     one; a non-finite gate gradient is rejected there.
     """
     if cache.mode != TRAIN:
         raise InvalidStateError("backward requires a train-mode cache")
-    g = np.asarray(upstream, dtype=np.float64)
+    g = _real_array("upstream tensor", upstream)
     x, omega, view = cache.x, cache.omega, cache.view
     if g.shape != x.shape:
         raise InvalidInputError("upstream tensor shape must match the input")
@@ -476,17 +599,17 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
     s, mu, a = cache.inv_std, cache.mu, cache.scale
 
     # Sweep 1: per-(n, c) sums of g and g * x, a block of g read once from
-    # memory for both.
+    # memory for both and checked by them.
     sums = np.empty((2,) + view[:3])
 
     def sweep_1(lo, hi):
         np.add.reduce(gv[lo:hi], axis=3, out=sums[0, lo:hi])
         np.einsum("ngkh,ngkh->ngk", gv[lo:hi], xv[lo:hi], out=sums[1, lo:hi])
+        return _check_finite("upstream", gv[lo:hi], sums[:, lo:hi])
     with np.errstate(over="ignore", invalid="ignore"):
-        _map_samples(sweep_1, view)
         # x is finite (the forward checked it), so a finite g whose sums of
         # g and g * x overflow is too large to give finite gradients.
-        if not _check_finite("upstream", gv, sums):
+        if not all(_map_samples(sweep_1, view)):
             raise InvalidInputError("upstream tensor is too large: its sums overflow")
     sum_g, sum_gx = sums[0, ..., None], sums[1, ..., None]
     sum_gxhat = s * (sum_gx - mu * sum_g)
@@ -533,12 +656,17 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
 
 def update_running_stats(params: SsnParams, batch_mean, batch_var) -> SsnParams:
     """Exponential moving average update of the BN running statistics,
-    weighting the batch moments by ``BN_MOMENTUM``; ``train`` does not call it."""
-    batch_mean = np.asarray(batch_mean, dtype=np.float64)
-    batch_var = np.asarray(batch_var, dtype=np.float64)
+    weighting the batch moments by ``BN_MOMENTUM``; ``train`` does not call it.
+    Batch moments that are not finite raise here, not at the next entry
+    point that reads the running statistics."""
+    batch_mean = _real_array("batch_mean", batch_mean)
+    batch_var = _real_array("batch_var", batch_var)
     if batch_mean.shape != params.bn_running_mean.shape or \
             batch_var.shape != params.bn_running_var.shape:
         raise InvalidInputError("batch moments must have the running statistics' shape")
+    for name, value in (("batch_mean", batch_mean), ("batch_var", batch_var)):
+        if not np.isfinite(value).all():
+            raise InvalidInputError(f"{name} must be finite")
     params.bn_running_mean = (1.0 - BN_MOMENTUM) * params.bn_running_mean + \
         BN_MOMENTUM * batch_mean
     params.bn_running_var = (1.0 - BN_MOMENTUM) * params.bn_running_var + \
@@ -569,11 +697,11 @@ def fold_bn_into_affine(conv_weight, conv_bias, params: SsnParams, omega):
     if choice != ("BN", "BN"):
         raise InvalidStateError(f"both gates must select BN, got {choice}")
     c = params.gamma.shape[0]
-    w = np.asarray(conv_weight, dtype=np.float64)
+    w = _real_array("conv weight", conv_weight)
     if w.ndim != 4 or w.shape[0] != c:
         raise InvalidInputError(
             f"conv weight must be 4-D with {c} output channels, got shape {w.shape}")
-    b = np.zeros(c) if conv_bias is None else np.asarray(conv_bias, dtype=np.float64)
+    b = np.zeros(c) if conv_bias is None else _real_array("conv bias", conv_bias)
     if b.shape != (c,):
         raise InvalidInputError(f"conv bias must have shape ({c},), got {b.shape}")
     for name, value in (("weight", w), ("bias", b)):

@@ -11,6 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from ssnorm.errors import InvalidInputError
+from ssnorm.layer import EVAL
 from ssnorm.simplex import (DEGENERATE_TOL, ProjectionLevel, ProjectionResult,
                             Stage, as_logits, circumradius, sparsemax,
                             sparsestmax)
@@ -75,7 +76,8 @@ def central_difference(loss, a, eps, indices=None) -> np.ndarray:
 # The gated normalization: the SN/SSN mixture of IN, BN, LN and GN moments.
 
 def forward_oracle(x, params, r, omega, gn_groups):
-    """Pure scalar-loop reference of the gated normalization."""
+    """Pure scalar-loop reference of the gated normalization; in eval mode
+    BN reads the running statistics."""
     n, c, h, w = x.shape
     p = sparsestmax(params.gate.z_mean, r).p
     pp = sparsestmax(params.gate.z_var, r).p
@@ -85,6 +87,10 @@ def forward_oracle(x, params, r, omega, gn_groups):
         for j in range(c):
             mu_mix, var_mix = 0.0, 0.0
             for idx, name in enumerate(omega):
+                if name == "BN" and params.mode == EVAL:
+                    mu_mix += p[idx] * float(params.bn_running_mean[j])
+                    var_mix += pp[idx] * float(params.bn_running_var[j])
+                    continue
                 if name == "IN":
                     vals = x[i, j].ravel()
                 elif name == "BN":

@@ -4,6 +4,7 @@ and convolution folding."""
 import contextlib
 import dataclasses
 import functools
+import itertools
 import multiprocessing
 import os
 import sys
@@ -15,6 +16,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import central_difference, conv2d, forward_oracle, plain_moments
 from ssnorm import layer
@@ -268,6 +271,13 @@ def test_eval_mode_mixed_selection_uses_running_stats():
     assert np.array_equal(cache.stats["BN"][1].reshape(-1), params.bn_running_var)
 
 
+# Tensors of 1x4x2x2 that are not real numbers, with their dtypes.
+NOT_REAL = [(np.ones((1, 4, 2, 2)) * (1 + 1j), "complex128"),
+            (np.full((1, 4, 2, 2), "1.0"), "<U3"),
+            (np.ones((1, 4, 2, 2), dtype=bool), "bool"),
+            (np.ones((1, 4, 2, 2), dtype=object), "object")]
+
+
 def test_forward_validates_shapes():
     params = SsnParams.init(4, 3)
     with pytest.raises(InvalidInputError):
@@ -280,6 +290,14 @@ def test_forward_validates_shapes():
     for empty in ((0, 4, 2, 2), (2, 4, 0, 2)):
         with pytest.raises(InvalidInputError, match="must be non-empty"):
             ssn_forward(np.zeros(empty), params, 0.1, ("IN", "BN", "LN"))
+    # A complex x lost its imaginary part with a ComplexWarning, and a
+    # string raised numpy's bare ValueError; a list of numbers passes.
+    for bad, dtype in NOT_REAL:
+        with pytest.raises(InvalidInputError,
+                           match=f"activation tensor must be real numbers, got dtype {dtype}"):
+            ssn_forward(bad, params, 0.1, ("IN", "BN", "LN"))
+    y, _ = ssn_forward(np.ones((1, 4, 2, 2)).tolist(), params, 0.1, ("IN", "BN", "LN"))
+    assert y.shape == (1, 4, 2, 2)
 
 
 def _pass_names(monkeypatch, calls=None):
@@ -313,11 +331,19 @@ FINITENESS_CASES = [
     for gates in [None, *((name, name) for name in omega), ("LN", "BN"), ("BN", "IN")]]
 
 
+def _isfinite_sizes(monkeypatch):
+    """Record the size of each array ``np.isfinite`` reads."""
+    sizes = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a: sizes.append(np.size(a)) or isfinite(a))
+    return sizes
+
+
 @pytest.mark.parametrize("mode", [TRAIN, EVAL])
 @pytest.mark.parametrize("omega,gates", FINITENESS_CASES)
 def test_forward_rejects_non_finite_input(monkeypatch, omega, gates, mode):
-    # Finiteness is read off the total of x's row sums wherever a statistic
-    # comes from x; one-hot BN in eval mode takes none and checks x directly.
+    # Finiteness is read off the total of x's row sums, which every forward
+    # takes, one-hot BN in eval mode too.
     k = len(omega)
     params = _rand_params(np.random.default_rng(17), 4, k, mode=mode)
     r = 0.0
@@ -339,19 +365,39 @@ def test_forward_rejects_non_finite_input(monkeypatch, omega, gates, mode):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         ssn_forward(np.where(x > 0, 1e308, -1e308), params, r, omega, 2)
-    # Variances that overflow while the row sums stay finite take no full
-    # pass; row sums that overflow take it, and the finite x passes it.
-    no_rows = mode == EVAL and gates == ("BN", "BN")
-    names = _pass_names(monkeypatch)
+    # Variances that overflow while the row sums stay finite make no
+    # element-wise check of x; row sums that overflow make it, and the
+    # finite x passes it.
+    sizes = _isfinite_sizes(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         _, cache = ssn_forward(np.where(x > 0, 1e200, -1e200), params, r, omega, 2)
-        assert ("all_finite" in names) == no_rows, names
+        assert x.size not in sizes, sizes
         assert all(np.isinf(var).any() for name, (_, var) in cache.stats.items()
                    if var is not None and (name, mode) != ("BN", EVAL))
-        names.clear()
         ssn_forward(np.full(x.shape, 1e308), params, r, omega, 2)
-        assert "all_finite" in names
+        assert x.size in sizes
+
+
+@pytest.mark.parametrize("mode", [TRAIN, EVAL])
+def test_overflowing_output_warns_under_the_callers_error_state(mode):
+    # The statistics ignore overflow and invalid values, but the scale and
+    # shift run under the caller's error state: a finite x whose row sums
+    # overflow gives a (IN, IN) layer inf - inf in its shift and inf * 0 in
+    # its scale, and the caller sees both.
+    params = SsnParams.init(4, 3)
+    params.gate.z_mean = np.array([5.0, 0.0, 0.0])
+    params.gate.z_var = params.gate.z_mean.copy()
+    params.mode = mode
+    x = np.random.default_rng(35).normal(size=(3, 4, 3, 3))
+    with pytest.warns(RuntimeWarning) as record:
+        ssn_forward(np.where(x > 0, 1e308, -1e308), params, circumradius(3),
+                    ("IN", "BN", "LN"))
+    assert len(record) == 2, [str(w.message) for w in record]
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ssn_forward(np.where(x > 0, 1e308, -1e308), params, circumradius(3),
+                    ("IN", "BN", "LN"))
 
 
 # Every layer entry point, as (mode, call) on a 4-channel (BN, BN) layer
@@ -413,6 +459,9 @@ BROKEN_FIELDS = {
     "complex z_var": ("z_var", np.array([0.0, 5.0 + 1j, 0.0])),
     "bool z_mean": ("z_mean", np.array([False, True, False])),
     "NaN z_var": ("z_var", np.array([0.0, np.nan, 0.0])),
+    # A complex raised a bare TypeError from the finiteness check.
+    "complex gamma": ("gamma", np.ones(4) + 1j),
+    "string running var": ("bn_running_var", np.full(4, "1")),
 }
 
 
@@ -611,6 +660,11 @@ def test_backward_rejects_non_finite_upstream(one_hot):
     for shape in ((3, 3, 3, 3), (3, 4, 9, 1), (4, 3, 3, 3)):
         with pytest.raises(InvalidInputError, match="upstream tensor shape"):
             ssn_backward(cache, np.zeros(shape))
+    for bad, dtype in NOT_REAL:
+        with pytest.raises(InvalidInputError,
+                           match=f"upstream tensor must be real numbers, got dtype {dtype}"):
+            ssn_backward(cache, np.resize(bad, x.shape))
+    assert ssn_backward(cache, g.tolist()).x.shape == x.shape
 
 
 def _layer_bits(x, params, r, omega, gn_groups, g=None):
@@ -706,6 +760,103 @@ def test_forward_does_not_depend_on_block_size(monkeypatch, omega, gn_groups,
                     (recycle, samples, workers)
 
 
+# ------------------------------------------------------ differential fuzz
+
+# The 11 valid omegas: every ordered subset of two or more normalizers.
+OMEGAS = [omega for k in (2, 3, 4)
+          for omega in itertools.combinations(layer.NORMALIZER_ORDER, k)]
+
+
+@st.composite
+def layer_cases(draw):
+    """(x, params, r, omega, gn_groups, g) of a small random layer: N, C, H
+    and W in 1-5, any omega, a GN group count that divides C, either mode,
+    and one-hot gates at the circumradius or random ones at any radius; g
+    is the upstream gradient in train mode and None in eval mode."""
+    n, c, h, w = (draw(st.integers(1, 5)) for _ in range(4))
+    omega = draw(st.sampled_from(OMEGAS))
+    k = len(omega)
+    gn_groups = draw(st.sampled_from([d for d in range(1, c + 1) if c % d == 0]))
+    mode = draw(st.sampled_from([TRAIN, EVAL]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    params = _rand_params(rng, c, k, mode=mode)
+    params.bn_running_mean = rng.normal(size=c)
+    params.bn_running_var = rng.uniform(0.5, 2.0, size=c)
+    if draw(st.booleans()):
+        params.gate.z_mean, params.gate.z_var = (
+            np.where(np.arange(k) == draw(st.integers(0, k - 1)), 5.0, 0.0)
+            for _ in range(2))
+        r = circumradius(k)
+    else:
+        # Nearly equal logits keep every normalizer live at most radii.
+        spread = draw(st.sampled_from([0.02, 1.0]))
+        params.gate.z_mean, params.gate.z_var = (1.0 + spread * rng.normal(size=k)
+                                                 for _ in range(2))
+        r = draw(st.floats(0.0, circumradius(k)))
+    x = rng.normal(loc=draw(st.sampled_from([0.0, 3.0])), size=(n, c, h, w))
+    g = rng.normal(size=x.shape) if mode == TRAIN else None
+    return x, params, r, omega, gn_groups, g
+
+
+@contextlib.contextmanager
+def _blocks(workers, block_bytes):
+    """Run the layer with ``WORKERS`` and ``BLOCK_BYTES`` set, then restore
+    them; a context manager, because hypothesis runs many examples in one
+    call of a test."""
+    saved = layer.WORKERS, layer.BLOCK_BYTES
+    layer.WORKERS, layer.BLOCK_BYTES = workers, block_bytes
+    try:
+        yield
+    finally:
+        layer.WORKERS, layer.BLOCK_BYTES = saved
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(layer_cases())
+def test_forward_matches_oracle_on_random_layers(case):
+    x, params, r, omega, gn_groups, _ = case
+    y, _ = ssn_forward(x, params, r, omega, gn_groups)
+    y_ref = forward_oracle(x, params, r, omega, gn_groups)
+    assert np.max(np.abs(y - y_ref)) <= 1e-12 * max(1.0, np.abs(y_ref).max())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(layer_cases())
+def test_random_layers_do_not_depend_on_blocks_or_workers(case):
+    # y, every statistic and, in train mode, all five gradients.
+    x, params, r, omega, gn_groups, g = case
+    expected = _layer_bits(x, params, r, omega, gn_groups, g)
+    for workers in (1, 2, 3):
+        with _blocks(workers, x[0].nbytes):
+            assert _layer_bits(x, params, r, omega, gn_groups, g) == expected, workers
+
+
+@pytest.mark.parametrize("mode", [TRAIN, EVAL])
+def test_forward_cuts_a_pass_only_for_batch_statistics(monkeypatch, mode):
+    # One pass per forward, but train-mode BN's mean needs every sample's
+    # row sums and its variance every sample's squares: two passes with
+    # BN's mean alone, three with its variance.  Every one-hot pair, then
+    # every normalizer live.
+    omega = ("IN", "BN", "LN", "GN")
+    x = np.random.default_rng(33).normal(size=(2, 4, 3, 3))
+    params = _rand_params(np.random.default_rng(34), 4, 4, mode=mode)
+    names = _pass_names(monkeypatch)
+    pairs = [(m, v) for m in range(4) for v in range(4)] + [None]
+    for pair in pairs:
+        if pair is None:
+            params.gate.z_mean, params.gate.z_var = np.zeros(4), np.zeros(4)
+            r = 0.0
+        else:
+            params.gate.z_mean, params.gate.z_var = (
+                np.where(np.arange(4) == hot, 5.0, 0.0) for hot in pair)
+            r = circumradius(4)
+        names.clear()
+        ssn_forward(x, params, r, omega, 2)
+        bn_mean, bn_var = (True, True) if pair is None else (pair[0] == 1, pair[1] == 1)
+        passes = 1 if mode == EVAL else 3 if bn_var else 2 if bn_mean else 1
+        assert names == ["statistics"] * (passes - 1) + ["normalize"], (pair, names)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_every_pass_walks_the_same_blocks(monkeypatch, workers):
     # One rule cuts every pass, forward and backward alike: each call of a
@@ -726,8 +877,8 @@ def test_every_pass_walks_the_same_blocks(monkeypatch, workers):
         calls.clear()
         _, cache = ssn_forward(x, params, 0.1, omega, 2)
         ssn_backward(cache, g)
-        assert [name for name, _ in calls] == ["row_sums"] + ["recentre"] * 4 + [
-            "scale", "sweep_1", "sweep_2"]
+        assert [name for name, _ in calls] == [
+            "statistics", "statistics", "normalize", "sweep_1", "sweep_2"]
         tilings = set()
         for name, blocks in calls:
             ranges = [(lo, hi) for lo, hi, _ in blocks]
@@ -894,15 +1045,12 @@ def test_every_pass_is_named_and_cut(monkeypatch, workers):
     with pytest.raises(InvalidInputError, match="upstream tensor must be finite"):
         ssn_backward(cache, bad_g)
     seen.append(names[:])
-    statistics = ["row_sums"] + ["recentre"] * 4
-    assert seen == [statistics + ["scale", "sweep_1", "sweep_2"],
-                    ["all_finite", "scale"],
-                    statistics + ["all_finite"],
-                    ["sweep_1", "all_finite"]]
-    assert {name for run in seen for name in run} == {
-        "row_sums", "recentre", "all_finite", "scale", "sweep_1", "sweep_2"}
-    bufsizes = [size for _, blocks in calls for _, _, size in blocks]
-    assert bufsizes == [3136] * (3 * sum(map(len, seen)))
+    # Each block checks its own samples, so a pass stops at the first
+    # rejected block: x's NaN is in sample 1, g's in sample 2.
+    assert seen == [["statistics", "statistics", "normalize", "sweep_1", "sweep_2"],
+                    ["normalize"], ["statistics"], ["sweep_1"]]
+    assert [len(blocks) for _, blocks in calls] == [3] * 6 + [2, 3]
+    assert {size for _, blocks in calls for _, _, size in blocks} == {3136}
 
 
 def test_toy_shapes_never_cut_the_buffer(monkeypatch):
@@ -1225,6 +1373,23 @@ def test_update_running_stats_ema():
     assert np.allclose(params.bn_running_var, [0.9 + 0.3, 0.9 + 0.4], atol=1e-15)
 
 
+@pytest.mark.parametrize("name", ["batch_mean", "batch_var"])
+def test_update_running_stats_rejects_non_finite_moments(name):
+    # NaN moments were stored, and only the next entry point raised, about
+    # the running statistics.
+    for value in (np.nan, np.inf, -np.inf):
+        params = SsnParams.init(4, 3)
+        moments = {"batch_mean": np.zeros(4), "batch_var": np.ones(4)}
+        moments[name][2] = value
+        with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
+            update_running_stats(params, moments["batch_mean"], moments["batch_var"])
+        assert np.array_equal(params.bn_running_mean, np.zeros(4))
+        assert np.array_equal(params.bn_running_var, np.ones(4))
+    with pytest.raises(InvalidInputError, match=f"{name} must be real numbers"):
+        update_running_stats(params, *(np.zeros(4) + (1j if n == name else 0.0)
+                                       for n in ("batch_mean", "batch_var")))
+
+
 def test_update_running_stats_rejects_shape_mismatch():
     params = SsnParams.init(3, 3)
     for mean, var in ((np.zeros((2, 3)), np.ones((2, 3))),
@@ -1312,6 +1477,22 @@ def test_fold_rejects_non_finite_conv(name, value):
     with pytest.raises(InvalidInputError, match=f"conv {name} must be finite"):
         fold_bn_into_affine(conv["weight"], conv["bias"], _bn_selected_params(4),
                             ("IN", "BN", "LN"))
+
+
+@pytest.mark.parametrize("name", ["weight", "bias"])
+def test_fold_rejects_conv_that_is_not_real(name):
+    # A complex lost its imaginary part with a ComplexWarning, and a string
+    # raised numpy's bare ValueError; lists of numbers pass.
+    conv = {"weight": np.ones((4, 3, 1, 1)), "bias": np.zeros(4)}
+    for bad, dtype in NOT_REAL:
+        conv_bad = dict(conv, **{name: np.resize(bad, conv[name].shape)})
+        with pytest.raises(InvalidInputError,
+                           match=f"conv {name} must be real numbers, got dtype {dtype}"):
+            fold_bn_into_affine(conv_bad["weight"], conv_bad["bias"],
+                                _bn_selected_params(4), ("IN", "BN", "LN"))
+    w, b = fold_bn_into_affine(conv["weight"].tolist(), conv["bias"].tolist(),
+                               _bn_selected_params(4), ("IN", "BN", "LN"))
+    assert w.shape == (4, 3, 1, 1) and b.shape == (4,)
 
 
 def test_fold_requires_bn_selection():
