@@ -81,7 +81,7 @@ def _parse_z(text: str) -> np.ndarray:
         raise InvalidInputError("--z: need at least two components")
     if not all(math.isfinite(v) for v in vals):
         raise InvalidInputError("--z: values must be finite")
-    return np.asarray(vals, dtype=np.float64)
+    return np.array(vals)
 
 
 def _parse_dims(text: str) -> tuple[int, int, int, int]:

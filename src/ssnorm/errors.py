@@ -1,9 +1,11 @@
 """Exception types shared across the package, and the one rule for each
-kind of numeric argument: ``check_integer`` and ``check_real``.  Neither
-takes a bool, which Python counts as both but which is never a count, a
-step or a radius; numpy's integers and floats pass."""
+kind of numeric argument: ``check_integer``, ``check_real`` and
+``check_array``.  None takes a bool, which Python counts as a number but
+is never a count, a radius or a vector entry; numpy's ints and floats pass."""
 import math
 import numbers
+
+import numpy as np
 
 
 class InvalidInputError(ValueError):
@@ -13,7 +15,9 @@ class InvalidInputError(ValueError):
 def check_integer(name: str, value, least=None):
     """Return ``value`` if it is a non-bool ``numbers.Integral`` of at least
     ``least``; else raise ``InvalidInputError`` naming ``name``."""
-    if not isinstance(value, numbers.Integral) or type(value) is bool:
+    # An int is tested first: the ABC check costs about 15 times as much.
+    if type(value) is not int and \
+            (not isinstance(value, numbers.Integral) or type(value) is bool):
         raise InvalidInputError(f"{name} must be integral, got {value!r}")
     if least is not None and value < least:
         raise InvalidInputError(f"{name} must be >= {least}, got {value!r}")
@@ -24,13 +28,43 @@ def check_real(name: str, value, least=None, strict: bool = False):
     """Return ``value`` if it is a finite non-bool ``numbers.Real`` of at
     least ``least`` (above it when ``strict``); else raise
     ``InvalidInputError`` naming ``name``."""
-    if not isinstance(value, numbers.Real) or type(value) is bool or \
+    # A float is tested first: the ABC check costs about 15 times as much.
+    if type(value) is not float and \
+            (not isinstance(value, numbers.Real) or type(value) is bool) or \
             not math.isfinite(value):
         raise InvalidInputError(f"{name} must be a finite real number, got {value!r}")
     if least is not None and (value <= least if strict else value < least):
         raise InvalidInputError(f"{name} must be {'>' if strict else '>='} {least}, "
                                 f"got {value!r}")
     return value
+
+
+# numpy's own float64 dtype, which every native float64 array shares.
+_FLOAT64 = np.dtype(np.float64)
+
+
+def check_array(name: str, value, finite: bool = True) -> np.ndarray:
+    """``value`` as a float64 array: itself if it is one, converted from an
+    integer or float dtype.  Any other dtype, or unless ``finite`` is False
+    (for the layer's tensors, which each pass checks) a non-finite entry,
+    raises ``InvalidInputError`` naming ``name``.  A 1-D vector is read as
+    Python floats, each only when their sum is not finite: at length 3-8
+    several times faster than ``np.isfinite``."""
+    a = np.asarray(value)
+    if a.dtype is not _FLOAT64:
+        if a.dtype.kind not in "iuf":
+            raise InvalidInputError(f"{name} must be real numbers, got dtype {a.dtype}")
+        a = a.astype(np.float64)
+    if not finite:
+        return a
+    if a.ndim == 1:
+        values = a.tolist()
+        ok = math.isfinite(sum(values)) or all(map(math.isfinite, values))
+    else:
+        ok = np.isfinite(a).all()
+    if not ok:
+        raise InvalidInputError(f"{name} must be finite")
+    return a
 
 
 class InvalidStateError(RuntimeError):

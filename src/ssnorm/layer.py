@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidInputError, InvalidStateError, NotConvergedError, check_integer,
-                     check_real)
+from .errors import (InvalidInputError, InvalidStateError, NotConvergedError, check_array,
+                     check_integer, check_real)
 from .simplex import ProjectionResult, circumradius, sparsestmax, sparsestmax_vjp
 
 NORMALIZER_ORDER = ("IN", "BN", "LN", "GN")
@@ -42,32 +42,6 @@ EVAL = "eval"
 
 # Weight of the batch moments in the BN running-statistics average.
 BN_MOMENTUM = 0.1
-
-
-# numpy's own float64 dtype, which every native float64 array shares.
-_FLOAT64 = np.dtype(np.float64)
-
-
-def _real_array(what: str, value) -> np.ndarray:
-    """``value`` as a float64 array.  A bool, complex, string or object
-    array, which numpy would cast (a complex losing its imaginary part) or
-    fail on, raises instead, naming ``what`` and its dtype."""
-    a = np.asarray(value)
-    if a.dtype is _FLOAT64:
-        return a
-    if a.dtype.kind not in "iuf":
-        raise InvalidInputError(f"{what} must be real numbers, got dtype {a.dtype}")
-    return a.astype(np.float64)
-
-
-def _validate_tensor4(x) -> np.ndarray:
-    """Dtype, shape and size checks only; ``ssn_forward`` checks finiteness."""
-    x = _real_array("activation tensor", x)
-    if x.ndim != 4:
-        raise InvalidInputError("activation tensor must have shape (N, C, H, W)")
-    if x.size == 0:
-        raise InvalidInputError("activation tensor must be non-empty")
-    return x
 
 
 def validate_omega(omega) -> tuple[str, ...]:
@@ -313,11 +287,6 @@ class SsnParams:
         return cls(gate=gate, gamma=np.ones(channels), beta=np.zeros(channels))
 
 
-def _field(name: str) -> str:
-    """A vector field of ``SsnParams`` as its errors name it."""
-    return f"running statistics: {name}" if name.startswith("bn") else name
-
-
 def _check_params(params: SsnParams, k: int, c: int) -> None:
     """Every rule of a valid ``SsnParams`` with k normalizers and c channels.
     Callers reassign fields after construction, so each entry point runs it."""
@@ -329,27 +298,20 @@ def _check_params(params: SsnParams, k: int, c: int) -> None:
     if shapes != ((k,), (k,)):
         raise InvalidInputError(f"gate logits length must match |omega| = {k}, got "
                                 f"z_mean {shapes[0]} and z_var {shapes[1]}")
-    for name in ("z_mean", "z_var"):
-        z = _real_array(f"gate logits {name}", getattr(gate, name))
-        if not all(map(math.isfinite, z.tolist())):
-            raise InvalidInputError(f"gate logits {name} must be finite")
+    check_array("gate logits z_mean", gate.z_mean)
+    check_array("gate logits z_var", gate.z_var)
     for name in ("gamma", "beta", "bn_running_mean", "bn_running_var"):
         value = getattr(params, name)
+        field = f"running statistics: {name}" if name.startswith("bn") else name
         shape = getattr(value, "shape", None)
         if shape != (c,):
             like = "" if name == "gamma" else " like gamma"
-            raise InvalidInputError(f"{_field(name)} must have shape ({c},){like}, got {shape}")
-        if value.dtype.kind not in "iuf":
-            raise InvalidInputError(f"{_field(name)} must be real numbers, "
-                                    f"got dtype {value.dtype}")
-        # Faster than np.isfinite on the short vectors a layer carries.
-        values = value.tolist()
-        if not all(map(math.isfinite, values)):
-            raise InvalidInputError(f"{_field(name)} must be finite")
-    # ``values`` holds the running variances, all finite.
-    if c and min(values) < 0:
+            raise InvalidInputError(f"{field} must have shape ({c},){like}, got {shape}")
+        value = check_array(field, value)
+    # ``value`` holds the running variances, all finite.
+    if c and min(value.tolist()) < 0:
         raise InvalidInputError("running variances must be >= 0, got bn_running_var "
-                                f"with min {min(values):g}")
+                                f"with min {value.min():g}")
 
 
 @dataclass
@@ -405,7 +367,11 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     ``x`` whose own finite values overflow may warn before the error.
     The bits are the same for any block size or worker count.
     """
-    x = _validate_tensor4(x)
+    x = check_array("activation tensor", x, finite=False)  # checked by blocks below
+    if x.ndim != 4:
+        raise InvalidInputError("activation tensor must have shape (N, C, H, W)")
+    if x.size == 0:
+        raise InvalidInputError("activation tensor must be non-empty")
     omega = validate_omega(omega)
     _check_params(params, len(omega), x.shape[1])
     view = _grouped_shape(x.shape, omega, gn_groups)
@@ -589,7 +555,7 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
     """
     if cache.mode != TRAIN:
         raise InvalidStateError("backward requires a train-mode cache")
-    g = _real_array("upstream tensor", upstream)
+    g = check_array("upstream tensor", upstream, finite=False)
     x, omega, view = cache.x, cache.omega, cache.view
     if g.shape != x.shape:
         raise InvalidInputError("upstream tensor shape must match the input")
@@ -659,14 +625,11 @@ def update_running_stats(params: SsnParams, batch_mean, batch_var) -> SsnParams:
     weighting the batch moments by ``BN_MOMENTUM``; ``train`` does not call it.
     Batch moments that are not finite raise here, not at the next entry
     point that reads the running statistics."""
-    batch_mean = _real_array("batch_mean", batch_mean)
-    batch_var = _real_array("batch_var", batch_var)
+    batch_mean = check_array("batch_mean", batch_mean)
+    batch_var = check_array("batch_var", batch_var)
     if batch_mean.shape != params.bn_running_mean.shape or \
             batch_var.shape != params.bn_running_var.shape:
         raise InvalidInputError("batch moments must have the running statistics' shape")
-    for name, value in (("batch_mean", batch_mean), ("batch_var", batch_var)):
-        if not np.isfinite(value).all():
-            raise InvalidInputError(f"{name} must be finite")
     params.bn_running_mean = (1.0 - BN_MOMENTUM) * params.bn_running_mean + \
         BN_MOMENTUM * batch_mean
     params.bn_running_var = (1.0 - BN_MOMENTUM) * params.bn_running_var + \
@@ -697,16 +660,13 @@ def fold_bn_into_affine(conv_weight, conv_bias, params: SsnParams, omega):
     if choice != ("BN", "BN"):
         raise InvalidStateError(f"both gates must select BN, got {choice}")
     c = params.gamma.shape[0]
-    w = _real_array("conv weight", conv_weight)
+    w = check_array("conv weight", conv_weight)
     if w.ndim != 4 or w.shape[0] != c:
         raise InvalidInputError(
             f"conv weight must be 4-D with {c} output channels, got shape {w.shape}")
-    b = np.zeros(c) if conv_bias is None else _real_array("conv bias", conv_bias)
+    b = np.zeros(c) if conv_bias is None else check_array("conv bias", conv_bias)
     if b.shape != (c,):
         raise InvalidInputError(f"conv bias must have shape ({c},), got {b.shape}")
-    for name, value in (("weight", w), ("bias", b)):
-        if not np.isfinite(value).all():
-            raise InvalidInputError(f"conv {name} must be finite")
     scale = params.gamma / np.sqrt(params.bn_running_var + params.eps)
     w_folded = w * scale[:, None, None, None]
     b_folded = (b - params.bn_running_mean) * scale + params.beta

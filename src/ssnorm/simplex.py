@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidStateError, check_integer, check_real
+from .errors import InvalidInputError, InvalidStateError, check_array, check_integer, check_real
 
 # Below this distance from the center, the radial direction is undefined
 # and a deterministic fallback direction is used.
@@ -30,19 +30,16 @@ class Stage(str, Enum):
 
 
 def _logits(z) -> list[float]:
-    """Validate a logits vector (1-D, length >= 2, all finite) and return
-    its entries as Python floats."""
-    z = np.asarray(z, dtype=np.float64)
+    """Validate a logits vector (real and finite, 1-D, length >= 2) and
+    return its entries as Python floats."""
+    z = check_array("logits", z)
     if z.ndim != 1 or z.size < 2:
         raise InvalidInputError("logits must be a 1-D vector of length >= 2")
-    z = z.tolist()
-    if not all(map(math.isfinite, z)):
-        raise InvalidInputError("logits must be finite")
-    return z
+    return z.tolist()
 
 
 def as_logits(z) -> np.ndarray:
-    """Validate and copy a logits vector: 1-D, length >= 2, all finite."""
+    """Validate and copy a logits vector: real and finite, 1-D, length >= 2."""
     return np.array(_logits(z))
 
 
@@ -276,12 +273,10 @@ def sparsestmax_vjp(result: ProjectionResult, upstream) -> np.ndarray:
     """
     if not result.levels:
         raise InvalidStateError("projection result is missing saved intermediates")
-    g = np.asarray(upstream, dtype=np.float64)
+    g = check_array("upstream vector", upstream)
     if g.shape != result.p.shape:
         raise InvalidInputError("upstream vector has the wrong length")
     g = g.tolist()
-    if not all(map(math.isfinite, g)):
-        raise InvalidInputError("upstream vector must be finite")
     k = len(g)
     for level in reversed(result.levels):
         if level.d is not None:

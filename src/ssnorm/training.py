@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, TrainingFailedError, check_integer, check_real
+from .errors import (InvalidInputError, TrainingFailedError, check_array, check_integer,
+                     check_real)
 from .layer import (GateParams, SsnParams, select_normalizer, ssn_backward, ssn_forward,
                     validate_omega)
 from .simplex import RadiusSchedule, circumradius, inradius
@@ -244,27 +245,33 @@ class _ToyNet:
         return float((logits.argmax(axis=1) == labels).mean())
 
 
-def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
-    """SGD with momentum; gate logits use lr * z_lr_ratio, no weight decay,
-    and stop updating once their ratio goes one-hot.  The radius follows
-    ``opt.schedule``.  Returns the full per-step trajectory together with
-    the trained net."""
+def _check_data(model: ToyModelConfig, data) -> tuple[np.ndarray, np.ndarray]:
+    """``data``'s x and labels as arrays, if x has ``model``'s (n, channels,
+    height, width) with n >= 1 and the labels are n classes of it."""
     x_all, y_all = data
-    x_all = np.asarray(x_all, dtype=np.float64)
+    x_all = check_array("x", x_all)
     y_all = np.asarray(y_all)
-    # Checked here: inside the loop an InvalidInputError means divergence.
     dims = (model.channels, model.height, model.width)
     if x_all.ndim != 4 or x_all.shape[0] < 1 or x_all.shape[1:] != dims:
         raise InvalidInputError(
             f"x must have shape (n, {', '.join(map(str, dims))}) with n >= 1, "
             f"got {x_all.shape}")
-    if not np.all(np.isfinite(x_all)):
-        raise InvalidInputError("x must be finite")
     n = x_all.shape[0]
     if y_all.shape != (n,) or not np.issubdtype(y_all.dtype, np.integer) or \
             y_all.min() < 0 or y_all.max() >= model.n_classes:
         raise InvalidInputError(
             f"labels must be {n} integers in [0, {model.n_classes})")
+    return x_all, y_all
+
+
+def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
+    """SGD with momentum; gate logits use lr * z_lr_ratio, no weight decay,
+    and stop updating once their ratio goes one-hot.  The radius follows
+    ``opt.schedule``.  Returns the full per-step trajectory together with
+    the trained net."""
+    # Checked here: inside the loop an InvalidInputError means divergence.
+    x_all, y_all = _check_data(model, data)
+    n = x_all.shape[0]
     steps_per_epoch = math.ceil(n / model.batch_size)
     total_steps = opt.epochs * steps_per_epoch
     k = len(model.omega)
@@ -349,7 +356,7 @@ def schedule_insensitivity_experiment(model: ToyModelConfig, opt: OptimizerConfi
     """One training run per requested step, with the schedule crossing the
     inscribed radius there.  Each log carries the run's final accuracy and,
     in its last row, its final loss."""
-    n = np.asarray(data[0]).shape[0]
+    n = _check_data(model, data)[0].shape[0]
     total_steps = opt.epochs * math.ceil(n / model.batch_size)
     k = len(model.omega)
     logs = []

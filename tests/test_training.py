@@ -446,6 +446,21 @@ def test_insensitivity_schedule_shape():
             schedule_insensitivity_experiment(MODEL, OPT, data, [step])
 
 
+
+@pytest.mark.parametrize("case", ["scalar x", "empty x"])
+def test_insensitivity_experiment_checks_data_as_train_does(case):
+    # The experiment read the sample count before train checked the data: a
+    # scalar x raised a bare IndexError, and an empty one a schedule error.
+    x, labels = make_synthetic_dataset(0, 20, (3, 8, 8), 4)
+    data = (5, labels) if case == "scalar x" else (x[:0], labels[:0])
+    shape = "()" if case == "scalar x" else "(0, 3, 8, 8)"
+    message = f"x must have shape (n, 3, 8, 8) with n >= 1, got {shape}"
+    with pytest.raises(InvalidInputError) as direct:
+        train(MODEL, OPT, data)
+    with pytest.raises(InvalidInputError) as experiment:
+        schedule_insensitivity_experiment(MODEL, OPT, data, [5])
+    assert str(direct.value) == str(experiment.value) == message
+
 def test_single_element_experiment_matches_direct_train():
     data = make_synthetic_dataset(0, 200, (3, 8, 8), 4)
     [log] = schedule_insensitivity_experiment(MODEL, OPT, data, [50])
