@@ -45,12 +45,17 @@ _FLOAT64 = np.dtype(np.float64)
 
 def check_array(name: str, value, finite: bool = True) -> np.ndarray:
     """``value`` as a float64 array: itself if it is one, converted from an
-    integer or float dtype.  Any other dtype, or unless ``finite`` is False
-    (for the layer's tensors, which each pass checks) a non-finite entry,
-    raises ``InvalidInputError`` naming ``name``.  A 1-D vector is read as
-    Python floats, each only when their sum is not finite: at length 3-8
-    several times faster than ``np.isfinite``."""
-    a = np.asarray(value)
+    integer or float dtype.  A ragged nested sequence, any other dtype, or
+    unless ``finite`` is False (for the layer's tensors, which each pass
+    checks) a non-finite entry, raises ``InvalidInputError`` naming
+    ``name``.  A 1-D vector is read as Python floats, each only when their
+    sum is not finite: at length 3-8 several times faster than
+    ``np.isfinite``."""
+    try:
+        a = np.asarray(value)
+    except ValueError as err:  # numpy's "inhomogeneous shape"
+        raise InvalidInputError(f"{name} must be a regular array, got a ragged sequence") \
+            from err
     if a.dtype is not _FLOAT64:
         if a.dtype.kind not in "iuf":
             raise InvalidInputError(f"{name} must be real numbers, got dtype {a.dtype}")

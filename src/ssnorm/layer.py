@@ -5,18 +5,19 @@ independent gates — one for means, one for variances — whose ratios come
 from the radius-constrained simplex projection.  One statistics core
 serves every normalizer: ``REDUCE_AXES`` names the axes each one reduces
 over in an (N, G, C/G, H*W) view of the input, and the mixed moments are
-applied as a fused per-(n, c) scale and shift.  The forward cuts a pass
-over the input only where a statistic needs the whole batch (train-mode
-BN), so an eval forward is one sweep per block of samples.  The exact
-backward pass collapses the same way to per-(n, c) coefficients.  One
-runner cuts every
-full-tensor pass into blocks of whole samples and shares them among one
-thread per usable core, with numpy's ufunc buffer cut to one long row, and
-one rule checks x and the upstream gradient for finiteness.  One allocator
-gives every full-size output its memory and, above 32 MiB, reuses that of
-outputs no caller still holds.  Also includes
-running-statistics bookkeeping for evaluation mode and BN folding into a
-preceding convolution.
+applied as a fused per-(n, c) scale and shift.  Each pass of the forward
+is a fixed block function: train-mode BN's batch moments, the only
+statistics that need the whole batch, come first (``row_sums``, then
+``batch_statistics`` where its variance is due), and one ``normalize``
+sweep does the rest, so an eval forward is one sweep per block of
+samples.  The exact backward pass collapses the same way to per-(n, c)
+coefficients.  One runner cuts every full-tensor pass into blocks of
+whole samples and shares them among one thread per usable core, with
+numpy's ufunc buffer cut to one long row, and one rule checks x and the
+upstream gradient for finiteness.  One allocator gives every full-size
+output its memory and, above 32 MiB, reuses that of outputs no caller
+still holds.  Also includes running-statistics bookkeeping for
+evaluation mode and BN folding into a preceding convolution.
 """
 from __future__ import annotations
 
@@ -118,8 +119,8 @@ def _map_samples(fn, view) -> list:
     """Results of ``fn(lo, hi)`` over blocks of whole samples that cover the
     N axis of a float64 tensor in the grouped ``view``, in sample order.
     Every full-tensor pass of the layer runs here: the forward's
-    ``statistics`` and ``normalize`` and the backward's ``sweep_1`` and
-    ``sweep_2``.  A block holds as many samples as fit in
+    ``row_sums``, ``batch_statistics`` and ``normalize`` and the backward's
+    ``sweep_1`` and ``sweep_2``.  A block holds as many samples as fit in
     ``BLOCK_BYTES``, and at least one.  A one-block tensor is run in the
     calling thread; a larger one gets one range per worker (at most
     ``WORKERS``), each run in the pool under a copy of the caller's
@@ -165,11 +166,28 @@ def _map_samples(fn, view) -> list:
 @np.errstate(over="ignore", invalid="ignore")
 def _quietly(fn, *args):
     """``fn(*args)`` with numpy's overflow and invalid-value warnings off,
-    as the layer's statistics run.  On numpy 2 a decorated function is
-    safe to enter from many threads at once and costs about half of a
-    fresh ``np.errstate`` block, which at the toy's per-call scale is worth
-    the indirection."""
+    as the layer's statistics and the backward's sums run.  On numpy 2 a
+    decorated function is safe to enter from many threads at once and
+    costs about half of a fresh ``np.errstate`` block, which at the toy's
+    per-call scale is worth the indirection."""
     return fn(*args)
+
+
+def _mean(sums, axes, m: int, out) -> np.ndarray:
+    """The sum of per-(n, c) ``sums`` over ``axes``, divided by the count
+    ``m``, written to ``out``.  A sum over the row axis alone is the row
+    sum itself."""
+    if len(axes) == 1:
+        return np.divide(sums, m, out=out)
+    total = np.add.reduce(sums, axis=axes, keepdims=True, out=out)
+    total /= m
+    return total
+
+
+def _samples(stat, lo, hi) -> np.ndarray:
+    """Samples lo:hi of a per-sample statistic, or the whole of a batch one,
+    whose N axis has length 1."""
+    return stat if len(stat) == 1 else stat[lo:hi]
 
 
 def _check_finite(what: str, tv, sums) -> bool:
@@ -346,26 +364,29 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     modes a variance is computed only where the variance gate's ratio is
     nonzero.  In eval mode the BN path reads the running statistics.
 
-    Two block functions do the work for a block of whole samples while it
-    is in cache.  ``statistics`` writes the block's per-(n, c) row sums of
-    ``x``, and each mean taken from ``x`` is a sum of those.  One centered
-    copy of ``x`` serves every variance: each mean re-centres it in place
-    (the first writes it from ``x``), summing its squares per row where a
-    variance is due.  ``normalize`` runs ``statistics`` on its block, which
-    then also mixes the moments, and applies them as one per-(n, c) scale
-    and shift, ``y = x * a + b``, in place on that copy.  A pass over the
-    tensor (``_map_samples``) ends only where a statistic needs every sample:
-    train-mode BN's mean needs every row sum and its variance every row's
-    squares.  So a forward is one pass of ``normalize`` in eval mode or
-    with BN's ratio zero in both gates, and one or two passes of
-    ``statistics`` come first with BN's mean alone or with its variance.
-    Each block checks its part of ``x`` by its row sums
-    (``_check_finite``) before anything else, and a block whose ``x`` is
-    rejected raises with no numpy warning.  The statistics ignore overflow
-    and invalid values; the scale runs under the caller's error state, so
-    where one pass covers several blocks, another block of a rejected
-    ``x`` whose own finite values overflow may warn before the error.
-    The bits are the same for any block size or worker count.
+    Each pass over the tensor (``_map_samples``) is one fixed block
+    function, run on a block of whole samples while it is in cache.  Each
+    mean taken from ``x`` is a sum of the block's per-(n, c) row sums of
+    ``x``.  One centered copy of ``x`` serves every variance: the chain of
+    those means, in omega order, re-centres it in place from each mean to
+    the next (the first writes it from ``x``), summing its squares per row
+    where a variance is due.  Only train-mode BN's batch moments need every
+    sample, so they alone come before the last pass: ``row_sums`` writes
+    the row sums, from which BN's mean is taken, and where BN's variance
+    is due ``batch_statistics`` takes the chain through BN, whose squares
+    give that variance.  ``normalize`` then takes the row sums if no
+    earlier pass did and the rest of the chain, mixes every live
+    normalizer's moments and applies them as one per-(n, c) scale and
+    shift, ``y = x * a + b``, in place on the centered copy.  So a forward
+    is one pass in eval mode or with BN's ratio zero in both gates, two
+    with BN's mean alone and three with its variance.  Each block checks
+    its part of ``x`` by its row sums (``_check_finite``) before anything
+    else, and a block whose ``x`` is rejected raises with no numpy
+    warning.  The statistics ignore overflow and invalid values; the scale
+    runs under the caller's error state, so where one pass covers several
+    blocks, another block of a rejected ``x`` whose own finite values
+    overflow may warn before the error.  The bits are the same for any
+    block size or worker count.
     """
     x = check_array("activation tensor", x, finite=False)  # checked by blocks below
     if x.ndim != 4:
@@ -381,36 +402,36 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     # As Python floats, which index and multiply faster than numpy scalars.
     p, pp = p_res.p.tolist(), pp_res.p.tolist()
 
-    # ``live`` holds (index, name, axes, count, mean, variance, previous
-    # mean) of each live normalizer, in omega order; name None marks one
-    # read from the running statistics, and the previous mean is the one
-    # its re-centring starts from, or None for the first.  Each block writes
-    # its samples of a per-sample statistic.  BN's are batch statistics,
-    # with a length-1 N axis that every block reads whole, and train-mode
-    # BN's are taken between passes.
-    live, stats = [], {}
-    shift = None  # the last mean taken from x
-    batch = None  # the position in ``live`` of train-mode BN
+    # ``live`` holds (mean ratio, variance ratio, mean, variance) of each
+    # live normalizer and ``chain`` (name, axes, count, mean, variance) of
+    # each one taken from x, both in omega order.  Each block writes its
+    # samples of a per-sample statistic.  BN's are batch statistics, with a
+    # length-1 N axis that every block reads whole; in eval mode they are
+    # the running statistics, and in train mode they are taken between
+    # passes.
+    live, chain, stats = [], [], {}
+    bn = None  # train-mode BN's link of ``chain``
+    taken = 0  # the links of ``chain`` that ``batch_statistics`` takes
     for i, name in enumerate(omega):
         if p[i] == 0.0 and pp[i] == 0.0:
             continue
         if name == "BN" and params.mode == EVAL:
             mean_k = params.bn_running_mean.reshape(per_nc[1:])
             var_k = params.bn_running_var.reshape(per_nc[1:])
-            live.append((i, None, None, 0, mean_k[None], var_k[None], None))
+            live.append((p[i], pp[i], mean_k[None], var_k[None]))
         else:
             axes = REDUCE_AXES[name]
-            if name == "BN":
-                batch = len(live)
-                shape = (1,) + per_nc[1:]
-            else:
-                # Every per-sample normalizer reduces over trailing axes.
-                shape = per_nc[:axes[0]] + (1,) * (4 - axes[0])
+            # BN reduces over N; every other normalizer over trailing axes.
+            shape = (1,) + per_nc[1:] if name == "BN" else \
+                per_nc[:axes[0]] + (1,) * (4 - axes[0])
             mean_k = np.empty(shape)
             var_k = np.empty(shape) if pp[i] != 0.0 else None
-            live.append((i, name, axes, x.size // mean_k.size, mean_k, var_k, shift))
-            shift = mean_k
+            chain.append((name, axes, x.size // mean_k.size, mean_k, var_k))
+            live.append((p[i], pp[i], mean_k, var_k))
+            if name == "BN":
+                bn, taken = chain[-1], len(chain) if var_k is not None else 0
         stats[name] = (mean_k, var_k)
+    shift = chain[-1][3] if chain else None  # the last mean taken from x
 
     xv = x.reshape(view)
     rows = np.empty(per_nc)  # per-(n, c) row sums of x
@@ -423,68 +444,48 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     gamma = params.gamma.reshape(per_nc[1:])
     beta = params.beta.reshape(per_nc[1:])
 
-    # A pass takes the statistics of ``live[first:last]``.  The first one
-    # also takes the row sums, and the last one (``closing``) mixes every
-    # live normalizer's moments and scales.  ``statistics`` reads these four
-    # as they are when a pass runs.
-    first, last, opening, closing = 0, len(live), True, True
+    def row_sums(lo, hi):
+        rb = np.add.reduce(xv[lo:hi], axis=3, keepdims=True, out=rows[lo:hi])
+        _check_finite("activation", xv[lo:hi], rb)
 
-    def statistics(lo, hi):
-        """Samples lo:hi of the pass's statistics and, in the last pass, of
-        the mixed moments, which it returns.  It runs with numpy's overflow
-        and invalid-value warnings off."""
-        xb, yb = xv[lo:hi], y[lo:hi]
-        if opening:
-            rb = np.add.reduce(xb, axis=3, keepdims=True, out=rows[lo:hi])
-            _check_finite("activation", xb, rb)
-        else:
-            rb = rows[lo:hi]
-        if closing:
-            mu_b, var_b = mu[lo:hi], var[lo:hi]
-        for j in range(0 if closing else first, last):
-            i, name, axes, m, mean_k, var_k, prev = live[j]
-            if j < first or name is None:
-                # Taken in an earlier pass, or read from running statistics;
-                # only the last pass, which mixes, reaches either.
-                mean_b = mean_k if len(mean_k) == 1 else mean_k[lo:hi]
-                v_b = var_k if var_k is None or len(var_k) == 1 else var_k[lo:hi]
+    def recentre(lo, hi, links):
+        """Samples lo:hi of the statistics of ``chain[links]``, which
+        re-centre the centered copy from the mean before the first link."""
+        xb, yb, rb = xv[lo:hi], y[lo:hi], rows[lo:hi]
+        for j in links:
+            name, axes, m, mean_k, var_k = chain[j]
+            # BN's batch mean was taken before its pass.
+            mean_b = mean_k if name == "BN" else _mean(rb, axes, m, mean_k[lo:hi])
+            if j == 0:
+                np.subtract(xb, mean_b, out=yb)
             else:
-                # BN's batch mean was taken before its pass; a sum over the
-                # row axis alone is the row sum itself.
-                if name == "BN":
-                    mean_b = mean_k
-                elif len(axes) == 1:
-                    mean_b = np.divide(rb, m, out=mean_k[lo:hi])
-                else:
-                    mean_b = np.add.reduce(rb, axis=axes, keepdims=True, out=mean_k[lo:hi])
-                    mean_b /= m
-                # The first mean writes the centered copy; each later one
-                # re-centres it in place, from the previous mean to its own.
-                if prev is None:
-                    out = np.subtract(xb, mean_b, out=yb)
-                else:
-                    out = np.subtract(yb, mean_b - (prev if len(prev) == 1 else
-                                                    prev[lo:hi]), out=yb)
+                yb -= mean_b - _samples(chain[j - 1][3], lo, hi)
+            if var_k is not None:
+                sb = sq[lo:hi]
+                np.einsum("ngkh,ngkh->ngk", yb, yb, out=sb[..., 0])
                 # BN's batch variance is taken once its pass ends.
-                v_b = var_k
-                if var_k is not None:
-                    sb = sq[lo:hi]
-                    np.einsum("ngkh,ngkh->ngk", out, out, out=sb[..., 0])
-                    if len(axes) == 1:
-                        v_b = np.divide(sb, m, out=var_k[lo:hi])
-                    elif name != "BN":
-                        v_b = np.add.reduce(sb, axis=axes, keepdims=True, out=var_k[lo:hi])
-                        v_b /= m
-            if closing:
-                if p[i] != 0.0:
-                    mu_b += p[i] * mean_b
-                if pp[i] != 0.0:
-                    var_b += pp[i] * v_b
-        if closing:
-            return mu_b, var_b
+                if name != "BN":
+                    _mean(sb, axes, m, var_k[lo:hi])
+
+    def batch_statistics(lo, hi):
+        recentre(lo, hi, range(taken))
+
+    def mixed_moments(lo, hi):
+        """Samples lo:hi of every statistic not taken in an earlier pass,
+        and of the mixed moments, which it returns."""
+        if bn is None:
+            row_sums(lo, hi)
+        recentre(lo, hi, range(taken, len(chain)))
+        mu_b, var_b = mu[lo:hi], var[lo:hi]
+        for w_mean, w_var, mean_k, var_k in live:
+            if w_mean != 0.0:
+                mu_b += w_mean * _samples(mean_k, lo, hi)
+            if w_var != 0.0:
+                var_b += w_var * _samples(var_k, lo, hi)
+        return mu_b, var_b
 
     def normalize(lo, hi):
-        mu_b, var_b = _quietly(statistics, lo, hi)
+        mu_b, var_b = _quietly(mixed_moments, lo, hi)
         # y = x * a + b with a = gamma / sqrt(var + eps) and b = beta - mu * a,
         # applied in place to the centered copy when there is one:
         # y = (x - shift) * a + (b + shift * a).
@@ -498,29 +499,18 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
             out += beta - mu_b * a_b
         else:
             out = np.multiply(yb, a_b, out=yb)
-            out += beta - (mu_b - (shift if len(shift) == 1 else shift[lo:hi])) * a_b
+            out += beta - (mu_b - _samples(shift, lo, hi)) * a_b
 
-    def batch_passes(j):
-        """The passes of ``statistics`` up to train-mode BN, ``live[j]``: one
-        ends before it re-centres, and one after, where its variance is
-        due.  Its batch moments are taken between them."""
-        nonlocal first, last, opening, closing
-        _, _, axes, m, mean_k, var_k, _ = live[j]
-        last, closing = j, False
-        _map_samples(statistics, view)
-        np.add.reduce(rows, axis=axes, keepdims=True, out=mean_k)
-        mean_k /= m
-        first, opening = j, False
+    def batch_moments(axes, m, mean_k, var_k):
+        """Train-mode BN's batch moments, each a sum over every sample."""
+        _map_samples(row_sums, view)
+        _mean(rows, axes, m, mean_k)
         if var_k is not None:
-            last = j + 1
-            _map_samples(statistics, view)
-            np.add.reduce(sq, axis=axes, keepdims=True, out=var_k)
-            var_k /= m
-            first = j + 1
-        last, closing = len(live), True
+            _map_samples(batch_statistics, view)
+            _mean(sq, axes, m, var_k)
 
-    if batch is not None:
-        _quietly(batch_passes, batch)
+    if bn is not None:
+        _quietly(batch_moments, *bn[1:])
     _map_samples(normalize, view)
     cache = SsnCache(x=x, omega=omega, view=view, p_res=p_res, pp_res=pp_res,
                      stats=stats, mu=mu, inv_std=inv_std, scale=a, mode=params.mode)
@@ -572,11 +562,10 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
         np.add.reduce(gv[lo:hi], axis=3, out=sums[0, lo:hi])
         np.einsum("ngkh,ngkh->ngk", gv[lo:hi], xv[lo:hi], out=sums[1, lo:hi])
         return _check_finite("upstream", gv[lo:hi], sums[:, lo:hi])
-    with np.errstate(over="ignore", invalid="ignore"):
-        # x is finite (the forward checked it), so a finite g whose sums of
-        # g and g * x overflow is too large to give finite gradients.
-        if not all(_map_samples(sweep_1, view)):
-            raise InvalidInputError("upstream tensor is too large: its sums overflow")
+    # x is finite (the forward checked it), so a finite g whose sums of g
+    # and g * x overflow is too large to give finite gradients.
+    if not all(_quietly(_map_samples, sweep_1, view)):
+        raise InvalidInputError("upstream tensor is too large: its sums overflow")
     sum_g, sum_gx = sums[0, ..., None], sums[1, ..., None]
     sum_gxhat = s * (sum_gx - mu * sum_g)
     grad_beta = sum_g.sum(axis=0).reshape(-1)

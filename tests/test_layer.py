@@ -16,7 +16,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from reference import central_difference, conv2d, forward_oracle, plain_moments
@@ -831,6 +831,30 @@ def test_random_layers_do_not_depend_on_blocks_or_workers(case):
             assert _layer_bits(x, params, r, omega, gn_groups, g) == expected, workers
 
 
+# About one draw in eight is a train-mode layer with both gates smooth.
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(layer_cases())
+def test_random_layers_backward_matches_central_differences(case):
+    # Where both gates sit away from every stage boundary the layer is
+    # smooth, so each of the five gradients of <y, g> matches central
+    # differences on its first, middle and last entries.
+    x, params, r, omega, gn_groups, g = case
+    assume(g is not None and is_smooth_point(params.gate.z_mean, r) and
+           is_smooth_point(params.gate.z_var, r))
+    grads = ssn_backward(ssn_forward(x, params, r, omega, gn_groups)[1], g)
+
+    def loss():
+        return float((ssn_forward(x, params, r, omega, gn_groups)[0] * g).sum())
+    for name, a in (("x", x), ("gamma", params.gamma), ("beta", params.beta),
+                    ("z_mean", params.gate.z_mean), ("z_var", params.gate.z_var)):
+        picks = sorted({0, a.size // 2, a.size - 1})
+        fd = central_difference(loss, a, 1e-5, picks)
+        got = getattr(grads, name).flat[picks]
+        assert np.max(np.abs(got - fd)) <= 1e-4 * max(1.0, np.abs(fd).max()), \
+            (name, got, fd)
+
+
 @pytest.mark.parametrize("mode", [TRAIN, EVAL])
 def test_forward_cuts_a_pass_only_for_batch_statistics(monkeypatch, mode):
     # One pass per forward, but train-mode BN's mean needs every sample's
@@ -854,7 +878,8 @@ def test_forward_cuts_a_pass_only_for_batch_statistics(monkeypatch, mode):
         ssn_forward(x, params, r, omega, 2)
         bn_mean, bn_var = (True, True) if pair is None else (pair[0] == 1, pair[1] == 1)
         passes = 1 if mode == EVAL else 3 if bn_var else 2 if bn_mean else 1
-        assert names == ["statistics"] * (passes - 1) + ["normalize"], (pair, names)
+        assert names == ["row_sums", "batch_statistics"][:passes - 1] + ["normalize"], \
+            (pair, names)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -878,7 +903,7 @@ def test_every_pass_walks_the_same_blocks(monkeypatch, workers):
         _, cache = ssn_forward(x, params, 0.1, omega, 2)
         ssn_backward(cache, g)
         assert [name for name, _ in calls] == [
-            "statistics", "statistics", "normalize", "sweep_1", "sweep_2"]
+            "row_sums", "batch_statistics", "normalize", "sweep_1", "sweep_2"]
         tilings = set()
         for name, blocks in calls:
             ranges = [(lo, hi) for lo, hi, _ in blocks]
@@ -1047,8 +1072,8 @@ def test_every_pass_is_named_and_cut(monkeypatch, workers):
     seen.append(names[:])
     # Each block checks its own samples, so a pass stops at the first
     # rejected block: x's NaN is in sample 1, g's in sample 2.
-    assert seen == [["statistics", "statistics", "normalize", "sweep_1", "sweep_2"],
-                    ["normalize"], ["statistics"], ["sweep_1"]]
+    assert seen == [["row_sums", "batch_statistics", "normalize", "sweep_1", "sweep_2"],
+                    ["normalize"], ["row_sums"], ["sweep_1"]]
     assert [len(blocks) for _, blocks in calls] == [3] * 6 + [2, 3]
     assert {size for _, blocks in calls for _, _, size in blocks} == {3136}
 

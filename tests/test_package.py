@@ -214,6 +214,17 @@ def test_every_array_argument_takes_real_numbers_only(entry, dtype):
 
 
 @pytest.mark.parametrize("entry", ARRAY_ARGUMENTS)
+def test_every_array_argument_rejects_ragged_lists(entry):
+    # numpy's bare ValueError ("inhomogeneous shape") named no argument.
+    name, value, call = ARRAY_ARGUMENTS[entry]
+    ragged = value.tolist()
+    ragged[0] = [ragged[0], ragged[0]]
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"{name} must be a regular array, got a ragged sequence")):
+        call(ragged)
+
+
+@pytest.mark.parametrize("entry", ARRAY_ARGUMENTS)
 def test_every_array_argument_reads_integers_and_lists_as_floats(entry):
     _, value, call = ARRAY_ARGUMENTS[entry]
     expected = call(value)
