@@ -445,8 +445,9 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     beta = params.beta.reshape(per_nc[1:])
 
     def row_sums(lo, hi):
-        rb = np.add.reduce(xv[lo:hi], axis=3, keepdims=True, out=rows[lo:hi])
-        _check_finite("activation", xv[lo:hi], rb)
+        xb = xv[lo:hi]
+        _check_finite("activation", xb,
+                      np.add.reduce(xb, axis=3, keepdims=True, out=rows[lo:hi]))
 
     def recentre(lo, hi, links):
         """Samples lo:hi of the statistics of ``chain[links]``, which
