@@ -45,7 +45,9 @@ _FLOAT64 = np.dtype(np.float64)
 
 def check_array(name: str, value, finite: bool = True) -> np.ndarray:
     """``value`` as a float64 array: itself if it is one, converted from an
-    integer or float dtype.  A ragged nested sequence, any other dtype, or
+    integer or float dtype, or from objects that are all non-bool real
+    numbers (numpy's dtype for a list with an int beyond int64).  A ragged
+    nested sequence, any other dtype or object, an int beyond float64, or
     unless ``finite`` is False (for the layer's tensors, which each pass
     checks) a non-finite entry, raises ``InvalidInputError`` naming
     ``name``.  A 1-D vector is read as Python floats, each only when their
@@ -57,9 +59,14 @@ def check_array(name: str, value, finite: bool = True) -> np.ndarray:
         raise InvalidInputError(f"{name} must be a regular array, got a ragged sequence") \
             from err
     if a.dtype is not _FLOAT64:
-        if a.dtype.kind not in "iuf":
+        reals = a.dtype.kind == "O" and all(
+            isinstance(v, numbers.Real) and type(v) is not bool for v in a.flat)
+        if a.dtype.kind not in "iuf" and not reals:
             raise InvalidInputError(f"{name} must be real numbers, got dtype {a.dtype}")
-        a = a.astype(np.float64)
+        try:
+            a = a.astype(np.float64)
+        except OverflowError:  # a Python int beyond float64
+            raise InvalidInputError(f"{name} must be finite") from None
     if not finite:
         return a
     if a.ndim == 1:

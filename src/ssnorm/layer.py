@@ -123,16 +123,15 @@ def _map_samples(fn, view) -> list:
     ``sweep_1`` and ``sweep_2``.  A block holds as many samples as fit in
     ``BLOCK_BYTES``, and at least one.  A one-block tensor is run in the
     calling thread; a larger one gets one range per worker (at most
-    ``WORKERS``), each run in the pool under a copy of the caller's
-    context, so that numpy's ``errstate`` holds there too.  Each worker
-    walks its range block by block, so a block stays in cache from one
-    numpy operation of ``fn`` to the next.  Rows of at least
+    ``WORKERS``), run in the pool.  Each range runs under a copy of the
+    caller's context, so that numpy's ``errstate`` holds there too, and is
+    walked block by block, so a block stays in cache from one numpy
+    operation of ``fn`` to the next.  Rows of at least
     ``ROW_BUFFER_MIN`` elements run with numpy's ufunc buffer cut to one row
     (a multiple of 16, as numpy requires) where the caller's is larger, so
     numpy's buffered loop stops copying a per-(n, c) operand into it.  Each
-    worker sets the cut in its own thread and restores that thread's size
-    in a ``finally`` (on numpy 1.x it outlives an ``errstate``).  A block
-    that raises ends its worker's range, and the error of the first range
+    range sets the cut in its context copy, which numpy drops with it.  A
+    block that raises ends its range, and the error of the first range
     that raised is raised here once every worker is done.  ``fn`` writes
     only samples lo:hi of its outputs and sums only within a sample, and
     the cut changes how a loop is chunked, not what it computes, so the
@@ -145,15 +144,12 @@ def _map_samples(fn, view) -> list:
         return [fn(0, n)]
 
     def task(lo, hi):
-        inherited = np.setbufsize(size) if cut else None
-        try:
-            return [fn(i, min(i + step, hi)) for i in range(lo, hi, step)]
-        finally:
-            if cut:
-                np.setbufsize(inherited)
+        if cut:
+            np.setbufsize(size)
+        return [fn(i, min(i + step, hi)) for i in range(lo, hi, step)]
     chunks = min(WORKERS, n) if n > step else 1
     if chunks == 1:
-        return task(0, n)
+        return contextvars.copy_context().run(task, 0, n)
     from concurrent.futures import wait
     bounds = [n * i // chunks for i in range(chunks + 1)]
     pool = _executor(WORKERS, os.getpid())
@@ -166,10 +162,10 @@ def _map_samples(fn, view) -> list:
 @np.errstate(over="ignore", invalid="ignore")
 def _quietly(fn, *args):
     """``fn(*args)`` with numpy's overflow and invalid-value warnings off,
-    as the layer's statistics and the backward's sums run.  On numpy 2 a
-    decorated function is safe to enter from many threads at once and
-    costs about half of a fresh ``np.errstate`` block, which at the toy's
-    per-call scale is worth the indirection."""
+    as the layer's statistics and the backward's sums run.  A decorated
+    function is safe to enter from many threads at once and costs about
+    half of a fresh ``np.errstate`` block, which at the toy's per-call
+    scale is worth the indirection."""
     return fn(*args)
 
 

@@ -364,6 +364,9 @@ def schedule_insensitivity_experiment(model: ToyModelConfig, opt: OptimizerConfi
         # Reach the inscribed radius at step s and the circumradius at the
         # final step.
         check_integer("ri_steps", s, 1)
+        if s > total_steps - 2:
+            raise InvalidInputError(f"ri_steps must lie in [1, {total_steps - 2}] of a "
+                                    f"{total_steps}-step run, got {s}")
         knots = ((0, 0.0), (s, inradius(k)), (total_steps - 1, circumradius(k)))
         logs.append(train(model, replace(opt, schedule=RadiusSchedule(knots)), data))
     return logs

@@ -275,7 +275,7 @@ def test_eval_mode_mixed_selection_uses_running_stats():
 NOT_REAL = [(np.ones((1, 4, 2, 2)) * (1 + 1j), "complex128"),
             (np.full((1, 4, 2, 2), "1.0"), "<U3"),
             (np.ones((1, 4, 2, 2), dtype=bool), "bool"),
-            (np.ones((1, 4, 2, 2), dtype=object), "object")]
+            (np.full((1, 4, 2, 2), None), "object")]
 
 
 def test_forward_validates_shapes():
@@ -398,6 +398,25 @@ def test_overflowing_output_warns_under_the_callers_error_state(mode):
         warnings.simplefilter("error")
         ssn_forward(np.where(x > 0, 1e308, -1e308), params, circumradius(3),
                     ("IN", "BN", "LN"))
+
+
+@pytest.mark.parametrize("mode", [TRAIN, EVAL])
+def test_callers_error_state_reaches_the_pool(monkeypatch, mode):
+    # With one-sample blocks the forward's passes run in the pool, and the
+    # pool threads take the caller's error state as the calling thread does.
+    monkeypatch.setattr(layer, "WORKERS", 2)
+    params = SsnParams.init(4, 3)
+    params.gate.z_mean = np.array([5.0, 0.0, 0.0])
+    params.gate.z_var = params.gate.z_mean.copy()
+    params.mode = mode
+    x = np.random.default_rng(35).normal(size=(4, 4, 3, 3))
+    x = np.where(x > 0, 1e308, -1e308)
+    monkeypatch.setattr(layer, "BLOCK_BYTES", x[0].nbytes)
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        ssn_forward(x, params, circumradius(3), ("IN", "BN", "LN"))
+    with np.errstate(invalid="ignore", over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ssn_forward(x, params, circumradius(3), ("IN", "BN", "LN"))
 
 
 # Every layer entry point, as (mode, call) on a 4-channel (BN, BN) layer
@@ -953,12 +972,21 @@ def _setbufsize_calls(monkeypatch):
 
 @contextlib.contextmanager
 def _caller_bufsize(size):
-    # Restored by hand: on numpy 1.x an errstate does not restore it.
-    inherited = np.setbufsize(size)
-    try:
+    # numpy restores the buffer size with the error state.
+    with np.errstate():
+        np.setbufsize(size)
         yield
-    finally:
-        np.setbufsize(inherited)
+
+
+def _pool_bufsizes():
+    """The buffer size each thread of the two-worker pool reads."""
+    barrier = threading.Barrier(2, timeout=10)
+
+    def read():
+        barrier.wait()
+        return np.getbufsize()
+    pool = layer._executor(2, os.getpid())
+    return [f.result(timeout=10) for f in [pool.submit(read) for _ in range(2)]]
 
 
 @pytest.mark.parametrize("mode", [TRAIN, EVAL])
@@ -997,7 +1025,8 @@ def test_row_buffer_cut_keeps_the_bits(monkeypatch, hw, one_hot, mode):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_caller_buffer_size_is_left_alone(monkeypatch, workers):
     # The cut is set inside each pass and undone there, also when the call
-    # raises; a caller's own buffer size changes no bit of the result.
+    # raises, in the calling thread and in the pool's; a caller's own buffer
+    # size changes no bit of the result.
     monkeypatch.setattr(layer, "WORKERS", workers)
     rng = np.random.default_rng(29)
     omega = ("IN", "BN", "LN", "GN")
@@ -1008,6 +1037,7 @@ def test_caller_buffer_size_is_left_alone(monkeypatch, workers):
     default = np.getbufsize()
     expected = _layer_bits(x, params, 0.1, omega, 2, g)
     assert np.getbufsize() == default
+    assert _pool_bufsizes() == [default] * 2
     bad_x, bad_g = x.copy(), g.copy()
     bad_x[2, 3, 4, 5] = bad_g[1, 6, 7, 8] = np.nan
     with warnings.catch_warnings():
@@ -1019,6 +1049,7 @@ def test_caller_buffer_size_is_left_alone(monkeypatch, workers):
         with pytest.raises(InvalidInputError, match="upstream tensor must be finite"):
             ssn_backward(cache, bad_g)
         assert np.getbufsize() == default
+    assert _pool_bufsizes() == [default] * 2
     for size in (16, 1 << 16):
         with _caller_bufsize(size), monkeypatch.context() as m:
             calls = _setbufsize_calls(m)
@@ -1033,6 +1064,7 @@ def test_caller_buffer_size_is_left_alone(monkeypatch, workers):
     with pytest.raises(RuntimeError, match="pass failed"):
         layer._map_samples(fail, (4, 1, 8, 196))
     assert np.getbufsize() == default
+    assert _pool_bufsizes() == [default] * 2
 
 
 @pytest.mark.parametrize("workers", [1, 2])

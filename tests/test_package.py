@@ -104,6 +104,9 @@ def test_array_rule_converts_only_what_is_not_float64():
         b = check_array("a", same)
         assert b.dtype == np.float64 and b.dtype.isnative and np.array_equal(b, a)
     assert check_array("a", 2.5).shape == ()
+    # numpy stores a list with an int beyond int64 as objects.
+    assert check_array("a", [10**20, 0, 2.5]).tolist() == [1e20, 0.0, 2.5]
+    assert sparsemax([10**20, 0]).tolist() == [1.0, 0.0]
     # finite=False leaves the entries unread.
     assert np.isnan(check_array("a", [np.nan, 1.0], finite=False)[0])
 
@@ -192,25 +195,37 @@ ARRAY_ARGUMENTS = {
     "train": ("x", np.arange(64.0).reshape(8, 2, 2, 2) % 5 - 2, _train),
 }
 
-# Arrays of each dtype that is not real numbers, made in a given shape.
+def _beside_big_ints(entry, shape):
+    """A nested list of ``shape`` whose first entry is ``entry`` and whose
+    others are an int beyond int64, so numpy stores it as objects."""
+    a = np.full(shape, 10**20, dtype=object)
+    a.flat[0] = entry
+    return a.tolist()
+
+
+# The dtype numpy gives each value that is not real numbers, and the value
+# made in a given shape.
 NOT_REAL = {
-    "bool": lambda shape: np.ones(shape, dtype=bool),
-    "complex128": lambda shape: np.ones(shape) + 1j,
-    "<U1": lambda shape: np.full(shape, "1"),
-    "object": lambda shape: np.ones(shape, dtype=object),
+    "bool": ("bool", lambda shape: np.ones(shape, dtype=bool)),
+    "complex128": ("complex128", lambda shape: np.ones(shape) + 1j),
+    "<U1": ("<U1", lambda shape: np.full(shape, "1")),
+    "object": ("object", lambda shape: np.full(shape, None)),
+    "object/bool": ("object", lambda shape: _beside_big_ints(True, shape)),
+    "object/str": ("object", lambda shape: _beside_big_ints("1", shape)),
+    "object/complex": ("object", lambda shape: _beside_big_ints(1j, shape)),
 }
 
 
-@pytest.mark.parametrize("dtype", NOT_REAL)
+@pytest.mark.parametrize("kind", NOT_REAL)
 @pytest.mark.parametrize("entry", ARRAY_ARGUMENTS)
-def test_every_array_argument_takes_real_numbers_only(entry, dtype):
+def test_every_array_argument_takes_real_numbers_only(entry, kind):
     # bool logits were read as 0 and 1, string logits and x were parsed, and
     # a complex upstream vector lost its imaginary part with a warning.
     name, value, call = ARRAY_ARGUMENTS[entry]
-    bad = NOT_REAL[dtype](value.shape)
+    dtype, make = NOT_REAL[kind]
     with pytest.raises(InvalidInputError,
                        match=re.escape(f"{name} must be real numbers, got dtype {dtype}")):
-        call(bad)
+        call(make(value.shape))
 
 
 @pytest.mark.parametrize("entry", ARRAY_ARGUMENTS)
@@ -228,7 +243,10 @@ def test_every_array_argument_rejects_ragged_lists(entry):
 def test_every_array_argument_reads_integers_and_lists_as_floats(entry):
     _, value, call = ARRAY_ARGUMENTS[entry]
     expected = call(value)
-    for same in (value.astype(np.int64), value.astype(np.int32), value.tolist()):
+    # Python ints and floats stored as objects, as numpy stores a list with an
+    # int beyond int64, are read as the numbers they are.
+    for same in (value.astype(np.int64), value.astype(np.int32), value.tolist(),
+                 value.astype(object), value.astype(np.int64).astype(object)):
         got = call(same)
         if isinstance(expected, str):
             assert got == expected
@@ -245,6 +263,11 @@ def test_every_array_argument_must_be_finite(entry):
         value.flat[1] = bad
         with pytest.raises(InvalidInputError, match=re.escape(f"{name} must be finite")):
             call(value)
+    # An int beyond float64 has no finite float value.
+    huge = value.astype(object)
+    huge.flat[1] = 10**400
+    with pytest.raises(InvalidInputError, match=re.escape(f"{name} must be finite")):
+        call(huge.tolist())
 
 def test_only_full_allocates_full_size_outputs():
     # _full in layer.py is the one rule for a full-size output's memory, so

@@ -3,6 +3,7 @@ import copy
 import csv
 import io
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -440,6 +441,12 @@ def test_insensitivity_schedule_shape():
         schedule_insensitivity_experiment(MODEL, OPT, data, [0])
     with pytest.raises(InvalidInputError):
         schedule_insensitivity_experiment(MODEL, OPT, data, [100])
+    # The circumradius knot sits at the last step, so the crossing must come
+    # before it; the message names the argument and the run's step range.
+    for step in (99, 100):
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"ri_steps must lie in [1, 98] of a 100-step run, got {step}")):
+            schedule_insensitivity_experiment(MODEL, OPT, data, [step])
     # A step that is not an integer is named, not truncated by int().
     for step in (0.5, 10.0, True):
         with pytest.raises(InvalidInputError, match="ri_steps must be integral"):
