@@ -28,6 +28,7 @@ import os
 import sys
 import threading
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -328,37 +329,46 @@ def _check_params(params: SsnParams, k: int, c: int) -> None:
                                 f"with min {value.min():g}")
 
 
+# A normalizer the forward took (a nonzero ratio in either gate): its index
+# in omega, name, axes (``REDUCE_AXES``), the count each statistic sums, and
+# its mean and variance with keepdims over those axes.  A variance taken
+# from x is None where its gate's ratio is zero; eval-mode BN's moments are
+# the running statistics.
+LiveNormalizer = namedtuple("LiveNormalizer", "index name axes count mean var")
+
+
 @dataclass
 class SsnCache:
     """Forward intermediates for the backward pass, in the shapes it reads
     them.  ``view`` is the (N, G, C/G, H*W) shape that ``REDUCE_AXES``
-    indexes.  ``stats`` maps each active normalizer to its (mean, variance)
-    with keepdims over its own axes of that view; a variance computed from
-    x is None where the variance gate's ratio is zero.
+    indexes, ``live`` the forward's one table of the normalizers it took,
+    in omega order, and ``stats`` each one's (mean, variance) by name.
     ``mu`` and ``inv_std`` are the mixed moments per (n, c) and ``scale``
-    is the per-(n, c) scale the forward applied, ``gamma * inv_std``.
+    the per-(n, c) scale the forward applied, ``gamma * inv_std``.
     ``p_res`` and ``pp_res`` are all the backward needs of the gates."""
 
     x: np.ndarray
-    omega: tuple[str, ...]
     view: tuple[int, int, int, int]
     p_res: ProjectionResult
     pp_res: ProjectionResult
-    stats: dict
+    live: list[LiveNormalizer]
     mu: np.ndarray
     inv_std: np.ndarray
     scale: np.ndarray
     mode: str
 
+    @property
+    def stats(self) -> dict:
+        return {k.name: (k.mean, k.var) for k in self.live}
+
 
 def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     """Normalize ``x`` with gate-mixed statistics.
 
-    Both gates are projected independently with the same radius.  Only the
-    normalizers with nonzero ratio in either gate have their statistics
-    computed, so a one-hot layer touches a single normalizer.  In both
-    modes a variance is computed only where the variance gate's ratio is
-    nonzero.  In eval mode the BN path reads the running statistics.
+    Both gates are projected independently with the same radius.  One
+    table (``LiveNormalizer``), which the cache hands to the backward,
+    lists the normalizers with a nonzero ratio in either gate; only they
+    have statistics, so a one-hot layer touches a single normalizer.
 
     Each pass over the tensor (``_map_samples``) is one fixed block
     function, run on a block of whole samples while it is in cache.  Each
@@ -398,36 +408,30 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     # As Python floats, which index and multiply faster than numpy scalars.
     p, pp = p_res.p.tolist(), pp_res.p.tolist()
 
-    # ``live`` holds (mean ratio, variance ratio, mean, variance) of each
-    # live normalizer and ``chain`` (name, axes, count, mean, variance) of
-    # each one taken from x, both in omega order.  Each block writes its
-    # samples of a per-sample statistic.  BN's are batch statistics, with a
-    # length-1 N axis that every block reads whole; in eval mode they are
-    # the running statistics, and in train mode they are taken between
-    # passes.
-    live, chain, stats = [], [], {}
+    # ``live`` is the table of live normalizers and ``chain`` its entries
+    # taken from x.  Each block writes its samples of a per-sample
+    # statistic.  BN's are batch statistics, with a length-1 N axis that
+    # every block reads whole; in train mode they are taken between passes.
+    live = []
     bn = None  # train-mode BN's link of ``chain``
     taken = 0  # the links of ``chain`` that ``batch_statistics`` takes
     for i, name in enumerate(omega):
         if p[i] == 0.0 and pp[i] == 0.0:
             continue
+        axes = REDUCE_AXES[name]
+        # BN reduces over N; every other normalizer over trailing axes.
+        shape = (1,) + per_nc[1:] if name == "BN" else per_nc[:axes[0]] + (1,) * (4 - axes[0])
         if name == "BN" and params.mode == EVAL:
-            mean_k = params.bn_running_mean.reshape(per_nc[1:])
-            var_k = params.bn_running_var.reshape(per_nc[1:])
-            live.append((p[i], pp[i], mean_k[None], var_k[None]))
+            mean_k = params.bn_running_mean.reshape(shape)
+            var_k = params.bn_running_var.reshape(shape)
         else:
-            axes = REDUCE_AXES[name]
-            # BN reduces over N; every other normalizer over trailing axes.
-            shape = (1,) + per_nc[1:] if name == "BN" else \
-                per_nc[:axes[0]] + (1,) * (4 - axes[0])
             mean_k = np.empty(shape)
             var_k = np.empty(shape) if pp[i] != 0.0 else None
-            chain.append((name, axes, x.size // mean_k.size, mean_k, var_k))
-            live.append((p[i], pp[i], mean_k, var_k))
-            if name == "BN":
-                bn, taken = chain[-1], len(chain) if var_k is not None else 0
-        stats[name] = (mean_k, var_k)
-    shift = chain[-1][3] if chain else None  # the last mean taken from x
+        live.append(LiveNormalizer(i, name, axes, x.size // mean_k.size, mean_k, var_k))
+        if name == "BN" and params.mode == TRAIN:
+            bn, taken = live[-1], len(live) if var_k is not None else 0
+    chain = live if params.mode == TRAIN else [k for k in live if k.name != "BN"]
+    shift = chain[-1].mean if chain else None  # the last mean taken from x
 
     xv = x.reshape(view)
     rows = np.empty(per_nc)  # per-(n, c) row sums of x
@@ -450,13 +454,13 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
         re-centre the centered copy from the mean before the first link."""
         xb, yb, rb = xv[lo:hi], y[lo:hi], rows[lo:hi]
         for j in links:
-            name, axes, m, mean_k, var_k = chain[j]
+            _, name, axes, m, mean_k, var_k = chain[j]
             # BN's batch mean was taken before its pass.
             mean_b = mean_k if name == "BN" else _mean(rb, axes, m, mean_k[lo:hi])
             if j == 0:
                 np.subtract(xb, mean_b, out=yb)
             else:
-                yb -= mean_b - _samples(chain[j - 1][3], lo, hi)
+                yb -= mean_b - _samples(chain[j - 1].mean, lo, hi)
             if var_k is not None:
                 sb = sq[lo:hi]
                 np.einsum("ngkh,ngkh->ngk", yb, yb, out=sb[..., 0])
@@ -474,11 +478,11 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
             row_sums(lo, hi)
         recentre(lo, hi, range(taken, len(chain)))
         mu_b, var_b = mu[lo:hi], var[lo:hi]
-        for w_mean, w_var, mean_k, var_k in live:
-            if w_mean != 0.0:
-                mu_b += w_mean * _samples(mean_k, lo, hi)
-            if w_var != 0.0:
-                var_b += w_var * _samples(var_k, lo, hi)
+        for i, _, _, _, mean_k, var_k in live:
+            if p[i] != 0.0:
+                mu_b += p[i] * _samples(mean_k, lo, hi)
+            if pp[i] != 0.0:
+                var_b += pp[i] * _samples(var_k, lo, hi)
         return mu_b, var_b
 
     def normalize(lo, hi):
@@ -507,10 +511,10 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
             _mean(sq, axes, m, var_k)
 
     if bn is not None:
-        _quietly(batch_moments, *bn[1:])
+        _quietly(batch_moments, *bn[2:])
     _map_samples(normalize, view)
-    cache = SsnCache(x=x, omega=omega, view=view, p_res=p_res, pp_res=pp_res,
-                     stats=stats, mu=mu, inv_std=inv_std, scale=a, mode=params.mode)
+    cache = SsnCache(x=x, view=view, p_res=p_res, pp_res=pp_res, live=live,
+                     mu=mu, inv_std=inv_std, scale=a, mode=params.mode)
     return y.reshape(x.shape), cache
 
 
@@ -527,9 +531,9 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
     """Exact gradients of the normalization wrt inputs, affine parameters
     and both gate logit vectors.
 
-    Every normalizer's mean and variance terms reduce to per-(n, c)
-    coefficients, so ``grad_x = x * coef + const + g * alpha`` takes the
-    same two sweeps over x and g whatever the number of normalizers.
+    The mean and variance terms of each normalizer in the forward's table
+    (``cache.live``) reduce to per-(n, c) coefficients, so ``grad_x = x *
+    coef + const + g * alpha`` takes the same two sweeps whatever their number.
     Like every full-tensor pass, each sweep walks blocks of whole samples
     (``_map_samples``), so the only full-size array written is ``grad_x``.
     Per-row sums do not depend on the blocks or the workers, so neither do
@@ -543,7 +547,7 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
     if cache.mode != TRAIN:
         raise InvalidStateError("backward requires a train-mode cache")
     g = check_array("upstream tensor", upstream, finite=False)
-    x, omega, view = cache.x, cache.omega, cache.view
+    x, view = cache.x, cache.view
     if g.shape != x.shape:
         raise InvalidInputError("upstream tensor shape must match the input")
     per_nc = view[:3] + (1,)
@@ -576,14 +580,9 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
     # constant, a variance adds a multiple of (x - mean).
     coef = np.zeros(per_nc)
     const = np.zeros(per_nc)
-    g_p = np.zeros(len(omega))
-    g_pp = np.zeros(len(omega))
-    for i, name in enumerate(omega):
-        if p[i] == 0.0 and pp[i] == 0.0:
-            continue
-        axes = REDUCE_AXES[name]
-        mean_k, var_k = cache.stats[name]
-        m = xv.size // mean_k.size
+    g_p = np.zeros(len(p))
+    g_pp = np.zeros(len(pp))
+    for i, _, axes, m, mean_k, var_k in cache.live:
         if p[i] != 0.0:
             g_p[i] = float((g_mu * mean_k).sum())
             const += (p[i] / m) * g_mu.sum(axis=axes, keepdims=True)

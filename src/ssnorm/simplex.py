@@ -243,6 +243,10 @@ def sparsestmax(z, r: float) -> ProjectionResult:
                                       degenerate))
         if all(v >= 0.0 for v in p1):
             p_out = p1
+            if p1.count(0.0) == k - 1:
+                # The push reached a vertex: end on it, as the other vertex
+                # exits do, so that the VJP is exactly zero.
+                levels.append(ProjectionLevel(_support(p1)))
             break
         # Radial push left the simplex: re-project and recurse on the face
         # spanned by the support, with the center moved to its barycenter.

@@ -333,7 +333,7 @@ def train(model: ToyModelConfig, opt: OptimizerConfig, data) -> TrajectoryLog:
         if bn_var is not None:
             params.bn_running_var = bn_var.reshape(-1)
     acc = float((logits.argmax(axis=1) == y_all).mean())
-    return TrajectoryLog(omega=model.omega, layer_count=model.ssn_layer_count,
+    return TrajectoryLog(omega=model.omega, layer_count=len(net.ssn),
                          rows=rows, final_accuracy=acc, net=net)
 
 
@@ -359,14 +359,16 @@ def schedule_insensitivity_experiment(model: ToyModelConfig, opt: OptimizerConfi
     n = _check_data(model, data)[0].shape[0]
     total_steps = opt.epochs * math.ceil(n / model.batch_size)
     k = len(model.omega)
-    logs = []
-    for s in ri_steps:
-        # Reach the inscribed radius at step s and the circumradius at the
-        # final step.
+    ri_steps = list(ri_steps)
+    for s in ri_steps:  # every step is checked before the first run
         check_integer("ri_steps", s, 1)
         if s > total_steps - 2:
             raise InvalidInputError(f"ri_steps must lie in [1, {total_steps - 2}] of a "
                                     f"{total_steps}-step run, got {s}")
+    logs = []
+    for s in ri_steps:
+        # Reach the inscribed radius at step s and the circumradius at the
+        # final step.
         knots = ((0, 0.0), (s, inradius(k)), (total_steps - 1, circumradius(k)))
         logs.append(train(model, replace(opt, schedule=RadiusSchedule(knots)), data))
     return logs

@@ -233,6 +233,8 @@ def sparsestmax_numpy(z, r: float) -> ProjectionResult:
                                       d_norm, degenerate))
         if np.all(p1 >= 0.0):
             p_out = p1
+            if np.count_nonzero(p1) == 1:
+                levels.append(ProjectionLevel(_support_numpy(p1)))
             break
         p2 = _sparsemax_numpy_raw(p1)
         s2 = np.flatnonzero(p2 > 0.0)

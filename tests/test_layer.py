@@ -238,17 +238,21 @@ def test_forward_large_mean_matches_extended_precision():
 def test_recentred_variances_match_extended_precision():
     # With every normalizer active, each one after the first re-centres the
     # previous one's centered copy in place; a large offset would expose a
-    # wrong shift.
+    # wrong shift.  At 1e6, E[x^2] - E[x]^2 would keep about 4 of float64's
+    # 16 digits, so every variance, BN's batch variance included, must come
+    # from squares about a mean; the layer's worst relative error there is
+    # about 2.6e-16, and the long-double oracle's own is far below it.
     omega = ("IN", "BN", "LN", "GN")
     gn_groups = 3
-    x = 1e3 + np.random.default_rng(19).normal(size=(4, 6, 5, 5))
-    _, cache = ssn_forward(x, SsnParams.init(6, 4), 0.0, omega, gn_groups)
-    assert set(cache.stats) == set(omega)
-    xl = x.astype(np.longdouble)
-    for name in omega:
-        var = np.broadcast_to(cache.stats[name][1], cache.view[:3] + (1,)).reshape(4, 6)
-        ref = plain_moments(xl, name, gn_groups)[1]
-        assert float(np.max(np.abs(var - ref) / ref)) <= 1e-12, name
+    for offset in (1e3, 1e6):
+        x = offset + np.random.default_rng(19).normal(size=(4, 6, 5, 5))
+        _, cache = ssn_forward(x, SsnParams.init(6, 4), 0.0, omega, gn_groups)
+        assert set(cache.stats) == set(omega)
+        xl = x.astype(np.longdouble)
+        for name in omega:
+            var = np.broadcast_to(cache.stats[name][1], cache.view[:3] + (1,)).reshape(4, 6)
+            ref = plain_moments(xl, name, gn_groups)[1]
+            assert float(np.max(np.abs(var - ref) / ref)) <= 1e-12, (offset, name)
 
 
 def test_eval_mode_mixed_selection_uses_running_stats():

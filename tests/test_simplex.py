@@ -260,6 +260,28 @@ def test_stage_vertex_exact_one_hot():
     assert list(res2.p) == [1.0, 0.0, 0.0]
 
 
+def test_vertex_exits_just_below_the_circumradius():
+    # One ulp below the k = 2 circumradius, two exits of the projection's
+    # loop give a vertex: the face shrinks to one vertex after the push
+    # leaves the simplex, or the push lands exactly on the vertex.  Either
+    # ends on a level that holds the vertex alone and no push, as at the
+    # circumradius, so the VJP is exactly zero.  The loop's third exit
+    # (``d_norm >= r_cur``) stays untested: neither the suite nor 200,000
+    # draws within three ulps of the circumradius reach it.
+    r = math.nextafter(circumradius(2), 0.0)
+    rng = np.random.default_rng(35)
+    for z, p in (([-2.2019003929113212e-06, -8.337587392235404e-07], [0.0, 1.0]),
+                 ([0.03392818243710029, 0.013749583618419497], [1.0, 0.0])):
+        res = sparsestmax(z, r)
+        assert res.p.tolist() == p
+        assert res.stage == Stage.VERTEX
+        assert recursion_signature(res) == (((0, 1), True), ((p.index(1.0),), False))
+        assert res.p.tolist() == sparsestmax(z, circumradius(2)).p.tolist()
+        for _ in range(200):
+            g = rng.normal(size=2) * 10.0 ** rng.uniform(-3.0, 3.0)
+            assert not sparsestmax_vjp(res, g).any(), (z, g)
+
+
 def test_vertex_gradient_is_zero():
     res = sparsestmax([0.5, 0.3, 0.2], circumradius(3))
     g = sparsestmax_vjp(res, np.array([1.0, -2.0, 3.0]))

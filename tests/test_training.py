@@ -428,7 +428,7 @@ def _insensitivity_schedule(total_steps, ri_step):
                            (total_steps - 1, circumradius(3))))
 
 
-def test_insensitivity_schedule_shape():
+def test_insensitivity_schedule_shape(monkeypatch):
     sched = _insensitivity_schedule(100, 40)
     assert sched.radius(0, 3) == 0.0
     assert sched.radius(40, 3) == pytest.approx(inradius(3), abs=1e-15)
@@ -451,7 +451,16 @@ def test_insensitivity_schedule_shape():
     for step in (0.5, 10.0, True):
         with pytest.raises(InvalidInputError, match="ri_steps must be integral"):
             schedule_insensitivity_experiment(MODEL, OPT, data, [step])
-
+    # Every step is checked before the first run, with the same message, so
+    # a bad step late in the list trains nothing.
+    def no_train(*args):
+        raise AssertionError("a run was trained before every step was checked")
+    monkeypatch.setattr("ssnorm.training.train", no_train)
+    with pytest.raises(InvalidInputError, match=re.escape(
+            "ri_steps must lie in [1, 98] of a 100-step run, got 99")):
+        schedule_insensitivity_experiment(MODEL, OPT, data, [50, 60, 99])
+    with pytest.raises(InvalidInputError, match="ri_steps must be integral"):
+        schedule_insensitivity_experiment(MODEL, OPT, data, iter([50, 0.5]))
 
 
 @pytest.mark.parametrize("case", ["scalar x", "empty x"])
