@@ -6,12 +6,12 @@ from the radius-constrained simplex projection.  One statistics core
 serves every normalizer: ``REDUCE_AXES`` names the axes each one reduces
 over in an (N, G, C/G, H*W) view of the input, and the mixed moments are
 applied as a fused per-(n, c) scale and shift.  Each pass of the forward
-is a fixed block function: train-mode BN's batch moments, the only
-statistics that need the whole batch, come first (``row_sums``, then
-``batch_statistics`` where its variance is due), and one ``normalize``
-sweep does the rest, so an eval forward is one sweep per block of
-samples.  The exact backward pass collapses the same way to per-(n, c)
-coefficients.  One runner cuts every full-tensor pass into blocks of
+is a fixed block function.  Where train-mode BN, whose batch moments need
+the whole batch, is live, a first pass (``row_moments``) takes per-(n, c)
+row moments, every statistic is pooled from them, and ``normalize`` only
+scales; everywhere else one ``normalize`` sweep per block of samples takes
+every statistic and scales.  The exact backward pass collapses the same way
+to per-(n, c) coefficients.  One runner cuts every full-tensor pass into blocks of
 whole samples and shares them among one thread per usable core, with
 numpy's ufunc buffer cut to one long row, and one rule checks x and the
 upstream gradient for finiteness.  One allocator gives every full-size
@@ -120,8 +120,8 @@ def _map_samples(fn, view) -> list:
     """Results of ``fn(lo, hi)`` over blocks of whole samples that cover the
     N axis of a float64 tensor in the grouped ``view``, in sample order.
     Every full-tensor pass of the layer runs here: the forward's
-    ``row_sums``, ``batch_statistics`` and ``normalize`` and the backward's
-    ``sweep_1`` and ``sweep_2``.  A block holds as many samples as fit in
+    ``row_moments`` and ``normalize`` and the backward's ``sweep_1`` and
+    ``sweep_2``.  A block holds as many samples as fit in
     ``BLOCK_BYTES``, and at least one.  A one-block tensor is run in the
     calling thread; a larger one gets one range per worker (at most
     ``WORKERS``), run in the pool.  Each range runs under a copy of the
@@ -373,26 +373,29 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     Each pass over the tensor (``_map_samples``) is one fixed block
     function, run on a block of whole samples while it is in cache.  Each
     mean taken from ``x`` is a sum of the block's per-(n, c) row sums of
-    ``x``.  One centered copy of ``x`` serves every variance: the chain of
-    those means, in omega order, re-centres it in place from each mean to
-    the next (the first writes it from ``x``), summing its squares per row
-    where a variance is due.  Only train-mode BN's batch moments need every
-    sample, so they alone come before the last pass: ``row_sums`` writes
-    the row sums, from which BN's mean is taken, and where BN's variance
-    is due ``batch_statistics`` takes the chain through BN, whose squares
-    give that variance.  ``normalize`` then takes the row sums if no
-    earlier pass did and the rest of the chain, mixes every live
+    ``x``.  Only train-mode BN's batch moments need every sample.  Where BN
+    is live in train mode, ``row_moments`` first writes, per block, the row
+    sums and a copy of ``x`` centered on its row means, with that copy's
+    row sums of squares and, where a variance other than IN's is due, its
+    row sums.  Between the passes every statistic is pooled from these per
+    row: a variance about another mean adds each row's offset from it
+    (Chan, Golub and LeVeque's pairwise update), so a large common offset
+    costs no digits.  Elsewhere, in eval mode or with BN's ratio zero in
+    both gates, one centered copy of ``x`` serves every variance: the chain
+    of the means taken from ``x``, in omega order, re-centres it in place
+    from each mean to the next (the first writes it from ``x``), summing
+    its squares per row where a variance is due.  ``normalize`` takes the
+    row sums and that chain where nothing was pooled, mixes every live
     normalizer's moments and applies them as one per-(n, c) scale and
     shift, ``y = x * a + b``, in place on the centered copy.  So a forward
-    is one pass in eval mode or with BN's ratio zero in both gates, two
-    with BN's mean alone and three with its variance.  Each block checks
-    its part of ``x`` by its row sums (``_check_finite``) before anything
-    else, and a block whose ``x`` is rejected raises with no numpy
-    warning.  The statistics ignore overflow and invalid values; the scale
-    runs under the caller's error state, so where one pass covers several
-    blocks, another block of a rejected ``x`` whose own finite values
-    overflow may warn before the error.  The bits are the same for any
-    block size or worker count.
+    is two passes with train-mode BN live in either gate and one otherwise.
+    Each block checks its part of ``x`` by its row sums (``_check_finite``)
+    before anything else, and a block whose ``x`` is rejected raises with
+    no numpy warning.  The statistics ignore overflow and invalid values;
+    the scale runs under the caller's error state, so where one pass covers
+    several blocks, another block of a rejected ``x`` whose own finite
+    values overflow may warn before the error.  The bits are the same for
+    any block size or worker count.
     """
     x = check_array("activation tensor", x, finite=False)  # checked by blocks below
     if x.ndim != 4:
@@ -408,13 +411,10 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     # As Python floats, which index and multiply faster than numpy scalars.
     p, pp = p_res.p.tolist(), pp_res.p.tolist()
 
-    # ``live`` is the table of live normalizers and ``chain`` its entries
-    # taken from x.  Each block writes its samples of a per-sample
-    # statistic.  BN's are batch statistics, with a length-1 N axis that
-    # every block reads whole; in train mode they are taken between passes.
+    # ``live`` is the table of live normalizers.  Each block writes its
+    # samples of a per-sample statistic.  BN's are batch statistics, with a
+    # length-1 N axis that every block reads whole.
     live = []
-    bn = None  # train-mode BN's link of ``chain``
-    taken = 0  # the links of ``chain`` that ``batch_statistics`` takes
     for i, name in enumerate(omega):
         if p[i] == 0.0 and pp[i] == 0.0:
             continue
@@ -428,14 +428,20 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
             mean_k = np.empty(shape)
             var_k = np.empty(shape) if pp[i] != 0.0 else None
         live.append(LiveNormalizer(i, name, axes, x.size // mean_k.size, mean_k, var_k))
-        if name == "BN" and params.mode == TRAIN:
-            bn, taken = live[-1], len(live) if var_k is not None else 0
-    chain = live if params.mode == TRAIN else [k for k in live if k.name != "BN"]
-    shift = chain[-1].mean if chain else None  # the last mean taken from x
+    # Train-mode BN needs every sample, so its forward pools every statistic
+    # from per-row moments between two passes; ``chain``, the statistics
+    # ``normalize`` takes from x, is then empty.
+    pooled = params.mode == TRAIN and any(k.name == "BN" for k in live)
+    chain = [] if pooled else [k for k in live if k.name != "BN"]
 
     xv = x.reshape(view)
+    hw = view[3]
     rows = np.empty(per_nc)  # per-(n, c) row sums of x
     sq = np.empty(per_nc)  # per-(n, c) sums of squares of the centered copy
+    centre = np.empty(per_nc) if pooled else None  # per-(n, c) row means of x
+    # per-(n, c) sums of the centered copy, due for any variance but IN's
+    delta = np.empty(per_nc) if pooled and any(
+        k.var is not None and k.name != "IN" for k in live) else None
     mu = np.zeros(per_nc)
     var = np.zeros(per_nc)
     inv_std = np.empty(per_nc)
@@ -443,40 +449,63 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     y = _full(view)
     gamma = params.gamma.reshape(per_nc[1:])
     beta = params.beta.reshape(per_nc[1:])
+    # The mean the centered copy is taken about: the row means where the
+    # statistics are pooled, else the last mean taken from x.
+    shift = centre if pooled else chain[-1].mean if chain else None
 
     def row_sums(lo, hi):
         xb = xv[lo:hi]
         _check_finite("activation", xb,
                       np.add.reduce(xb, axis=3, keepdims=True, out=rows[lo:hi]))
 
-    def recentre(lo, hi, links):
-        """Samples lo:hi of the statistics of ``chain[links]``, which
-        re-centre the centered copy from the mean before the first link."""
+    def row_moments(lo, hi):
+        """Samples lo:hi of the row sums and row means of x, and of the row
+        sums of squares (and of values, where ``delta`` is due) of the copy
+        centered on the row means, which it writes to y."""
+        row_sums(lo, hi)
+        yb = np.subtract(xv[lo:hi], np.divide(rows[lo:hi], hw, out=centre[lo:hi]),
+                         out=y[lo:hi])
+        np.einsum("ngkh,ngkh->ngk", yb, yb, out=sq[lo:hi, ..., 0])
+        if delta is not None:
+            np.add.reduce(yb, axis=3, keepdims=True, out=delta[lo:hi])
+
+    def pool():
+        """Every live normalizer's statistics from the per-row moments.  A
+        variance about a mean other than the row mean adds, per row, the
+        offset d = centre - mean: sum((t + d)^2) = sum(t^2) + d * (2 * sum(t)
+        + HW * d), where t is the centered copy, whose sum is not exactly 0."""
+        _map_samples(row_moments, view)
+        for _, name, axes, m, mean_k, var_k in live:
+            _mean(rows, axes, m, mean_k)
+            if var_k is None:
+                continue
+            if name == "IN":
+                _mean(sq, axes, m, var_k)
+            else:
+                d = centre - mean_k
+                _mean(sq + d * (2.0 * delta + hw * d), axes, m, var_k)
+
+    def recentre(lo, hi):
+        """Samples lo:hi of the statistics of ``chain``, whose means, in
+        turn, re-centre the centered copy in place."""
         xb, yb, rb = xv[lo:hi], y[lo:hi], rows[lo:hi]
-        for j in links:
-            _, name, axes, m, mean_k, var_k = chain[j]
-            # BN's batch mean was taken before its pass.
-            mean_b = mean_k if name == "BN" else _mean(rb, axes, m, mean_k[lo:hi])
+        for j, (_, _, axes, m, mean_k, var_k) in enumerate(chain):
+            mean_b = _mean(rb, axes, m, mean_k[lo:hi])
             if j == 0:
                 np.subtract(xb, mean_b, out=yb)
             else:
-                yb -= mean_b - _samples(chain[j - 1].mean, lo, hi)
+                yb -= mean_b - chain[j - 1].mean[lo:hi]
             if var_k is not None:
                 sb = sq[lo:hi]
                 np.einsum("ngkh,ngkh->ngk", yb, yb, out=sb[..., 0])
-                # BN's batch variance is taken once its pass ends.
-                if name != "BN":
-                    _mean(sb, axes, m, var_k[lo:hi])
-
-    def batch_statistics(lo, hi):
-        recentre(lo, hi, range(taken))
+                _mean(sb, axes, m, var_k[lo:hi])
 
     def mixed_moments(lo, hi):
         """Samples lo:hi of every statistic not taken in an earlier pass,
         and of the mixed moments, which it returns."""
-        if bn is None:
+        if not pooled:
             row_sums(lo, hi)
-        recentre(lo, hi, range(taken, len(chain)))
+            recentre(lo, hi)
         mu_b, var_b = mu[lo:hi], var[lo:hi]
         for i, _, _, _, mean_k, var_k in live:
             if p[i] != 0.0:
@@ -500,18 +529,10 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
             out += beta - mu_b * a_b
         else:
             out = np.multiply(yb, a_b, out=yb)
-            out += beta - (mu_b - _samples(shift, lo, hi)) * a_b
+            out += beta - (mu_b - shift[lo:hi]) * a_b
 
-    def batch_moments(axes, m, mean_k, var_k):
-        """Train-mode BN's batch moments, each a sum over every sample."""
-        _map_samples(row_sums, view)
-        _mean(rows, axes, m, mean_k)
-        if var_k is not None:
-            _map_samples(batch_statistics, view)
-            _mean(sq, axes, m, var_k)
-
-    if bn is not None:
-        _quietly(batch_moments, *bn[2:])
+    if pooled:
+        _quietly(pool)
     _map_samples(normalize, view)
     cache = SsnCache(x=x, view=view, p_res=p_res, pp_res=pp_res, live=live,
                      mu=mu, inv_std=inv_std, scale=a, mode=params.mode)

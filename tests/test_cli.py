@@ -220,15 +220,16 @@ def test_train_default_config_converges(capsys, tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exits_1(capsys, tmp_path):
-    # At lr = 1e6 the step-15 backward computes a NaN variance-gate gradient
-    # for a one-hot layer, and the projection's VJP rejects it there.
+    # At lr = 1e6 activations reach 1e161 by step 15.  There the last
+    # layer's input is about 6e134, its grad_x overflows, and the backward
+    # of the layer below rejects that as its upstream tensor.
     cfg = _write_config(tmp_path, {"optimizer": {"lr": 1e6}})
     out_csv = tmp_path / "log.csv"
     code, out, err = run(["train", "--config", str(cfg), "--out", str(out_csv)],
                          capsys)
     assert code == 1
     assert out == ""
-    assert err == "step 15: upstream vector must be finite\n"
+    assert err == "step 15: upstream tensor must be finite\n"
     assert not out_csv.exists()
 
 

@@ -235,24 +235,29 @@ def test_forward_large_mean_matches_extended_precision():
     assert float(np.max(np.abs(y - y_ref))) <= 1e-11
 
 
-def test_recentred_variances_match_extended_precision():
-    # With every normalizer active, each one after the first re-centres the
-    # previous one's centered copy in place; a large offset would expose a
-    # wrong shift.  At 1e6, E[x^2] - E[x]^2 would keep about 4 of float64's
-    # 16 digits, so every variance, BN's batch variance included, must come
-    # from squares about a mean; the layer's worst relative error there is
-    # about 2.6e-16, and the long-double oracle's own is far below it.
+def test_recentred_variances_match_extended_precision(monkeypatch):
+    # With every normalizer active, the train-mode forward pools each
+    # variance from rows centered on their own means; a large offset would
+    # expose a wrong shift.  At 1e6, E[x^2] - E[x]^2 would keep about 4 of
+    # float64's 16 digits, so every variance, BN's batch variance included,
+    # must come from squares about a mean; the layer's worst relative error
+    # there is about 2.6e-16, and the long-double oracle's own is far below
+    # it.  The last input spans eight one-sample blocks that two workers
+    # share, so each pooled variance sums rows of several blocks.
     omega = ("IN", "BN", "LN", "GN")
-    gn_groups = 3
-    for offset in (1e3, 1e6):
-        x = offset + np.random.default_rng(19).normal(size=(4, 6, 5, 5))
-        _, cache = ssn_forward(x, SsnParams.init(6, 4), 0.0, omega, gn_groups)
+    cases = [(1e3, (4, 6, 5, 5), 3), (1e6, (4, 6, 5, 5), 3), (1e6, (8, 64, 28, 28), 8)]
+    for offset, shape, gn_groups in cases:
+        x = offset + np.random.default_rng(19).normal(size=shape)
+        if shape[0] == 8:
+            monkeypatch.setattr(layer, "BLOCK_BYTES", x[0].nbytes)
+            monkeypatch.setattr(layer, "WORKERS", 2)
+        _, cache = ssn_forward(x, SsnParams.init(shape[1], 4), 0.0, omega, gn_groups)
         assert set(cache.stats) == set(omega)
         xl = x.astype(np.longdouble)
         for name in omega:
-            var = np.broadcast_to(cache.stats[name][1], cache.view[:3] + (1,)).reshape(4, 6)
+            var = np.broadcast_to(cache.stats[name][1], cache.view[:3] + (1,)).reshape(shape[:2])
             ref = plain_moments(xl, name, gn_groups)[1]
-            assert float(np.max(np.abs(var - ref) / ref)) <= 1e-12, (offset, name)
+            assert float(np.max(np.abs(var - ref) / ref)) <= 1e-12, (offset, shape, name)
 
 
 def test_eval_mode_mixed_selection_uses_running_stats():
@@ -880,10 +885,9 @@ def test_random_layers_backward_matches_central_differences(case):
 
 @pytest.mark.parametrize("mode", [TRAIN, EVAL])
 def test_forward_cuts_a_pass_only_for_batch_statistics(monkeypatch, mode):
-    # One pass per forward, but train-mode BN's mean needs every sample's
-    # row sums and its variance every sample's squares: two passes with
-    # BN's mean alone, three with its variance.  Every one-hot pair, then
-    # every normalizer live.
+    # One pass per forward, but train-mode BN's moments need every sample's
+    # row moments: two passes with BN live in either gate, its mean alone or
+    # its variance.  Every one-hot pair, then every normalizer live.
     omega = ("IN", "BN", "LN", "GN")
     x = np.random.default_rng(33).normal(size=(2, 4, 3, 3))
     params = _rand_params(np.random.default_rng(34), 4, 4, mode=mode)
@@ -900,8 +904,8 @@ def test_forward_cuts_a_pass_only_for_batch_statistics(monkeypatch, mode):
         names.clear()
         ssn_forward(x, params, r, omega, 2)
         bn_mean, bn_var = (True, True) if pair is None else (pair[0] == 1, pair[1] == 1)
-        passes = 1 if mode == EVAL else 3 if bn_var else 2 if bn_mean else 1
-        assert names == ["row_sums", "batch_statistics"][:passes - 1] + ["normalize"], \
+        passes = 1 if mode == EVAL else 2 if bn_mean or bn_var else 1
+        assert names == ["row_moments"][:passes - 1] + ["normalize"], \
             (pair, names)
 
 
@@ -926,7 +930,7 @@ def test_every_pass_walks_the_same_blocks(monkeypatch, workers):
         _, cache = ssn_forward(x, params, 0.1, omega, 2)
         ssn_backward(cache, g)
         assert [name for name, _ in calls] == [
-            "row_sums", "batch_statistics", "normalize", "sweep_1", "sweep_2"]
+            "row_moments", "normalize", "sweep_1", "sweep_2"]
         tilings = set()
         for name, blocks in calls:
             ranges = [(lo, hi) for lo, hi, _ in blocks]
@@ -1108,9 +1112,9 @@ def test_every_pass_is_named_and_cut(monkeypatch, workers):
     seen.append(names[:])
     # Each block checks its own samples, so a pass stops at the first
     # rejected block: x's NaN is in sample 1, g's in sample 2.
-    assert seen == [["row_sums", "batch_statistics", "normalize", "sweep_1", "sweep_2"],
-                    ["normalize"], ["row_sums"], ["sweep_1"]]
-    assert [len(blocks) for _, blocks in calls] == [3] * 6 + [2, 3]
+    assert seen == [["row_moments", "normalize", "sweep_1", "sweep_2"],
+                    ["normalize"], ["row_moments"], ["sweep_1"]]
+    assert [len(blocks) for _, blocks in calls] == [3] * 5 + [2, 3]
     assert {size for _, blocks in calls for _, _, size in blocks} == {3136}
 
 
