@@ -27,11 +27,16 @@ def check_integer(name: str, value, least=None):
 def check_real(name: str, value, least=None, strict: bool = False):
     """Return ``value`` if it is a finite non-bool ``numbers.Real`` of at
     least ``least`` (above it when ``strict``); else raise
-    ``InvalidInputError`` naming ``name``."""
-    # A float is tested first: the ABC check costs about 15 times as much.
-    if type(value) is not float and \
+    ``InvalidInputError`` naming ``name``.  An int beyond float64 is not
+    finite."""
+    try:
+        # A float is tested first: the ABC check costs about 15 times as much.
+        bad = type(value) is not float and \
             (not isinstance(value, numbers.Real) or type(value) is bool) or \
-            not math.isfinite(value):
+            not math.isfinite(value)
+    except OverflowError:  # ``math.isfinite`` of an int beyond float64
+        bad = True
+    if bad:
         raise InvalidInputError(f"{name} must be a finite real number, got {value!r}")
     if least is not None and (value <= least if strict else value < least):
         raise InvalidInputError(f"{name} must be {'>' if strict else '>='} {least}, "

@@ -61,8 +61,9 @@ def validate_omega(omega) -> tuple[str, ...]:
 
 
 # Axes each normalizer reduces over in the (N, G, C/G, H*W) view of x, where
-# G is the GN group count when GN is in omega and 1 otherwise.  Per-(n, c)
-# arrays keep a size-1 last axis in the same view, so the same axes turn the
+# G is the GN group count when GN is in omega and 1 otherwise.  A statistic
+# has size 1 on its axes and the view's size elsewhere.  Per-(n, c) arrays
+# keep a size-1 last axis in the same view, so the same axes turn the
 # per-(n, c) row sums of x into a statistic's sum, and sum a statistic's
 # adjoint in the backward pass.
 REDUCE_AXES = {"IN": (3,), "BN": (0, 3), "LN": (1, 2, 3), "GN": (2, 3)}
@@ -87,14 +88,6 @@ ROW_BUFFER_MIN = 128
 # threshold on 64-bit, every block is a fresh mapping, unmapped when freed,
 # whose pages the kernel zeroes as the output is first written.
 RECYCLE_BYTES = 32 << 20
-
-def _grouped_shape(shape, omega, gn_groups: int) -> tuple[int, int, int, int]:
-    """The (N, G, C/G, H*W) view that ``REDUCE_AXES`` indexes."""
-    n, c, h, w = shape
-    groups = check_integer("gn_groups", gn_groups, 1) if "GN" in omega else 1
-    if c % groups != 0:
-        raise InvalidInputError(f"channels ({c}) not divisible by groups ({groups})")
-    return n, groups, c // groups, h * w
 
 
 @functools.cache
@@ -387,7 +380,8 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     its squares per row where a variance is due.  ``normalize`` takes the
     row sums and that chain where nothing was pooled, mixes every live
     normalizer's moments and applies them as one per-(n, c) scale and
-    shift, ``y = x * a + b``, in place on the centered copy.  So a forward
+    shift, ``y = x * a + b``: one multiply and one add, in place on the
+    centered copy where there is one and from ``x`` otherwise.  So a forward
     is two passes with train-mode BN live in either gate and one otherwise.
     Each block checks its part of ``x`` by its row sums (``_check_finite``)
     before anything else, and a block whose ``x`` is rejected raises with
@@ -404,7 +398,11 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
         raise InvalidInputError("activation tensor must be non-empty")
     omega = validate_omega(omega)
     _check_params(params, len(omega), x.shape[1])
-    view = _grouped_shape(x.shape, omega, gn_groups)
+    n, c, h, w = x.shape
+    groups = check_integer("gn_groups", gn_groups, 1) if "GN" in omega else 1
+    if c % groups != 0:
+        raise InvalidInputError(f"channels ({c}) not divisible by groups ({groups})")
+    view = (n, groups, c // groups, h * w)  # the view that ``REDUCE_AXES`` indexes
     per_nc = view[:3] + (1,)
     p_res = sparsestmax(params.gate.z_mean, r)
     pp_res = sparsestmax(params.gate.z_var, r)
@@ -412,15 +410,14 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
     p, pp = p_res.p.tolist(), pp_res.p.tolist()
 
     # ``live`` is the table of live normalizers.  Each block writes its
-    # samples of a per-sample statistic.  BN's are batch statistics, with a
-    # length-1 N axis that every block reads whole.
+    # samples of a per-sample statistic.  BN's reduce over N, so they are
+    # batch statistics, with a length-1 N axis that every block reads whole.
     live = []
     for i, name in enumerate(omega):
         if p[i] == 0.0 and pp[i] == 0.0:
             continue
         axes = REDUCE_AXES[name]
-        # BN reduces over N; every other normalizer over trailing axes.
-        shape = (1,) + per_nc[1:] if name == "BN" else per_nc[:axes[0]] + (1,) * (4 - axes[0])
+        shape = tuple(1 if d in axes else size for d, size in enumerate(per_nc))
         if name == "BN" and params.mode == EVAL:
             mean_k = params.bn_running_mean.reshape(shape)
             var_k = params.bn_running_var.reshape(shape)
@@ -523,13 +520,9 @@ def ssn_forward(x, params: SsnParams, r: float, omega, gn_groups: int = 32):
         np.sqrt(s_b, out=s_b)
         np.divide(1.0, s_b, out=s_b)
         a_b = np.multiply(gamma, s_b, out=a[lo:hi])
-        yb = y[lo:hi]
-        if shift is None:
-            out = np.multiply(xv[lo:hi], a_b, out=yb)
-            out += beta - mu_b * a_b
-        else:
-            out = np.multiply(yb, a_b, out=yb)
-            out += beta - (mu_b - shift[lo:hi]) * a_b
+        src, off = (xv, mu_b) if shift is None else (y, mu_b - shift[lo:hi])
+        out = np.multiply(src[lo:hi], a_b, out=y[lo:hi])
+        out += beta - off * a_b
 
     if pooled:
         _quietly(pool)
@@ -571,7 +564,6 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
     x, view = cache.x, cache.view
     if g.shape != x.shape:
         raise InvalidInputError("upstream tensor shape must match the input")
-    per_nc = view[:3] + (1,)
     xv, gv = x.reshape(view), g.reshape(view)
     p, pp = cache.p_res.p, cache.pp_res.p
     s, mu, a = cache.inv_std, cache.mu, cache.scale
@@ -599,8 +591,8 @@ def ssn_backward(cache: SsnCache, upstream) -> SsnGrads:
 
     # Each statistic's adjoint is a sum over its own axes: a mean adds a
     # constant, a variance adds a multiple of (x - mean).
-    coef = np.zeros(per_nc)
-    const = np.zeros(per_nc)
+    coef = np.zeros_like(mu)
+    const = np.zeros_like(mu)
     g_p = np.zeros(len(p))
     g_pp = np.zeros(len(pp))
     for i, _, axes, m, mean_k, var_k in cache.live:

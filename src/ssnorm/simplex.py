@@ -97,9 +97,11 @@ class RadiusSchedule:
 
 def softmax(z) -> np.ndarray:
     """Shift-invariant softmax.  An entry is 0 where ``exp`` underflows: a
-    logit more than about 745 below the largest."""
+    logit more than about 745 below the largest.  A shift that overflows
+    is -inf, the exact answer there, whose ``exp`` is 0."""
     z = as_logits(z)
-    e = np.exp(z - z.max())
+    with np.errstate(over="ignore"):  # only the shift can overflow
+        e = np.exp(z - z.max())
     return e / e.sum()
 
 

@@ -328,6 +328,8 @@ def test_train_config_schedule_matches_default_ramp(capsys, tmp_path):
     pytest.param("model", None, [1], "model", id="section-not-object"),
     pytest.param("data", "n_samples", "abc", "data.n_samples", id="non-numeric"),
     pytest.param("optimizer", "lr", None, "optimizer.lr", id="null-number"),
+    pytest.param("optimizer", "lr", 10**400, "optimizer.lr", id="int-beyond-float64"),
+    pytest.param("model", "omega", "IN", "model.omega", id="string-for-list"),
     pytest.param("model", "batch_size", 40.0, "model.batch_size",
                  id="float-for-integer"),
     pytest.param("model", "layer_widths", [8, 8, 8, "8"], "model.layer_widths",

@@ -86,6 +86,7 @@ def test_only_errors_reads_dtype_kinds():
     (check_real, float("nan"), False), (check_real, -float("inf"), False),
     (check_real, np.float64("nan"), False), (check_real, "0.5", False),
     (check_real, None, False), (check_real, 1 + 0j, False),
+    pytest.param(check_real, 10**400, False, id="check_real-int-beyond-float64"),
 ])
 def test_scalar_rules_take_the_same_values_by_either_path(check, value, passes):
     # A plain int or float is tested before the numbers ABCs; every other

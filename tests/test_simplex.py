@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from reference import (central_difference, sparsemax_jacobian,
                        sparsestmax_numpy, sparsestmax_vjp_numpy,
                        validate_prob_vector)
-from ssnorm.errors import InvalidInputError
-from ssnorm.simplex import (DEGENERATE_TOL, RadiusSchedule,
+from ssnorm.errors import InvalidInputError, InvalidStateError
+from ssnorm.simplex import (DEGENERATE_TOL, ProjectionResult, RadiusSchedule,
                             Stage, circumradius, inradius, is_smooth_point,
                             recursion_signature, softmax, sparsemax,
                             sparsestmax, sparsestmax_vjp, vjp_gradcheck)
@@ -113,6 +113,12 @@ def test_softmax_positive_and_normalized():
     p = softmax([3.0, -1.0, 0.5])
     assert abs(p.sum() - 1.0) <= 1e-12
     assert p.min() > 0.0
+
+
+def test_softmax_of_a_spread_beyond_float64_is_one_hot_without_warning():
+    # The shift of the smallest logit overflows to -inf, the exact answer.
+    assert softmax([1e308, -1e308]).tolist() == [1.0, 0.0]
+    assert softmax([-1e308, 1e308, 0.0]).tolist() == [0.0, 1.0, 0.0]
 
 
 # ----------------------------------------------------------------- geometry
@@ -602,6 +608,13 @@ def test_vjp_rejects_bad_upstream():
         sparsestmax_vjp(res, np.array([1.0, 2.0]))
     with pytest.raises(InvalidInputError):
         sparsestmax_vjp(res, np.array([1.0, np.nan, 0.0]))
+
+
+def test_vjp_rejects_a_result_without_saved_levels():
+    res = sparsestmax([0.5, 0.3, 0.2], 0.3)
+    bare = ProjectionResult(res.p, res.stage, ())
+    with pytest.raises(InvalidStateError, match="missing saved intermediates"):
+        sparsestmax_vjp(bare, np.ones(3))
 
 
 # ------------------------------------------------------------------ helpers
